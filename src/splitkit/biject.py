@@ -583,10 +583,14 @@ def apply_named_map(name: str, obj, n: Optional[int] = None):
     tag = class_tag_of(obj)
     if tag != spec.domain:
         raise UsageError(f"map {name} expects a {spec.domain} object, got {tag}")
+    if spec.needs_n and n is None:
+        raise UsageError(f"map {name} needs a target size n")
+    if tag == "split" and not is_split(obj):
+        # every map on split graphs rejects this first; checking before
+        # canonicalizing spares the search on an arbitrary graph
+        raise DomainError("not a split graph")
     canon_in, key_in = canonical_object(obj)
     if spec.needs_n:
-        if n is None:
-            raise UsageError(f"map {name} needs a target size n")
         out = spec.fn(canon_in, n)
     else:
         out = spec.fn(canon_in)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -271,6 +272,55 @@ def test_graph_keys_against_networkx_beyond_exhaustive_range():
         h2.add_nodes_from(range(n))
         same = canon_graph(g1).key == canon_graph(g2).key
         assert same == nx.is_isomorphic(h1, h2)
+
+
+def _symmetric_cases():
+    """Highly symmetric inputs, where tied search states are most numerous."""
+    cases = []
+    for k in range(7, 11):
+        cases.append((f"identity {k}", [[int(i == j) for j in range(k)] for i in range(k)]))
+        cases.append((f"co-identity {k}", [[int(i != j) for j in range(k)] for i in range(k)]))
+    pairs = list(itertools.combinations(range(6), 2))
+    cases.append(("edge-vertex incidence of K6", [[int(v in e) for v in range(6)] for e in pairs]))
+    triples = list(itertools.combinations(range(7), 3))
+    cases.append(("3-subsets of a 7-set", [[int(v in t) for v in range(7)] for t in triples]))
+    cases.append(("16-cycle", graph(16, [(i, (i + 1) % 16) for i in range(16)])))
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    cases.append(("Petersen graph", graph(10, outer + inner + spokes)))
+    rng = random.Random(20)
+    clique = [(i, j) for j in range(10) for i in range(j)]
+    cross = [(u, v) for u in range(10) for v in range(10, 20) if rng.random() < 0.5]
+    cases.append(("random split graph n=20", graph(20, clique + cross)))
+    return cases
+
+
+def test_symmetric_worst_cases_within_budget():
+    # CPU seconds of this process, so that load from other processes on
+    # the host does not count against the budget
+    budget_s = 2.0
+    rng = random.Random(7)
+    for name, obj in _symmetric_cases():
+        inputs = [obj]
+        for _ in range(3):
+            if isinstance(obj, Graph):
+                perm = list(range(obj.n))
+                rng.shuffle(perm)
+                inputs.append(relabel(obj, perm))
+            else:
+                rows = list(range(len(obj)))
+                cols = list(range(len(obj[0])))
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+                inputs.append([[obj[i][j] for j in cols] for i in rows])
+        keys = set()
+        for x in inputs:
+            start = time.process_time()
+            keys.add(canon_graph(x).key if isinstance(x, Graph) else canon_matrix(x).bits)
+            elapsed = time.process_time() - start
+            assert elapsed <= budget_s, f"{name}: {elapsed:.2f} s"
+        assert len(keys) == 1, name
 
 
 def test_is_isomorphic():

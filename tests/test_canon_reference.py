@@ -1,0 +1,223 @@
+"""The cell-search kernels against brute-force reference kernels.
+
+The references below are the earlier searches kept as oracles: the matrix
+kernel sweeps every order of the smaller side and sorts the other side
+greedily, and the graph kernel keeps every tied vertex prefix.  They share
+no code with ``splitkit.canon``; keys are rebuilt here from their bits.
+"""
+
+import itertools
+import random
+from functools import lru_cache
+
+from splitkit.canon import canon_graph, canon_matrix, canon_xy, relabel_graph
+from splitkit.core import Graph, XYGraph
+
+# ---------------------------------------------------------------------------
+# reference kernels
+
+
+@lru_cache(maxsize=None)
+def _perm_tables(width):
+    """(perm, table) for every permutation of ``width`` bit positions, where
+    ``table[value]`` permutes a ``width``-bit integer whose bit width-1-j
+    holds position j."""
+    tables = []
+    for perm in itertools.permutations(range(width)):
+        table = [_apply_bit_perm(value, perm, width) for value in range(1 << width)]
+        tables.append((perm, table))
+    return tables
+
+
+def _apply_bit_perm(value, perm, width):
+    out = 0
+    for pos, src in enumerate(perm):
+        out |= ((value >> (width - 1 - src)) & 1) << (width - 1 - pos)
+    return out
+
+
+def _permuted(values, width):
+    """(perm, permuted values) for every permutation of ``width`` bits."""
+    if width <= 6:
+        for perm, table in _perm_tables(width):
+            yield perm, [table[v] for v in values]
+    else:
+        for perm in itertools.permutations(range(width)):
+            yield perm, [_apply_bit_perm(v, perm, width) for v in values]
+
+
+def ref_canon_matrix(matrix):
+    """(bits, row_perm, col_perm): the lex-least row-major matrix over row
+    and column orders, by sweeping every order of the smaller side."""
+    r = len(matrix)
+    c = len(matrix[0]) if r else 0
+    if r == 0 or c == 0:
+        return (), tuple(range(r)), tuple(range(c))
+    if c <= r:
+        # every column order; for each, the best row order sorts the rows
+        rows = [sum(matrix[i][j] << (c - 1 - j) for j in range(c)) for i in range(r)]
+        best = None
+        for perm, permuted in _permuted(rows, c):
+            cand = sorted(permuted)
+            if best is None or cand < best[0]:
+                best = (cand, perm, permuted)
+        _, col_perm, permuted = best
+        row_perm = sorted(range(r), key=lambda i: (permuted[i], i))
+        bits = tuple((permuted[i] >> (c - 1 - j)) & 1 for i in row_perm for j in range(c))
+        return bits, tuple(row_perm), tuple(col_perm)
+    # every row order; for each, columns sort by their top-down reading, and
+    # candidates compare by their row-major bits
+    cols = [sum(matrix[i][j] << (r - 1 - i) for i in range(r)) for j in range(c)]
+    best = None
+    for perm, permuted in _permuted(cols, r):
+        col_perm = sorted(range(c), key=lambda j: (permuted[j], j))
+        cand = tuple(
+            sum(((permuted[col_perm[j]] >> (r - 1 - i)) & 1) << (c - 1 - j) for j in range(c))
+            for i in range(r)
+        )
+        if best is None or cand < best[0]:
+            best = (cand, perm, col_perm)
+    cand, row_perm, col_perm = best
+    bits = tuple((cand[i] >> (c - 1 - j)) & 1 for i in range(r) for j in range(c))
+    return bits, tuple(row_perm), tuple(col_perm)
+
+
+def _twin_classes(g):
+    """Vertices grouped so that swapping two in a group is an automorphism."""
+    classes = []
+    for v in range(g.n):
+        for members in classes:
+            u = members[0]
+            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def ref_canon_graph(g):
+    """(bits, order): the lex-least growing-order adjacency bits, by keeping
+    every tied vertex prefix (one candidate per twin class)."""
+    n = g.n
+    if n == 0:
+        return (), ()
+    classes = _twin_classes(g)
+
+    def candidates(used):
+        return [next(v for v in members if not used >> v & 1)
+                for members in classes if any(not used >> v & 1 for v in members)]
+
+    frontier = [((v,), 1 << v) for v in candidates(0)]
+    bits = []
+    for k in range(1, n):
+        best = None
+        grown = []
+        for order, used in frontier:
+            for v in candidates(used):
+                block = tuple(g.adj[v] >> u & 1 for u in order)
+                if best is None or block < best:
+                    best, grown = block, []
+                if block == best:
+                    grown.append((order + (v,), used | 1 << v))
+        bits.extend(best)
+        frontier = grown
+    return tuple(bits), min(order for order, _ in frontier)
+
+
+def _pack(bits):
+    padded = list(bits) + [0] * (-len(bits) % 8)
+    return bytes(int("".join(map(str, padded[i : i + 8])), 2) for i in range(0, len(padded), 8))
+
+
+def ref_key_bytes(tag, dims, bits):
+    return tag + b"".join(d.to_bytes(2, "big") for d in dims) + _pack(bits)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def random_matrices(rng, count, max_side):
+    for _ in range(count):
+        r = rng.randrange(1, max_side + 1)
+        c = rng.randrange(1, max_side + 1)
+        p = rng.choice((0.2, 0.5, 0.8))
+        yield [[int(rng.random() < p) for _ in range(c)] for _ in range(r)]
+
+
+def stream_split_graph(rng, n):
+    """Clique K = 0..k-1, stable set S = k..n-1 of 3 to 7 vertices, cross
+    edges with a per-graph probability; sometimes one S-vertex sees all of
+    K or one K-vertex sees none of S, as in the stream benchmark."""
+    s = rng.randrange(3, min(7, n - 1) + 1)
+    k = n - s
+    p = rng.uniform(0.25, 0.75)
+    edges = {(u, v) for u in range(k) for v in range(u + 1, k)}
+    edges |= {(u, v) for u in range(k) for v in range(k, n) if rng.random() < p}
+    twist = rng.random()
+    if twist < 0.3:
+        v = rng.randrange(k, n)
+        edges |= {(u, v) for u in range(k)}
+    elif twist < 0.6:
+        u = rng.randrange(k)
+        edges = {(a, b) for a, b in edges if a != u or b < k}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def random_graph(rng, n):
+    p = rng.choice((0.3, 0.5, 0.7))
+    return Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+
+
+# ---------------------------------------------------------------------------
+# agreement
+
+
+def _check_matrix(m):
+    r, c = len(m), len(m[0])
+    mcf = canon_matrix(m)
+    bits, _, _ = ref_canon_matrix(m)
+    assert mcf.bits == bits, m
+    replay = tuple(m[mcf.row_perm[i]][mcf.col_perm[j]] for i in range(r) for j in range(c))
+    assert replay == mcf.bits, m
+    again = canon_matrix([list(row) for row in mcf.rows()])
+    assert again.row_perm == tuple(range(r)) and again.col_perm == tuple(range(c)), m
+    edges = frozenset((i, j) for i in range(r) for j in range(c) if m[i][j])
+    assert canon_xy(XYGraph(r, c, edges)).data == ref_key_bytes(b"x", (r, c), bits)
+
+
+def test_matrices_agree_with_the_permutation_sweep():
+    rng = random.Random(2024)
+    for m in random_matrices(rng, 300, 6):
+        _check_matrix(m)
+    # 7-wide sweeps cost about 0.1 s each in the reference
+    for _ in range(6):
+        r = rng.randrange(7, 9)
+        m = [[int(rng.random() < 0.5) for _ in range(7)] for _ in range(r)]
+        _check_matrix(m)
+    _check_matrix([[int(rng.random() < 0.5) for _ in range(9)] for _ in range(7)])
+
+
+def _check_graph(g):
+    gc = canon_graph(g)
+    bits, order = ref_canon_graph(g)
+    assert gc.key.data == ref_key_bytes(b"s", (g.n,), bits)
+    assert gc.order == order
+    canonical = relabel_graph(g, gc.order)
+    assert canon_graph(canonical).key == gc.key
+    assert canon_graph(canonical).order == tuple(range(g.n))
+
+
+def test_graphs_agree_with_the_prefix_frontier():
+    rng = random.Random(1981)
+    for _ in range(60):
+        _check_graph(random_graph(rng, rng.randrange(1, 10)))
+    for _ in range(10):
+        _check_graph(random_graph(rng, rng.randrange(10, 12)))
+
+
+def test_stream_shaped_split_graphs_agree_with_the_prefix_frontier():
+    rng = random.Random(2014)
+    for _ in range(40):
+        _check_graph(stream_split_graph(rng, rng.randrange(9, 12)))

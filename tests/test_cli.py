@@ -130,6 +130,38 @@ def test_map_pipeline(monkeypatch, capsys):
     assert code == 2 and "no map" in err
 
 
+def test_map_rejects_a_non_split_graph_before_canonicalizing(monkeypatch, capsys):
+    import splitkit.biject
+    import splitkit.canon
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in (
+        (splitkit.biject, "canonical_object"),
+        (splitkit.canon, "canonical_object"),
+        (splitkit.canon, "canon_graph"),
+        (splitkit.canon, "canon_matrix"),
+    ):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    cycle16 = "OhCGGC@?G?_@?@??_?K?@"  # the 16-cycle, not a split graph
+    for target in ("cover", "xy", "poset", "xy-shift"):
+        code, out, _ = run(["map", "--from", "split", "--to", target], cycle16 + "\n", monkeypatch, capsys)
+        assert code == 3
+        assert out == '{"error":"not a split graph","line":"OhCGGC@?G?_@?@??_?K?@"}\n'
+    for direction in (["down"], ["up", "--n", "20"]):
+        argv = ["compile", "--class", "split", "--direction", *direction]
+        code, out, _ = run(argv, cycle16 + "\n", monkeypatch, capsys)
+        assert code == 3 and json.loads(out)["error"] == "not a split graph"
+    assert calls == []
+
+
 def test_map_inverse_flag(monkeypatch, capsys):
     cover = '{"class":"cover","n":3,"sets":[[0,1],[1,2]]}\n'
     code, out, _ = run(

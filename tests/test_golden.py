@@ -1,0 +1,176 @@
+"""Golden transcript: sha256 of stdout and the exit code of fixed CLI runs.
+
+CLI stdout and canonical keys are the behaviour contract, so any change to
+the kernels, the census or the maps must leave every hash below unchanged.
+The runs go through ``splitkit.cli.main`` in-process.  To print the table
+for a deliberate, documented output change, run
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+
+import pytest
+
+from splitkit.cli import main
+
+_CLASSES = ("split", "cover", "xy", "poset")
+_SPLIT_4 = "C?\nC@\nCB\nCF\nCJ\nCL\nCN\nC^\nC~\n"  # enumerate --class split --n 4
+_README_PIPES = (
+    (_SPLIT_4, ["classify"]),  # the README's enumerate | classify pipeline
+    ("Bg\n", ["map", "--from", "split", "--to", "cover"]),
+    ('{"class":"xy","nx":1,"ny":1,"edges":[[0,0]]}\n', ["map", "--from", "xy", "--to", "split-shift"]),
+    ("CF\n", ["compile", "--class", "split", "--direction", "down"]),
+    (
+        '{"class":"poset","n0":0,"n1":0,"below":[]}\n',
+        ["compile", "--class", "poset", "--direction", "up", "--n", "2"],
+    ),
+)
+
+
+def _runs():
+    """(name, stdin text, argv) of every pinned run."""
+    runs = []
+    for cls in _CLASSES:
+        for n in range(7):
+            base = ["enumerate", "--class", cls, "--n", str(n)]
+            runs.append((" ".join(base), "", base))
+            for balance in ("balanced", "unbalanced"):
+                argv = base + ["--balance", balance]
+                runs.append((" ".join(argv), "", argv))
+    for n in range(7):
+        argv = ["enumerate", "--class", "xy", "--n", str(n), "--no-y-isolates"]
+        runs.append((" ".join(argv), "", argv))
+    runs.append(("gallery --n 5", "", ["gallery", "--n", "5"]))
+    for stdin, argv in _README_PIPES:
+        source = "split census n=4" if stdin == _SPLIT_4 else stdin.strip()
+        runs.append((f"{source} | {' '.join(argv)}", stdin, argv))
+    runs.append(("verify --suite all --max-n 5", "", ["verify", "--suite", "all", "--max-n", "5"]))
+    return runs
+
+
+def _run(stdin: str, argv) -> str:
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
+GOLDEN = {
+    'enumerate --class split --n 0': '0 cd9fc063ef9be203911860a18b62cfac84b19badc50447730e9e9403dc63111b',
+    'enumerate --class split --n 0 --balance balanced': '0 cd9fc063ef9be203911860a18b62cfac84b19badc50447730e9e9403dc63111b',
+    'enumerate --class split --n 0 --balance unbalanced': '0 86fe8ad73838f75e4d3c108d9bb008a8f678afd6e85bd35d465f8e65cef702c2',
+    'enumerate --class split --n 1': '0 198eb086a8f5ffb1d54b69c63b596617e87b5901a904bc661e4db36e636602ab',
+    'enumerate --class split --n 1 --balance balanced': '0 b4fe2d1a490b755e8375770a31eddb566b2be577810764622903392816126a7b',
+    'enumerate --class split --n 1 --balance unbalanced': '0 198eb086a8f5ffb1d54b69c63b596617e87b5901a904bc661e4db36e636602ab',
+    'enumerate --class split --n 2': '0 eaf501dc7e57b7e61d138639baa6b7e75a0f118db67eb1667167d4310e1b5960',
+    'enumerate --class split --n 2 --balance balanced': '0 5ce3a669677be0f2afa418c04c5f8bc8f2530bb72fbbdef8f0d969e0f9b2091f',
+    'enumerate --class split --n 2 --balance unbalanced': '0 eaf501dc7e57b7e61d138639baa6b7e75a0f118db67eb1667167d4310e1b5960',
+    'enumerate --class split --n 3': '0 a3854e8b8aa7c855e972be17e9a04667e918f052b0186d4c059d5fb924d4d42e',
+    'enumerate --class split --n 3 --balance balanced': '0 e3659cf3b163e78c8fa1cf857bc27ddfbe1fa65fb688c68203469e397826f33e',
+    'enumerate --class split --n 3 --balance unbalanced': '0 a3854e8b8aa7c855e972be17e9a04667e918f052b0186d4c059d5fb924d4d42e',
+    'enumerate --class split --n 4': '0 11514c5bbf5684dba20442d0461054648d5156581131ad63936de7def7c35ac4',
+    'enumerate --class split --n 4 --balance balanced': '0 18beb5d80a78cc387e8a88c2bd455fab216ac094f4546582d05b2421f8d094e5',
+    'enumerate --class split --n 4 --balance unbalanced': '0 2cbfdf9ffd00f4c1c864ae625c8064d3e3e6c4ae7314f7f7f146c4b88575b062',
+    'enumerate --class split --n 5': '0 687be5cd2b1a61bdf6f744f8226e03ceaeba8eb14b99295a99702c348b03aee4',
+    'enumerate --class split --n 5 --balance balanced': '0 9b3fba04e45a432de668b608ed448538ac4668245e9a00f855c31c40abbbba6d',
+    'enumerate --class split --n 5 --balance unbalanced': '0 b4733a55b569a14fa67a1e1dbd47ef6dbccc54c21c2025eeae47ca216b9406c3',
+    'enumerate --class split --n 6': '0 500ed4cee4c52bababfc591cf1f9d55f27df23dd6d98e6c42d2acea03d55f61d',
+    'enumerate --class split --n 6 --balance balanced': '0 bf1374a12ea45b53062acdb0bb290a3825981ef362405f9b8637257680d77bd0',
+    'enumerate --class split --n 6 --balance unbalanced': '0 49b05f8b28932d66ed6eb481b5aeb833fedaffdf96d4f7b6e9f210d1a8ff7214',
+    'enumerate --class cover --n 0': '0 f0079a3e1b1714b5d463ae0482140ad04d7a45352532e8c8114435286ef8daf9',
+    'enumerate --class cover --n 0 --balance balanced': '0 f0079a3e1b1714b5d463ae0482140ad04d7a45352532e8c8114435286ef8daf9',
+    'enumerate --class cover --n 0 --balance unbalanced': '0 55d10adc8541c632caf2b52e18c6a8efb4f62c61652723dffefdbfbbadeb17f5',
+    'enumerate --class cover --n 1': '0 7c3ae35318f2bba93ff712aaf1d693e8982229cbc29b0a06d29878c46d4068de',
+    'enumerate --class cover --n 1 --balance balanced': '0 ffcd222a9b9031561a967dd1c7c7017ac08d763fe52933336113840dc15a11f3',
+    'enumerate --class cover --n 1 --balance unbalanced': '0 7c3ae35318f2bba93ff712aaf1d693e8982229cbc29b0a06d29878c46d4068de',
+    'enumerate --class cover --n 2': '0 e2082a7bb626ee1df21404db78ff89e165423bcb07c48be9b1272cb8f492989a',
+    'enumerate --class cover --n 2 --balance balanced': '0 3251d9533a5a3d57792afbb1f9b6006a697c3b693424cca0121ea0580ebe4d12',
+    'enumerate --class cover --n 2 --balance unbalanced': '0 e2082a7bb626ee1df21404db78ff89e165423bcb07c48be9b1272cb8f492989a',
+    'enumerate --class cover --n 3': '0 79f56ed5d2467bf1cb77679a78847dfab5285bd980b023a4438333e28f70952d',
+    'enumerate --class cover --n 3 --balance balanced': '0 b309ad872d9d5ad701cf1330a0e67712028f040ff0dc0147fa31385957f32023',
+    'enumerate --class cover --n 3 --balance unbalanced': '0 79f56ed5d2467bf1cb77679a78847dfab5285bd980b023a4438333e28f70952d',
+    'enumerate --class cover --n 4': '0 18d280b0b7843a394c93cc9108d1ca86a52b9b13625b4d3693b1e19860be18b7',
+    'enumerate --class cover --n 4 --balance balanced': '0 d78c0d0050e7a46231846621f2a0891257df3a872fcd2aff8a033d3456e26ca2',
+    'enumerate --class cover --n 4 --balance unbalanced': '0 1df9d9b5d17d136c121ca9fb63cb80cc649fa870d0dee3ec5b6427abac4b0c5b',
+    'enumerate --class cover --n 5': '0 adbb28d57b742090bdc04d455411fc1391b00fbd95e5045a019c2ccd9bafedb7',
+    'enumerate --class cover --n 5 --balance balanced': '0 96caca782f221fbd1093c9c37067caaa6df95fc1325a0d5147d08e4f2bf2ed0b',
+    'enumerate --class cover --n 5 --balance unbalanced': '0 367b4e73f6a6c82b4d69b8e862664661fdab70c222913f7999cc3b93bbf5e0bf',
+    'enumerate --class cover --n 6': '0 d0bffdfda82918041d61197070d16d443d2ffb382b9dfcb3bef7d3058a8a07fc',
+    'enumerate --class cover --n 6 --balance balanced': '0 d5917982d3f527cab6fa3055fd773db099df351e28e12f396345be31dcccd5ae',
+    'enumerate --class cover --n 6 --balance unbalanced': '0 473f736f12f658e30a83bc5ac1e366691c892a13739d06f5e5dde70b0213680c',
+    'enumerate --class xy --n 0': '0 24f2aeb04ae8ae91df6c80c5af83f5feb5138e4e0c32ae573e1be4058cccd1db',
+    'enumerate --class xy --n 0 --balance balanced': '0 24f2aeb04ae8ae91df6c80c5af83f5feb5138e4e0c32ae573e1be4058cccd1db',
+    'enumerate --class xy --n 0 --balance unbalanced': '0 2a8ee448e2f7a0058bb17c6add00a752b50a5a8bbd0a4942bf52cea4094edca0',
+    'enumerate --class xy --n 1': '0 af114eb5f13e7df757b48455430c62dd9ea78e7f7f4af588709d7207540d7c33',
+    'enumerate --class xy --n 1 --balance balanced': '0 ec2c4b51387e7d955a7a54ab14da80ee884d219e4fd2e3b90ee1a276843ac845',
+    'enumerate --class xy --n 1 --balance unbalanced': '0 6160b7af7216640735bd9b2665c71eacaacc7e29d80e0fe3c1c156433341734e',
+    'enumerate --class xy --n 2': '0 31c5731ee716f63e22cef509704df9feed03f145a6525dce3dac186990a77e46',
+    'enumerate --class xy --n 2 --balance balanced': '0 175292403faa5cea3cb69540f0ec46d28420a0801077960d3d3623fd75afb677',
+    'enumerate --class xy --n 2 --balance unbalanced': '0 a25fbcd8f89339692f5e1484f1ae8e7885da595374a3a9c22c2df729f08afcd0',
+    'enumerate --class xy --n 3': '0 fb535f48ccbe05650c5253e7428337aa4cb58a43f88baa1e7ce80d3b0bad56e7',
+    'enumerate --class xy --n 3 --balance balanced': '0 f90c4e7798fcac29b04364e2612f2e9e2353ef0aa1c32fc8079bd12c3a664a35',
+    'enumerate --class xy --n 3 --balance unbalanced': '0 54fe7250d153e21ba569fc0266b0b63303d1bde9fe0674e6075a68caadd61b0d',
+    'enumerate --class xy --n 4': '0 76d89da66d485cbd8008c9117436b109bdf2c96be385407edba58ca8a8be1561',
+    'enumerate --class xy --n 4 --balance balanced': '0 2e0065d40e42c4b027008e62c3365f2c452c0bc5e38b7c58886f56d83191f16a',
+    'enumerate --class xy --n 4 --balance unbalanced': '0 d455e4872575534311e71c3a08a3b2f9c7dd72c69df024457947a2cb0cb0897f',
+    'enumerate --class xy --n 5': '0 187fc07ab53d73d2b0bb8994b1fbc86e6fae6739aa731f3e9ce67f883b1769eb',
+    'enumerate --class xy --n 5 --balance balanced': '0 aa95c674299e5bb689dea9ff394ec659b35ddf338b391034ec13df5a7d1f2b30',
+    'enumerate --class xy --n 5 --balance unbalanced': '0 6fe0d5f5cfd6f05f2d108f59775ab733ffaf9e1bab7fe57bd09577f9c2adb3ee',
+    'enumerate --class xy --n 6': '0 8794e0d426f06ccd2301b91857d73a13e3b37b488cdd28ec2e18ef8b42148241',
+    'enumerate --class xy --n 6 --balance balanced': '0 6c30593b27100cd5d16ce8cb2e891f02ff735af170da4e7841e8e1824ea6be52',
+    'enumerate --class xy --n 6 --balance unbalanced': '0 592685b79f6fcf838f72ed8f7115d3edccca235966bed7587a585709ef3dcc4c',
+    'enumerate --class poset --n 0': '0 2f7e874f49c894e39b458ed46defb43dc49eb2faf29c8385c952536045f25846',
+    'enumerate --class poset --n 0 --balance balanced': '0 2f7e874f49c894e39b458ed46defb43dc49eb2faf29c8385c952536045f25846',
+    'enumerate --class poset --n 0 --balance unbalanced': '0 4394e512be4a1c9e34fd79a908d122b632774f203969053d43b04c34763c3dc7',
+    'enumerate --class poset --n 1': '0 81fc8a244c555c7b0ce7ee8ff25cd65eb92c0085b438dcf9157e98b2a4cee72c',
+    'enumerate --class poset --n 1 --balance balanced': '0 04c5cee0a5451178c979c96d533be6855b725883185c0d40db162a6a5e38362d',
+    'enumerate --class poset --n 1 --balance unbalanced': '0 81fc8a244c555c7b0ce7ee8ff25cd65eb92c0085b438dcf9157e98b2a4cee72c',
+    'enumerate --class poset --n 2': '0 ea1b6656382f822dde14efe1356919da681824fefd6d49f866b88e4ff803032a',
+    'enumerate --class poset --n 2 --balance balanced': '0 5ef0fe68cd02f7246d177ccb87275c5bd35746bb33830ec0ad29166c6c1be57d',
+    'enumerate --class poset --n 2 --balance unbalanced': '0 ea1b6656382f822dde14efe1356919da681824fefd6d49f866b88e4ff803032a',
+    'enumerate --class poset --n 3': '0 dfd4e2e8b2b12e3f55268774eca30881fe5d36512fe12fd650abb2b100bb7a5a',
+    'enumerate --class poset --n 3 --balance balanced': '0 4cda52dcd1fed7e30d782a9df492f049170fd0e80c6022148bf8e97ae7bab837',
+    'enumerate --class poset --n 3 --balance unbalanced': '0 dfd4e2e8b2b12e3f55268774eca30881fe5d36512fe12fd650abb2b100bb7a5a',
+    'enumerate --class poset --n 4': '0 29625928c85959dce1d18a790345d0c8f2897e11f9d8972a18c2f70c41a86ceb',
+    'enumerate --class poset --n 4 --balance balanced': '0 0a6c12366ff384f3e0f82948191bb31d6740b60bd09a44dda6f32cab7b0196fc',
+    'enumerate --class poset --n 4 --balance unbalanced': '0 c921968750b0b8f3830eb3d1f504f50eff07a2053260c0dcc810d8af18df61ac',
+    'enumerate --class poset --n 5': '0 9cac078fac15df756e818a78f0a26feb78a6ccbcbf90dfd263ad4c8358a435cb',
+    'enumerate --class poset --n 5 --balance balanced': '0 f4f9d48bbeb88de7ac770da9f437cdf7b8df81cb4af5ae57261d36ac78822621',
+    'enumerate --class poset --n 5 --balance unbalanced': '0 82255e81541e2ffdd21d9c94def9811dfa4a424ab013f5f8cb93997458b92ac5',
+    'enumerate --class poset --n 6': '0 7bdc602f817b1540aae8725cbcde3b43beefba7c66f675466feac6b25532ae43',
+    'enumerate --class poset --n 6 --balance balanced': '0 b7be1b98ce71ff2c969079598a73d8f82e72610158f69b72cf60e602a6aa83d4',
+    'enumerate --class poset --n 6 --balance unbalanced': '0 e398e176829effaa4b5652f51e059dc587c578214cfb05193f8ad8eeeef8189b',
+    'enumerate --class xy --n 0 --no-y-isolates': '0 24f2aeb04ae8ae91df6c80c5af83f5feb5138e4e0c32ae573e1be4058cccd1db',
+    'enumerate --class xy --n 1 --no-y-isolates': '0 675414cef2355c9659483b37ab72049f02ae47810caf962e82283805400ad253',
+    'enumerate --class xy --n 2 --no-y-isolates': '0 8b98939024a0d625f66922927d4f70ff2dfdf00c3431425693fc6d31ebee0915',
+    'enumerate --class xy --n 3 --no-y-isolates': '0 979eaa90be7662055cfac8b7245433370771989bd1d95ea2cba315bcb0a94f1f',
+    'enumerate --class xy --n 4 --no-y-isolates': '0 a815b3082a805eb0623dea77468e6e71480d15892e33c3f774a22d29825e1bdb',
+    'enumerate --class xy --n 5 --no-y-isolates': '0 fab0081f1f99f9abc490da74aef61d9186883149714ab76ca59c244b2f95409b',
+    'enumerate --class xy --n 6 --no-y-isolates': '0 139c3d2a48972201d34e0e14bd481a320790df0d24825e2602d84e6f3ca4b06b',
+    'gallery --n 5': '0 ba1c8578f70e8aea8afe219024aa508a60b2e1328b2bbf2892366e1ead4ecd54',
+    'split census n=4 | classify': '0 b1b691cc0354a95c8bc0fa2ed3750160a967e309aed86c2e2acffcd647e68129',
+    'Bg | map --from split --to cover': '0 34e2713b920bc3c26d89295cb32a297e094b82bba37c7e84b16f6f0b21d018c8',
+    '{"class":"xy","nx":1,"ny":1,"edges":[[0,0]]} | map --from xy --to split-shift': '0 7dc354948c6a899cab4c875e011c4cfedeb56f4169d84037c26ac8bc1386fa06',
+    'CF | compile --class split --direction down': '0 9754883f953890d2b5f86d0aecb23c4d5f1373bac0e17896d55c62b593c43922',
+    '{"class":"poset","n0":0,"n1":0,"below":[]} | compile --class poset --direction up --n 2': '0 76af2fe66d0e8b9fee33117e8d697ebb32257c0b730fb5d3ff51a80ceafe2eee',
+    'verify --suite all --max-n 5': '0 d3e3e9f6f881e390578be429fd6910964295e6a6676238964d3c4583e41f4a2a',
+}
+
+
+@pytest.mark.parametrize("name,stdin,argv", _runs(), ids=[r[0] for r in _runs()])
+def test_golden_transcript(name, stdin, argv):
+    assert _run(stdin, argv) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name, stdin, argv in _runs():
+        print(f"    {name!r}: {_run(stdin, argv)!r},")
