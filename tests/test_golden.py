@@ -2,7 +2,9 @@
 
 CLI stdout and canonical keys are the behaviour contract, so any change to
 the kernels, the census or the maps must leave every hash below unchanged.
-The runs go through ``splitkit.cli.main`` in-process.  To print the table
+The runs go through ``splitkit.cli.main`` in-process; the census key lists
+at n = 8, beyond the CLI runs, are pinned by one sha256 per class.  To
+print the tables
 for a deliberate, documented output change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -15,6 +17,7 @@ import sys
 
 import pytest
 
+from splitkit.census import enumerate_class
 from splitkit.cli import main
 
 _CLASSES = ("split", "cover", "xy", "poset")
@@ -38,9 +41,12 @@ def _runs():
         for n in range(7):
             base = ["enumerate", "--class", cls, "--n", str(n)]
             runs.append((" ".join(base), "", base))
-            for balance in ("balanced", "unbalanced"):
-                argv = base + ["--balance", balance]
+            for extra in (["--balance", "balanced"], ["--balance", "unbalanced"], ["--stream"], ["--count-only"]):
+                argv = base + extra
                 runs.append((" ".join(argv), "", argv))
+    for cls in _CLASSES:
+        argv = ["enumerate", "--class", cls, "--n", "7"]
+        runs.append((" ".join(argv), "", argv))
     for n in range(7):
         argv = ["enumerate", "--class", "xy", "--n", str(n), "--no-y-isolates"]
         runs.append((" ".join(argv), "", argv))
@@ -64,91 +70,157 @@ def _run(stdin: str, argv) -> str:
     return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
 
 
+def _key_list_digest(cls: str) -> str:
+    """sha256 of the sorted census keys of ``cls`` at n = 8, one hex per line."""
+    keys = enumerate_class(cls, 8).keys
+    return hashlib.sha256("\n".join(k.hex for k in keys).encode()).hexdigest()
+
+
 GOLDEN = {
     'enumerate --class split --n 0': '0 cd9fc063ef9be203911860a18b62cfac84b19badc50447730e9e9403dc63111b',
     'enumerate --class split --n 0 --balance balanced': '0 cd9fc063ef9be203911860a18b62cfac84b19badc50447730e9e9403dc63111b',
     'enumerate --class split --n 0 --balance unbalanced': '0 86fe8ad73838f75e4d3c108d9bb008a8f678afd6e85bd35d465f8e65cef702c2',
+    'enumerate --class split --n 0 --stream': '0 b700977f699d66460a8261dbb6e375b463907d9b340e4b9da8472035c142adb1',
+    'enumerate --class split --n 0 --count-only': '0 86fe8ad73838f75e4d3c108d9bb008a8f678afd6e85bd35d465f8e65cef702c2',
     'enumerate --class split --n 1': '0 198eb086a8f5ffb1d54b69c63b596617e87b5901a904bc661e4db36e636602ab',
     'enumerate --class split --n 1 --balance balanced': '0 b4fe2d1a490b755e8375770a31eddb566b2be577810764622903392816126a7b',
     'enumerate --class split --n 1 --balance unbalanced': '0 198eb086a8f5ffb1d54b69c63b596617e87b5901a904bc661e4db36e636602ab',
+    'enumerate --class split --n 1 --stream': '0 b286f747c7d13a55110c5cde73c031a772ccfbcb6e804488a23cb05ed34c2569',
+    'enumerate --class split --n 1 --count-only': '0 b4fe2d1a490b755e8375770a31eddb566b2be577810764622903392816126a7b',
     'enumerate --class split --n 2': '0 eaf501dc7e57b7e61d138639baa6b7e75a0f118db67eb1667167d4310e1b5960',
     'enumerate --class split --n 2 --balance balanced': '0 5ce3a669677be0f2afa418c04c5f8bc8f2530bb72fbbdef8f0d969e0f9b2091f',
     'enumerate --class split --n 2 --balance unbalanced': '0 eaf501dc7e57b7e61d138639baa6b7e75a0f118db67eb1667167d4310e1b5960',
+    'enumerate --class split --n 2 --stream': '0 5c6a77c2d040b5bd17e923b2ad8e6614a348a7a97c71b446ecaca45115c1eb30',
+    'enumerate --class split --n 2 --count-only': '0 5ce3a669677be0f2afa418c04c5f8bc8f2530bb72fbbdef8f0d969e0f9b2091f',
     'enumerate --class split --n 3': '0 a3854e8b8aa7c855e972be17e9a04667e918f052b0186d4c059d5fb924d4d42e',
     'enumerate --class split --n 3 --balance balanced': '0 e3659cf3b163e78c8fa1cf857bc27ddfbe1fa65fb688c68203469e397826f33e',
     'enumerate --class split --n 3 --balance unbalanced': '0 a3854e8b8aa7c855e972be17e9a04667e918f052b0186d4c059d5fb924d4d42e',
+    'enumerate --class split --n 3 --stream': '0 8ef8d795970f949831bb05d21558641968c4048049b81bc1a39d9d94e00b88fd',
+    'enumerate --class split --n 3 --count-only': '0 e3659cf3b163e78c8fa1cf857bc27ddfbe1fa65fb688c68203469e397826f33e',
     'enumerate --class split --n 4': '0 11514c5bbf5684dba20442d0461054648d5156581131ad63936de7def7c35ac4',
     'enumerate --class split --n 4 --balance balanced': '0 18beb5d80a78cc387e8a88c2bd455fab216ac094f4546582d05b2421f8d094e5',
     'enumerate --class split --n 4 --balance unbalanced': '0 2cbfdf9ffd00f4c1c864ae625c8064d3e3e6c4ae7314f7f7f146c4b88575b062',
+    'enumerate --class split --n 4 --stream': '0 b7abb1a006b39cd28e1ea5e05d8a04b92d97bcead6ccc758a6e9618d356dbd89',
+    'enumerate --class split --n 4 --count-only': '0 81aa177692dd568850e82913bb518a30369db0733957c8258d89d4ed4e0ebb41',
     'enumerate --class split --n 5': '0 687be5cd2b1a61bdf6f744f8226e03ceaeba8eb14b99295a99702c348b03aee4',
     'enumerate --class split --n 5 --balance balanced': '0 9b3fba04e45a432de668b608ed448538ac4668245e9a00f855c31c40abbbba6d',
     'enumerate --class split --n 5 --balance unbalanced': '0 b4733a55b569a14fa67a1e1dbd47ef6dbccc54c21c2025eeae47ca216b9406c3',
+    'enumerate --class split --n 5 --stream': '0 60cbb7cf3106470b1dcce2608e2009cd8c9b302018c6041f137792c6b0fb68e4',
+    'enumerate --class split --n 5 --count-only': '0 b2764de04574d6efa39fdc7df032ac670e1106aa3b65d1eb752e13a27d735ee1',
     'enumerate --class split --n 6': '0 500ed4cee4c52bababfc591cf1f9d55f27df23dd6d98e6c42d2acea03d55f61d',
     'enumerate --class split --n 6 --balance balanced': '0 bf1374a12ea45b53062acdb0bb290a3825981ef362405f9b8637257680d77bd0',
     'enumerate --class split --n 6 --balance unbalanced': '0 49b05f8b28932d66ed6eb481b5aeb833fedaffdf96d4f7b6e9f210d1a8ff7214',
+    'enumerate --class split --n 6 --stream': '0 4bcc7419b4b28912d3163d6452107ba71b145960160a87f7ea7694b825745043',
+    'enumerate --class split --n 6 --count-only': '0 52ea20c580b599af3637a2211f271ee5635bf9fd534b9c84264ba32e2aa2e623',
     'enumerate --class cover --n 0': '0 f0079a3e1b1714b5d463ae0482140ad04d7a45352532e8c8114435286ef8daf9',
     'enumerate --class cover --n 0 --balance balanced': '0 f0079a3e1b1714b5d463ae0482140ad04d7a45352532e8c8114435286ef8daf9',
     'enumerate --class cover --n 0 --balance unbalanced': '0 55d10adc8541c632caf2b52e18c6a8efb4f62c61652723dffefdbfbbadeb17f5',
+    'enumerate --class cover --n 0 --stream': '0 1ab3bacea21b405eba958109a94c796e1b00ca236582b03a602857459b6feb62',
+    'enumerate --class cover --n 0 --count-only': '0 55d10adc8541c632caf2b52e18c6a8efb4f62c61652723dffefdbfbbadeb17f5',
     'enumerate --class cover --n 1': '0 7c3ae35318f2bba93ff712aaf1d693e8982229cbc29b0a06d29878c46d4068de',
     'enumerate --class cover --n 1 --balance balanced': '0 ffcd222a9b9031561a967dd1c7c7017ac08d763fe52933336113840dc15a11f3',
     'enumerate --class cover --n 1 --balance unbalanced': '0 7c3ae35318f2bba93ff712aaf1d693e8982229cbc29b0a06d29878c46d4068de',
+    'enumerate --class cover --n 1 --stream': '0 4dab00babdea688688b7e197530b35a79d2cf0a172cdb9cc283f053679c71137',
+    'enumerate --class cover --n 1 --count-only': '0 ffcd222a9b9031561a967dd1c7c7017ac08d763fe52933336113840dc15a11f3',
     'enumerate --class cover --n 2': '0 e2082a7bb626ee1df21404db78ff89e165423bcb07c48be9b1272cb8f492989a',
     'enumerate --class cover --n 2 --balance balanced': '0 3251d9533a5a3d57792afbb1f9b6006a697c3b693424cca0121ea0580ebe4d12',
     'enumerate --class cover --n 2 --balance unbalanced': '0 e2082a7bb626ee1df21404db78ff89e165423bcb07c48be9b1272cb8f492989a',
+    'enumerate --class cover --n 2 --stream': '0 7bdef5110943d6d4763a916476eb3d68fff35c9cdf3c52141caa65c83952fca1',
+    'enumerate --class cover --n 2 --count-only': '0 3251d9533a5a3d57792afbb1f9b6006a697c3b693424cca0121ea0580ebe4d12',
     'enumerate --class cover --n 3': '0 79f56ed5d2467bf1cb77679a78847dfab5285bd980b023a4438333e28f70952d',
     'enumerate --class cover --n 3 --balance balanced': '0 b309ad872d9d5ad701cf1330a0e67712028f040ff0dc0147fa31385957f32023',
     'enumerate --class cover --n 3 --balance unbalanced': '0 79f56ed5d2467bf1cb77679a78847dfab5285bd980b023a4438333e28f70952d',
+    'enumerate --class cover --n 3 --stream': '0 3eccdd36b8d9475d6d6b30db249e39604c3bb532c7e31a2478a31c89de2811f4',
+    'enumerate --class cover --n 3 --count-only': '0 b309ad872d9d5ad701cf1330a0e67712028f040ff0dc0147fa31385957f32023',
     'enumerate --class cover --n 4': '0 18d280b0b7843a394c93cc9108d1ca86a52b9b13625b4d3693b1e19860be18b7',
     'enumerate --class cover --n 4 --balance balanced': '0 d78c0d0050e7a46231846621f2a0891257df3a872fcd2aff8a033d3456e26ca2',
     'enumerate --class cover --n 4 --balance unbalanced': '0 1df9d9b5d17d136c121ca9fb63cb80cc649fa870d0dee3ec5b6427abac4b0c5b',
+    'enumerate --class cover --n 4 --stream': '0 9427eea162503286f67b362583834c1d4a047c623b9160ef05ed74ad8448b83d',
+    'enumerate --class cover --n 4 --count-only': '0 f0f47a693e448d5534138b4cf9060d7d5beac1e471704b9d12dd5067a4112890',
     'enumerate --class cover --n 5': '0 adbb28d57b742090bdc04d455411fc1391b00fbd95e5045a019c2ccd9bafedb7',
     'enumerate --class cover --n 5 --balance balanced': '0 96caca782f221fbd1093c9c37067caaa6df95fc1325a0d5147d08e4f2bf2ed0b',
     'enumerate --class cover --n 5 --balance unbalanced': '0 367b4e73f6a6c82b4d69b8e862664661fdab70c222913f7999cc3b93bbf5e0bf',
+    'enumerate --class cover --n 5 --stream': '0 1a8266452c2a66e9df6a9a784b8d58b78cb4a4d9f3fc31dbdb5514092e0115db',
+    'enumerate --class cover --n 5 --count-only': '0 589d3c875850cf7a049b11a3fcba9cfbfd415a6c4457c0d8897acd9d725dc4bd',
     'enumerate --class cover --n 6': '0 d0bffdfda82918041d61197070d16d443d2ffb382b9dfcb3bef7d3058a8a07fc',
     'enumerate --class cover --n 6 --balance balanced': '0 d5917982d3f527cab6fa3055fd773db099df351e28e12f396345be31dcccd5ae',
     'enumerate --class cover --n 6 --balance unbalanced': '0 473f736f12f658e30a83bc5ac1e366691c892a13739d06f5e5dde70b0213680c',
+    'enumerate --class cover --n 6 --stream': '0 343d0773059342ff982681014ad775de9dbf31def302d30d16133daf0fc92bbf',
+    'enumerate --class cover --n 6 --count-only': '0 097a6e09ddbec791835ce2cb698e53fcd350f643037d3cf6b9589af18bc19f91',
     'enumerate --class xy --n 0': '0 24f2aeb04ae8ae91df6c80c5af83f5feb5138e4e0c32ae573e1be4058cccd1db',
     'enumerate --class xy --n 0 --balance balanced': '0 24f2aeb04ae8ae91df6c80c5af83f5feb5138e4e0c32ae573e1be4058cccd1db',
     'enumerate --class xy --n 0 --balance unbalanced': '0 2a8ee448e2f7a0058bb17c6add00a752b50a5a8bbd0a4942bf52cea4094edca0',
+    'enumerate --class xy --n 0 --stream': '0 e6abd84e764572bcec17529fc70ceeb0bda2e1747d365f2b1b2e22603c562a82',
+    'enumerate --class xy --n 0 --count-only': '0 2a8ee448e2f7a0058bb17c6add00a752b50a5a8bbd0a4942bf52cea4094edca0',
     'enumerate --class xy --n 1': '0 af114eb5f13e7df757b48455430c62dd9ea78e7f7f4af588709d7207540d7c33',
     'enumerate --class xy --n 1 --balance balanced': '0 ec2c4b51387e7d955a7a54ab14da80ee884d219e4fd2e3b90ee1a276843ac845',
     'enumerate --class xy --n 1 --balance unbalanced': '0 6160b7af7216640735bd9b2665c71eacaacc7e29d80e0fe3c1c156433341734e',
+    'enumerate --class xy --n 1 --stream': '0 343aa35edddf883425a70dd6b6c0fed0b32310ffa81ff1f2bc88cc7af82998e9',
+    'enumerate --class xy --n 1 --count-only': '0 ec2c4b51387e7d955a7a54ab14da80ee884d219e4fd2e3b90ee1a276843ac845',
     'enumerate --class xy --n 2': '0 31c5731ee716f63e22cef509704df9feed03f145a6525dce3dac186990a77e46',
     'enumerate --class xy --n 2 --balance balanced': '0 175292403faa5cea3cb69540f0ec46d28420a0801077960d3d3623fd75afb677',
     'enumerate --class xy --n 2 --balance unbalanced': '0 a25fbcd8f89339692f5e1484f1ae8e7885da595374a3a9c22c2df729f08afcd0',
+    'enumerate --class xy --n 2 --stream': '0 9f6439080f8fda7c22ea80854f272bf58d18b54baca8323b5efaa21012a8532f',
+    'enumerate --class xy --n 2 --count-only': '0 175292403faa5cea3cb69540f0ec46d28420a0801077960d3d3623fd75afb677',
     'enumerate --class xy --n 3': '0 fb535f48ccbe05650c5253e7428337aa4cb58a43f88baa1e7ce80d3b0bad56e7',
     'enumerate --class xy --n 3 --balance balanced': '0 f90c4e7798fcac29b04364e2612f2e9e2353ef0aa1c32fc8079bd12c3a664a35',
     'enumerate --class xy --n 3 --balance unbalanced': '0 54fe7250d153e21ba569fc0266b0b63303d1bde9fe0674e6075a68caadd61b0d',
+    'enumerate --class xy --n 3 --stream': '0 2d825881a46bbff95db969168bc63933c3d7d8dedae1a8ddbe9daa90b2ab7c4d',
+    'enumerate --class xy --n 3 --count-only': '0 f90c4e7798fcac29b04364e2612f2e9e2353ef0aa1c32fc8079bd12c3a664a35',
     'enumerate --class xy --n 4': '0 76d89da66d485cbd8008c9117436b109bdf2c96be385407edba58ca8a8be1561',
     'enumerate --class xy --n 4 --balance balanced': '0 2e0065d40e42c4b027008e62c3365f2c452c0bc5e38b7c58886f56d83191f16a',
     'enumerate --class xy --n 4 --balance unbalanced': '0 d455e4872575534311e71c3a08a3b2f9c7dd72c69df024457947a2cb0cb0897f',
+    'enumerate --class xy --n 4 --stream': '0 6180aad80414b02331622951db47f4efc6953fae0fa62fca2a5c0cbc10f74b69',
+    'enumerate --class xy --n 4 --count-only': '0 d1fc432393511698c04e381da91c9dd72ce095fd6241f83b7e350e0b5f4a88cc',
     'enumerate --class xy --n 5': '0 187fc07ab53d73d2b0bb8994b1fbc86e6fae6739aa731f3e9ce67f883b1769eb',
     'enumerate --class xy --n 5 --balance balanced': '0 aa95c674299e5bb689dea9ff394ec659b35ddf338b391034ec13df5a7d1f2b30',
     'enumerate --class xy --n 5 --balance unbalanced': '0 6fe0d5f5cfd6f05f2d108f59775ab733ffaf9e1bab7fe57bd09577f9c2adb3ee',
+    'enumerate --class xy --n 5 --stream': '0 874f19c48558927fd86fe64f635c8e6ae1f7b663098bf8d53c091234bdde2ac1',
+    'enumerate --class xy --n 5 --count-only': '0 ace31e13064a368ce43cd55b8530af697897b60c5ff16e7223eaa06e9af20808',
     'enumerate --class xy --n 6': '0 8794e0d426f06ccd2301b91857d73a13e3b37b488cdd28ec2e18ef8b42148241',
     'enumerate --class xy --n 6 --balance balanced': '0 6c30593b27100cd5d16ce8cb2e891f02ff735af170da4e7841e8e1824ea6be52',
     'enumerate --class xy --n 6 --balance unbalanced': '0 592685b79f6fcf838f72ed8f7115d3edccca235966bed7587a585709ef3dcc4c',
+    'enumerate --class xy --n 6 --stream': '0 d3a7fc9e1ad3ce08ceb0bf1de1420ae2cbd50e9586bf0bb209af58d881df01f2',
+    'enumerate --class xy --n 6 --count-only': '0 1c2e42848083a3dbbae5662f9cb0e123dc59a1c1cef693bd4352e8fa870098a3',
     'enumerate --class poset --n 0': '0 2f7e874f49c894e39b458ed46defb43dc49eb2faf29c8385c952536045f25846',
     'enumerate --class poset --n 0 --balance balanced': '0 2f7e874f49c894e39b458ed46defb43dc49eb2faf29c8385c952536045f25846',
     'enumerate --class poset --n 0 --balance unbalanced': '0 4394e512be4a1c9e34fd79a908d122b632774f203969053d43b04c34763c3dc7',
+    'enumerate --class poset --n 0 --stream': '0 b7ff13437c1572eab2039cee27df575e3c9e4df8d3ca71dba926ded59b2de140',
+    'enumerate --class poset --n 0 --count-only': '0 4394e512be4a1c9e34fd79a908d122b632774f203969053d43b04c34763c3dc7',
     'enumerate --class poset --n 1': '0 81fc8a244c555c7b0ce7ee8ff25cd65eb92c0085b438dcf9157e98b2a4cee72c',
     'enumerate --class poset --n 1 --balance balanced': '0 04c5cee0a5451178c979c96d533be6855b725883185c0d40db162a6a5e38362d',
     'enumerate --class poset --n 1 --balance unbalanced': '0 81fc8a244c555c7b0ce7ee8ff25cd65eb92c0085b438dcf9157e98b2a4cee72c',
+    'enumerate --class poset --n 1 --stream': '0 193790160fc80a38f3673a789e4aaaeb3a5ac7f5614ea2d78a69a1c5593cbc08',
+    'enumerate --class poset --n 1 --count-only': '0 04c5cee0a5451178c979c96d533be6855b725883185c0d40db162a6a5e38362d',
     'enumerate --class poset --n 2': '0 ea1b6656382f822dde14efe1356919da681824fefd6d49f866b88e4ff803032a',
     'enumerate --class poset --n 2 --balance balanced': '0 5ef0fe68cd02f7246d177ccb87275c5bd35746bb33830ec0ad29166c6c1be57d',
     'enumerate --class poset --n 2 --balance unbalanced': '0 ea1b6656382f822dde14efe1356919da681824fefd6d49f866b88e4ff803032a',
+    'enumerate --class poset --n 2 --stream': '0 8e324e23300a4c2413408b788400b3a57991f79dbd10670edad008cc8a63e160',
+    'enumerate --class poset --n 2 --count-only': '0 5ef0fe68cd02f7246d177ccb87275c5bd35746bb33830ec0ad29166c6c1be57d',
     'enumerate --class poset --n 3': '0 dfd4e2e8b2b12e3f55268774eca30881fe5d36512fe12fd650abb2b100bb7a5a',
     'enumerate --class poset --n 3 --balance balanced': '0 4cda52dcd1fed7e30d782a9df492f049170fd0e80c6022148bf8e97ae7bab837',
     'enumerate --class poset --n 3 --balance unbalanced': '0 dfd4e2e8b2b12e3f55268774eca30881fe5d36512fe12fd650abb2b100bb7a5a',
+    'enumerate --class poset --n 3 --stream': '0 be2ad0d3b5ba1918df23e3401833d5996658437ab812f509b2eeaf58fc5a82c1',
+    'enumerate --class poset --n 3 --count-only': '0 4cda52dcd1fed7e30d782a9df492f049170fd0e80c6022148bf8e97ae7bab837',
     'enumerate --class poset --n 4': '0 29625928c85959dce1d18a790345d0c8f2897e11f9d8972a18c2f70c41a86ceb',
     'enumerate --class poset --n 4 --balance balanced': '0 0a6c12366ff384f3e0f82948191bb31d6740b60bd09a44dda6f32cab7b0196fc',
     'enumerate --class poset --n 4 --balance unbalanced': '0 c921968750b0b8f3830eb3d1f504f50eff07a2053260c0dcc810d8af18df61ac',
+    'enumerate --class poset --n 4 --stream': '0 d8fc8b045f1fb4447b3291b73fb5d3a1c19f1cd6011e2f6c1ff97da9ad443d58',
+    'enumerate --class poset --n 4 --count-only': '0 a7b2ae3f35a680049e7335848c2f7859fbebdf82db205e813685f40d2a264c91',
     'enumerate --class poset --n 5': '0 9cac078fac15df756e818a78f0a26feb78a6ccbcbf90dfd263ad4c8358a435cb',
     'enumerate --class poset --n 5 --balance balanced': '0 f4f9d48bbeb88de7ac770da9f437cdf7b8df81cb4af5ae57261d36ac78822621',
     'enumerate --class poset --n 5 --balance unbalanced': '0 82255e81541e2ffdd21d9c94def9811dfa4a424ab013f5f8cb93997458b92ac5',
+    'enumerate --class poset --n 5 --stream': '0 4a4f66df6bcdc5baae0bc18a4e30759c7e70b2b8fc40ab27b9674f31f7b5806d',
+    'enumerate --class poset --n 5 --count-only': '0 732723d490fd80723c07441530af9609169cd9d1a70149fbfe05bdd3f9f39646',
     'enumerate --class poset --n 6': '0 7bdc602f817b1540aae8725cbcde3b43beefba7c66f675466feac6b25532ae43',
     'enumerate --class poset --n 6 --balance balanced': '0 b7be1b98ce71ff2c969079598a73d8f82e72610158f69b72cf60e602a6aa83d4',
     'enumerate --class poset --n 6 --balance unbalanced': '0 e398e176829effaa4b5652f51e059dc587c578214cfb05193f8ad8eeeef8189b',
+    'enumerate --class poset --n 6 --stream': '0 aa276375e90906120f9a5c6e6b3bd8e361db85d15cd6e236c7561341cafdda07',
+    'enumerate --class poset --n 6 --count-only': '0 2eee9be4ab70f095947ae2a8a5b32375d418a6b2b7225d84864f9b87400519c0',
+    'enumerate --class split --n 7': '0 631c384befd5ab1f3e0a7ea5f361da4cbed6631d703acbe0aaeaf0ba4d140d3e',
+    'enumerate --class cover --n 7': '0 41764f7922e36d905b6f516d09bca1a1ad76a8c753c04c34c348180e99a7341e',
+    'enumerate --class xy --n 7': '0 256c47a7c343c20392eab03aa59fee2db4bb1c4a67c71f53f39185527fd8d92a',
+    'enumerate --class poset --n 7': '0 667fd5d830559bf2ce6f9b347953cbcaabb23f792c05abd56add2c9852d333a0',
     'enumerate --class xy --n 0 --no-y-isolates': '0 24f2aeb04ae8ae91df6c80c5af83f5feb5138e4e0c32ae573e1be4058cccd1db',
     'enumerate --class xy --n 1 --no-y-isolates': '0 675414cef2355c9659483b37ab72049f02ae47810caf962e82283805400ad253',
     'enumerate --class xy --n 2 --no-y-isolates': '0 8b98939024a0d625f66922927d4f70ff2dfdf00c3431425693fc6d31ebee0915',
@@ -165,12 +237,27 @@ GOLDEN = {
     'verify --suite all --max-n 5': '0 d3e3e9f6f881e390578be429fd6910964295e6a6676238964d3c4583e41f4a2a',
 }
 
+# sha256 of the sorted census key list at n = 8 (xy without --no-y-isolates)
+GOLDEN_KEYS_8 = {
+    'split': '53e08b013b59c6bf345c774affc3ce698f378971d5e9382d74e9abe8e2534ec8',
+    'cover': '80de6287890129c562e5acf4b6239f540303ad10f1dc48848cb2c58b5954e04d',
+    'xy': '2231eb17bfc767a59db06d194115a7e9c89c8137988c402fb80a13617f891c5b',
+    'poset': '65ef63e3d4ec567f194129c76129dbeb53064bb854495c95c13bb63df124d22b',
+}
+
 
 @pytest.mark.parametrize("name,stdin,argv", _runs(), ids=[r[0] for r in _runs()])
 def test_golden_transcript(name, stdin, argv):
     assert _run(stdin, argv) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("cls", _CLASSES)
+def test_golden_census_keys_at_eight(cls):
+    assert _key_list_digest(cls) == GOLDEN_KEYS_8[cls]
+
+
 if __name__ == "__main__":
     for name, stdin, argv in _runs():
         print(f"    {name!r}: {_run(stdin, argv)!r},")
+    for cls in _CLASSES:
+        print(f"    {cls!r}: {_key_list_digest(cls)!r},")
