@@ -49,6 +49,9 @@ from .core import (
 )
 
 _TAG_BYTES = {"split": b"s", "cover": b"c", "xy": b"x", "poset": b"p"}
+_DIM_BYTES = 2
+# Largest size a key can encode: every dimension takes _DIM_BYTES bytes.
+MAX_KEY_DIM = (1 << 8 * _DIM_BYTES) - 1
 
 
 def _pack_bits(bits: Sequence[int]) -> bytes:
@@ -67,7 +70,7 @@ def _pack_bits(bits: Sequence[int]) -> bytes:
 
 
 def _make_key(tag: str, dims: Sequence[int], bits: Sequence[int]) -> CanonicalKey:
-    data = _TAG_BYTES[tag] + b"".join(d.to_bytes(2, "big") for d in dims) + _pack_bits(bits)
+    data = _TAG_BYTES[tag] + b"".join(d.to_bytes(_DIM_BYTES, "big") for d in dims) + _pack_bits(bits)
     return CanonicalKey(tag, data)
 
 
@@ -468,32 +471,32 @@ def canon_key(obj) -> CanonicalKey:
 
 
 def canonical_object(obj):
-    """Relabel an object to its canonical form; returns (object, key)."""
+    """Relabel an object to its canonical form; returns (object, key).
+
+    Matrix classes take their key from ``canon_key``; the second
+    ``canon_matrix`` call on the same rows is a cache hit.
+    """
     if isinstance(obj, Graph):
         gc = canon_graph(obj)
         return relabel_graph(obj, gc.order), gc.key
+    key = canon_key(obj)
     if isinstance(obj, XYGraph):
-        mcf = canon_matrix(xy_matrix(obj))
-        rows = mcf.rows()
+        rows = canon_matrix(xy_matrix(obj)).rows()
         edges = frozenset(
             (i, j) for i in range(obj.nx) for j in range(obj.ny) if rows[i][j]
         )
-        return XYGraph(obj.nx, obj.ny, edges), _make_key("xy", (obj.nx, obj.ny), mcf.bits)
+        return XYGraph(obj.nx, obj.ny, edges), key
     if isinstance(obj, SetCover):
-        mcf = canon_matrix(cover_matrix(obj))
-        rows = mcf.rows()
+        rows = canon_matrix(cover_matrix(obj)).rows()
         sets = tuple(
             tuple(e for e in range(obj.n) if rows[e][j]) for j in range(len(obj.sets))
         )
-        return SetCover(obj.n, sets), _make_key("cover", (obj.n, len(obj.sets)), mcf.bits)
-    if isinstance(obj, BipartitePoset):
-        mcf = canon_matrix(poset_matrix(obj))
-        rows = mcf.rows()
-        below = frozenset(
-            (a, b) for a in range(obj.n0) for b in range(obj.n1) if rows[a][b]
-        )
-        return BipartitePoset(obj.n0, obj.n1, below), _make_key("poset", (obj.n0, obj.n1), mcf.bits)
-    raise UsageError(f"cannot canonicalize {type(obj).__name__}")
+        return SetCover(obj.n, sets), key
+    rows = canon_matrix(poset_matrix(obj)).rows()
+    below = frozenset(
+        (a, b) for a in range(obj.n0) for b in range(obj.n1) if rows[a][b]
+    )
+    return BipartitePoset(obj.n0, obj.n1, below), key
 
 
 def is_isomorphic(a, b) -> bool:

@@ -1,14 +1,27 @@
-"""Exhaustive census of each class at a given size.
+"""Exhaustive census of each class at a given size, built once per process.
 
 The master enumeration runs over XY incidence matrices: Y-columns (as
 bitmasks over the X-rows) are appended one at a time in non-decreasing
 order, and a partial matrix survives only while it is canonical, meaning no
 permutation of the X-rows yields a smaller sorted column sequence.  Every
 canonical sequence has a canonical prefix chain, so the search visits each
-unlabeled XY-graph exactly once.  The other three censuses are transported
-through the bijections; a naive oracle (generate every labeled object,
-canonicalize, deduplicate) provides the independent cross-check and shares
-nothing with the master path except the canonical forms.
+unlabeled XY-graph exactly once.  Split graphs are transported from the
+XY-graphs without isolates in Y, covers and posets from the split graphs;
+a naive oracle (generate every labeled object, canonicalize, deduplicate)
+provides the independent cross-check and shares nothing with the master
+path except the canonical forms.
+
+Each census is built once per process.  It is a tuple of records in
+generation order, one per unlabeled object: the canonically labeled
+object, its canonical key and its balance (``None`` for an XY-graph with
+isolates in Y, whose balance is undefined).  The first full pass of an
+``iter_*`` generator over a (class, n, no-Y-isolates) census stores its
+records in one per-process cache; ``records`` and ``enumerate_*`` run that
+pass when nothing is stored yet, and every later pass replays the stored
+records.  So each census object is generated, canonicalized and
+classified once per process, and the CLI and the verify suites read keys
+and balances from the records.  A pass that stops early stores nothing.
+A building pass checks that no two of its objects share a key.
 
 The search tree shards by the content of the first column; shards are
 merged in a fixed order, so the census is identical for any worker count.
@@ -26,8 +39,10 @@ from . import biject
 from .canon import canon_key, canonical_object
 from .classify import balance_of, xy_isolates_universals
 from .core import (
+    Balance,
     BipartitePoset,
     CanonicalKey,
+    DomainError,
     Graph,
     SetCover,
     SizeLimitError,
@@ -57,6 +72,18 @@ class Census:
     @property
     def count(self) -> int:
         return len(self.keys)
+
+
+@dataclass(frozen=True)
+class Record:
+    """One census object: canonically labeled, with its key and balance.
+
+    ``balance`` is None exactly when it is undefined (isolates in Y).
+    """
+
+    obj: object
+    key: CanonicalKey
+    balance: Optional[Balance]
 
 
 def _check_bound(n: int):
@@ -138,53 +165,97 @@ def _run_shard(task: tuple[int, int, Optional[int]]) -> list[XYGraph]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# census records: built on the first full pass, replayed after
+
+
+_records: dict[tuple[str, int, bool], tuple[Record, ...]] = {}
+
+
+def _xy_balance(h: XYGraph) -> Optional[Balance]:
+    try:
+        return balance_of(h)
+    except DomainError:
+        return None  # isolates in Y
+
+
+def _shard_batches(tasks, workers: int) -> Iterator[list[XYGraph]]:
+    if workers <= 1:
+        yield from map(_run_shard, tasks)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_run_shard, tasks)
+
+
+def _xy_records(n: int, require_no_y_isolates: bool, workers: int) -> Iterator[Record]:
+    for batch in _shard_batches(_shard_tasks(n, require_no_y_isolates), workers):
+        for h in batch:
+            h, key = canonical_object(h)
+            yield Record(h, key, _xy_balance(h))
+
+
+# class -> (source class, map); split graphs come from XY-graphs without
+# isolates in Y
+_TRANSPORT = {
+    "split": ("xy", biject.xy_to_split),
+    "cover": ("split", biject.split_to_cover),
+    "poset": ("split", biject.split_to_poset),
+}
+
+
+def _transported(class_tag: str, n: int, workers: int) -> Iterator[Record]:
+    source, to_class = _TRANSPORT[class_tag]
+    for obj in iter_objects(source, n, True, workers):
+        obj, key = canonical_object(to_class(obj))
+        yield Record(obj, key, balance_of(obj))
+
+
+def _pass(class_tag: str, n: int, no_isolates: bool, workers: int) -> Iterator[Record]:
+    """One pass over a census: replay its stored records, or build them
+    and store them once the pass is complete."""
+    _check_bound(n)
+    cache_key = (class_tag, n, no_isolates)
+    stored = _records.get(cache_key)
+    if stored is not None:
+        yield from stored
+        return
+    if class_tag == "xy":
+        build = _xy_records(n, no_isolates, workers)
+    else:
+        build = _transported(class_tag, n, workers)
+    built = []
+    seen: set[CanonicalKey] = set()
+    for record in build:
+        if record.key in seen:
+            raise RuntimeError(f"two objects of the {class_tag} census at n={n} share key {record.key.hex}")
+        seen.add(record.key)
+        built.append(record)
+        yield record
+    _records[cache_key] = tuple(built)
+
+
 def iter_xy(
     n: int, require_no_y_isolates: bool = False, workers: int = 1
 ) -> Iterator[XYGraph]:
     """Canonically labeled XY-graphs on n vertices, one per unlabeled object."""
-    _check_bound(n)
-    tasks = _shard_tasks(n, require_no_y_isolates)
-    if workers <= 1:
-        batches = map(_run_shard, tasks)
-        for batch in batches:
-            for h in batch:
-                yield canonical_object(h)[0]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_run_shard, tasks):
-                for h in batch:
-                    yield canonical_object(h)[0]
+    for record in _pass("xy", n, require_no_y_isolates, workers):
+        yield record.obj
 
 
 def iter_split(n: int, workers: int = 1) -> Iterator[Graph]:
     """Canonically labeled split graphs on n vertices via XY transport."""
-    seen: set[CanonicalKey] = set()
-    for h in iter_xy(n, require_no_y_isolates=True, workers=workers):
-        g, key = canonical_object(biject.xy_to_split(h))
-        if key in seen:
-            raise RuntimeError(f"transport merged two XY keys onto split key {key.hex}")
-        seen.add(key)
-        yield g
+    for record in _pass("split", n, False, workers):
+        yield record.obj
 
 
 def iter_cover(n: int, workers: int = 1) -> Iterator[SetCover]:
-    seen: set[CanonicalKey] = set()
-    for g in iter_split(n, workers=workers):
-        c, key = canonical_object(biject.split_to_cover(g))
-        if key in seen:
-            raise RuntimeError(f"transport merged two split keys onto cover key {key.hex}")
-        seen.add(key)
-        yield c
+    for record in _pass("cover", n, False, workers):
+        yield record.obj
 
 
 def iter_poset(n: int, workers: int = 1) -> Iterator[BipartitePoset]:
-    seen: set[CanonicalKey] = set()
-    for g in iter_split(n, workers=workers):
-        p, key = canonical_object(biject.split_to_poset(g))
-        if key in seen:
-            raise RuntimeError(f"transport merged two split keys onto poset key {key.hex}")
-        seen.add(key)
-        yield p
+    for record in _pass("poset", n, False, workers):
+        yield record.obj
 
 
 def iter_objects(
@@ -201,43 +272,34 @@ def iter_objects(
     raise UsageError(f"unknown class {class_tag!r}")
 
 
+def records(
+    class_tag: str, n: int, require_no_y_isolates: bool = False, workers: int = 1
+) -> tuple[Record, ...]:
+    """Records of one census in generation order, from a full first pass of
+    ``iter_objects`` when none is stored.  ``require_no_y_isolates``
+    applies to XY-graphs only."""
+    cache_key = (class_tag, n, require_no_y_isolates and class_tag == "xy")
+    if cache_key not in _records:
+        for _ in iter_objects(class_tag, n, require_no_y_isolates, workers):
+            pass
+    return _records[cache_key]
+
+
 # ---------------------------------------------------------------------------
 # censuses
 
 
-_census_cache: dict[tuple[str, int, bool], Census] = {}
-
-
-def _build_census(class_tag: str, n: int, require_no_y_isolates: bool, workers: int) -> Census:
-    keys = []
-    balanced = unbalanced = out_of_domain = 0
-    for obj in iter_objects(class_tag, n, require_no_y_isolates, workers):
-        keys.append(canon_key(obj))
-        if class_tag == "xy" and not require_no_y_isolates:
-            isolates, universals = xy_isolates_universals(obj)
-            if isolates:
-                out_of_domain += 1
-                continue
-            if universals:
-                unbalanced += 1
-            else:
-                balanced += 1
-            continue
-        if balance_of(obj).is_balanced:
-            balanced += 1
-        else:
-            unbalanced += 1
-    if len(set(keys)) != len(keys):
-        raise RuntimeError(f"duplicate keys in {class_tag} census at n={n}")
-    return Census(class_tag, n, tuple(sorted(keys)), balanced, unbalanced, out_of_domain)
-
-
 def _census(class_tag: str, n: int, require_no_y_isolates: bool, workers: int) -> Census:
-    _check_bound(n)
-    cache_key = (class_tag, n, require_no_y_isolates)
-    if cache_key not in _census_cache:
-        _census_cache[cache_key] = _build_census(class_tag, n, require_no_y_isolates, workers)
-    return _census_cache[cache_key]
+    stored = records(class_tag, n, require_no_y_isolates, workers)
+    balances = [r.balance for r in stored]
+    return Census(
+        class_tag,
+        n,
+        tuple(sorted(r.key for r in stored)),
+        sum(1 for b in balances if b is not None and b.is_balanced),
+        sum(1 for b in balances if b is not None and not b.is_balanced),
+        sum(1 for b in balances if b is None),
+    )
 
 
 def enumerate_xy(n: int, require_no_y_isolates: bool = False, workers: int = 1) -> Census:
@@ -257,9 +319,7 @@ def enumerate_poset(n: int, workers: int = 1) -> Census:
 
 
 def enumerate_class(class_tag: str, n: int, require_no_y_isolates: bool = False, workers: int = 1) -> Census:
-    if class_tag not in ("split", "cover", "xy", "poset"):
-        raise UsageError(f"unknown class {class_tag!r}")
-    return _census(class_tag, n, require_no_y_isolates if class_tag == "xy" else False, workers)
+    return _census(class_tag, n, require_no_y_isolates, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ import os
 import sys
 
 from . import biject, census, verify
-from .canon import canon_key, canonical_object
+from .canon import MAX_KEY_DIM, canon_key, canonical_object
 from .classify import (
     balance_cover,
-    balance_of,
     balance_poset,
     balance_split,
     balance_xy,
@@ -121,31 +120,24 @@ def cmd_enumerate(args) -> int:
         raise UsageError("graph6 output is available exactly for --class split")
     no_iso = args.no_y_isolates if args.cls == "xy" else False
 
-    def emit(obj):
+    def emit(record):
         if args.balance != "all":
-            try:
-                value = balance_of(obj).value
-            except DomainError:
-                return  # balance undefined (Y-isolates); filtered out
-            if value != args.balance:
-                return
-        print(_serialize(obj))
+            if record.balance is None or record.balance.value != args.balance:
+                return  # filtered out; None means undefined (Y-isolates)
+        print(_serialize(record.obj))
 
-    if args.stream and not args.count_only:
-        for obj in census.iter_objects(args.cls, args.n, no_iso, args.workers):
-            emit(obj)
-        print(_census_header(census.enumerate_class(args.cls, args.n, no_iso, args.workers)))
-        return 0
-    full = census.enumerate_class(args.cls, args.n, no_iso, args.workers)
-    print(_census_header(full))
+    header = _census_header(census.enumerate_class(args.cls, args.n, no_iso, args.workers))
     if args.count_only:
+        print(header)
         return 0
-    items = sorted(
-        ((canon_key(obj), obj) for obj in census.iter_objects(args.cls, args.n, no_iso, args.workers)),
-        key=lambda kv: kv[0],
-    )
-    for _, obj in items:
-        emit(obj)
+    stored = census.records(args.cls, args.n, no_iso, args.workers)
+    if not args.stream:
+        print(header)
+        stored = sorted(stored, key=lambda r: r.key)
+    for record in stored:
+        emit(record)
+    if args.stream:
+        print(header)
     return 0
 
 
@@ -249,8 +241,13 @@ def cmd_map(args) -> int:
 
 def cmd_compile(args) -> int:
     name = f"compile_{args.cls}_{args.direction}"
-    if args.direction == "up" and args.n is None:
-        raise UsageError("compile --direction up needs a target size --n")
+    if args.direction == "up":
+        if args.n is None:
+            raise UsageError("compile --direction up needs a target size --n")
+        if not 0 <= args.n <= MAX_KEY_DIM:
+            raise UsageError(
+                f"--n must be between 0 and {MAX_KEY_DIM}, the largest size a key encodes; got {args.n}"
+            )
     errors = 0
     for line in _input_lines(sys.stdin):
         try:
@@ -286,15 +283,15 @@ def cmd_verify(args) -> int:
 
 def cmd_gallery(args) -> int:
     rows = []
-    for g in census.iter_split(args.n, args.workers):
-        balance = balance_split(g)
+    for record in census.records("split", args.n, workers=args.workers):
+        g, balance = record.obj, record.balance
         cover, cover_key = canonical_object(biject.split_to_cover(g))
         poset, poset_key = canonical_object(biject.split_to_poset(g))
         xy, xy_key = canonical_object(biject.split_to_xy(g))
         row = {
             "balance": balance.value,
             "split": serialize_graph6(g),
-            "split_key": canon_key(g).hex,
+            "split_key": record.key.hex,
             "cover": serialize_object(cover),
             "cover_key": cover_key.hex,
             "poset": serialize_object(poset),

@@ -356,20 +356,32 @@ def parse_object(text: str):
     if not isinstance(doc, dict) or "class" not in doc:
         raise ParseError('missing "class" field')
     tag = doc["class"]
+
+    def whole(value, name: str) -> int:
+        # only a JSON integer: never a bool, a float or a string
+        if type(value) is not int:
+            raise ParseError(f"schema violation for class {tag!r}: {name} must be an integer, got {json.dumps(value)}")
+        return value
+
     try:
         if tag == "cover":
-            obj = SetCover(int(doc["n"]), tuple(tuple(int(e) for e in s) for s in doc["sets"]))
+            obj = SetCover(
+                whole(doc["n"], "n"),
+                tuple(tuple(whole(e, "each sets entry") for e in s) for s in doc["sets"]),
+            )
         elif tag == "xy":
             obj = XYGraph(
-                int(doc["nx"]),
-                int(doc["ny"]),
-                frozenset((int(x), int(y)) for x, y in doc["edges"]),
+                whole(doc["nx"], "nx"),
+                whole(doc["ny"], "ny"),
+                frozenset((whole(x, "each edges entry"), whole(y, "each edges entry"))
+                          for x, y in doc["edges"]),
             )
         elif tag == "poset":
             obj = BipartitePoset(
-                int(doc["n0"]),
-                int(doc["n1"]),
-                frozenset((int(a), int(b)) for a, b in doc["below"]),
+                whole(doc["n0"], "n0"),
+                whole(doc["n1"], "n1"),
+                frozenset((whole(a, "each below entry"), whole(b, "each below entry"))
+                          for a, b in doc["below"]),
             )
         else:
             raise ParseError(f"unknown class {tag!r}")

@@ -1,10 +1,13 @@
 """Executable suites binding the counting and bijection claims to the code.
 
-Each suite consumes full censuses from :mod:`splitkit.census`, never
-generating objects itself, and reports the exact failing keys so a failure
-can be replayed through the CLI.  All suites are deterministic.  The
-triangle suite is informational only: commutativity of composed bijections
-is measured, not asserted.
+Each suite consumes full censuses from :mod:`splitkit.census` as records
+(canonical object, key and balance), which the census builds once per
+process; a suite never generates, canonicalizes or classifies a census
+object itself.  It computes the key and balance of every object a map
+produces, and reports the exact failing keys so a failure can be replayed
+through the CLI.  All suites are deterministic.  The triangle suite is
+informational only: commutativity of composed bijections is measured, not
+asserted.
 """
 
 from __future__ import annotations
@@ -70,7 +73,15 @@ BALANCE_PAIR_NAMES = tuple(_PAIRS)
 
 
 def _iter(tag: str, n: int, workers: int = 1):
-    return census.iter_objects(tag, n, require_no_y_isolates=(tag == "xy"), workers=workers)
+    """Census records of ``tag`` at ``n``; XY-graphs without isolates in Y."""
+    return census.records(tag, n, require_no_y_isolates=(tag == "xy"), workers=workers)
+
+
+def _check_key(result: SuiteResult, key, back):
+    """Record a failure unless ``back`` has the census key ``key``."""
+    back_key = canon_key(back)
+    if back_key != key:
+        result.failures.append((key.hex, key.hex, back_key.hex))
 
 
 def verify_roundtrip(pair: str, max_n: int, workers: int = 1) -> SuiteResult:
@@ -78,33 +89,27 @@ def verify_roundtrip(pair: str, max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("roundtrip", {"pair": pair, "max_n": max_n}, 0)
     if pair == "xy-shift":
         for n in range(max_n + 1):
-            for h in census.iter_xy(n, require_no_y_isolates=False, workers=workers):
+            for rec in census.records("xy", n, require_no_y_isolates=False, workers=workers):
                 result.checked += 1
-                back = biject.unbalanced_split_to_xy(biject.xy_to_unbalanced_split(h))
-                if canon_key(back) != canon_key(h):
-                    result.failures.append((canon_key(h).hex, canon_key(h).hex, canon_key(back).hex))
-            for g in _iter("split", n + 1):
-                if balance_of(g).is_balanced:
+                back = biject.unbalanced_split_to_xy(biject.xy_to_unbalanced_split(rec.obj))
+                _check_key(result, rec.key, back)
+            for rec in _iter("split", n + 1, workers):
+                if rec.balance.is_balanced:
                     continue
                 result.checked += 1
-                back = biject.xy_to_unbalanced_split(biject.unbalanced_split_to_xy(g))
-                if canon_key(back) != canon_key(g):
-                    result.failures.append((canon_key(g).hex, canon_key(g).hex, canon_key(back).hex))
+                back = biject.xy_to_unbalanced_split(biject.unbalanced_split_to_xy(rec.obj))
+                _check_key(result, rec.key, back)
         return result
     if pair not in _PAIRS:
         raise UsageError(f"unknown pair {pair!r}; known: {', '.join(PAIR_NAMES)}")
     dom, fwd, cod, inv = _PAIRS[pair]
     for n in range(max_n + 1):
-        for obj in _iter(dom, n, workers):
+        for rec in _iter(dom, n, workers):
             result.checked += 1
-            back = inv(fwd(obj))
-            if canon_key(back) != canon_key(obj):
-                result.failures.append((canon_key(obj).hex, canon_key(obj).hex, canon_key(back).hex))
-        for obj in _iter(cod, n, workers):
+            _check_key(result, rec.key, inv(fwd(rec.obj)))
+        for rec in _iter(cod, n, workers):
             result.checked += 1
-            back = fwd(inv(obj))
-            if canon_key(back) != canon_key(obj):
-                result.failures.append((canon_key(obj).hex, canon_key(obj).hex, canon_key(back).hex))
+            _check_key(result, rec.key, fwd(inv(rec.obj)))
     return result
 
 
@@ -115,18 +120,12 @@ def verify_balance(pair: str, max_n: int, workers: int = 1) -> SuiteResult:
     dom, fwd, cod, inv = _PAIRS[pair]
     result = SuiteResult("balance", {"pair": pair, "max_n": max_n}, 0)
     for n in range(max_n + 1):
-        for obj in _iter(dom, n, workers):
-            result.checked += 1
-            want = balance_of(obj).value
-            got = balance_of(fwd(obj)).value
-            if want != got:
-                result.failures.append((canon_key(obj).hex, want, got))
-        for obj in _iter(cod, n, workers):
-            result.checked += 1
-            want = balance_of(obj).value
-            got = balance_of(inv(obj)).value
-            if want != got:
-                result.failures.append((canon_key(obj).hex, want, got))
+        for tag, fn in ((dom, fwd), (cod, inv)):
+            for rec in _iter(tag, n, workers):
+                result.checked += 1
+                got = balance_of(fn(rec.obj)).value
+                if rec.balance.value != got:
+                    result.failures.append((rec.key.hex, rec.balance.value, got))
     return result
 
 
@@ -150,39 +149,35 @@ def verify_compilation(class_tag: str, n: int, workers: int = 1) -> SuiteResult:
     for t in range(n):
         union_keys.update(census.enumerate_class(class_tag, t, True, workers).keys)
     image = {}
-    for obj in _iter(class_tag, n, workers):
-        if balance_of(obj).is_balanced:
+    for rec in _iter(class_tag, n, workers):
+        if rec.balance.is_balanced:
             continue
         result.checked += 1
-        key = canon_key(obj)
-        small = down(obj)
+        key = rec.key
+        small = down(rec.obj)
         small_key = canon_key(small)
         if small_key in image:
             result.failures.append((key.hex, "injective image", f"collides with {image[small_key].hex}"))
         image[small_key] = key
         if small_key not in union_keys:
             result.failures.append((key.hex, "image inside union of smaller censuses", small_key.hex))
-        back = up(small, n)
-        if canon_key(back) != key:
-            result.failures.append((key.hex, key.hex, canon_key(back).hex))
+        _check_key(result, key, up(small, n))
     missing = union_keys - set(image)
     for key in sorted(missing):
         result.failures.append((key.hex, "hit by compile_down", "missed"))
     # The other inverse direction: up then down returns every small object.
     for t in range(n):
-        for obj in _iter(class_tag, t, workers):
+        for rec in _iter(class_tag, t, workers):
             result.checked += 1
-            key = canon_key(obj)
-            big = up(obj, n)
+            key = rec.key
+            big = up(rec.obj, n)
             if balance_of(big).is_balanced:
                 result.failures.append((key.hex, "compile_up output unbalanced", "balanced"))
                 continue
             if size_of(big) != n:
                 result.failures.append((key.hex, f"size {n}", str(size_of(big))))
                 continue
-            back = down(big)
-            if canon_key(back) != key:
-                result.failures.append((key.hex, key.hex, canon_key(back).hex))
+            _check_key(result, key, down(big))
     return result
 
 
@@ -252,8 +247,9 @@ def verify_choice_independence(map_name: str, max_n: int, workers: int = 1) -> S
         "compile_poset_down",
     )
     for n in range(max_n + 1):
-        for obj in _iter(spec.domain, n, workers):
-            if unbalanced_only and balance_of(obj).is_balanced:
+        for rec in _iter(spec.domain, n, workers):
+            obj = rec.obj
+            if unbalanced_only and rec.balance.is_balanced:
                 continue
             space = _choice_space(map_name, obj)
             if not space:
@@ -270,7 +266,7 @@ def verify_choice_independence(map_name: str, max_n: int, workers: int = 1) -> S
                     if reference is None:
                         reference = key
                     elif key != reference:
-                        result.failures.append((canon_key(obj).hex, reference.hex, key.hex))
+                        result.failures.append((rec.key.hex, reference.hex, key.hex))
     return result
 
 
@@ -309,7 +305,8 @@ def verify_triangle(max_n: int, workers: int = 1) -> SuiteResult:
     agree = 0
     total = 0
     for n in range(max_n + 1):
-        for g in _iter("split", n, workers):
+        for rec in _iter("split", n, workers):
+            g = rec.obj
             total += 1
             direct = canon_key(biject.split_to_poset(g))
             composed = canon_key(biject.cover_to_poset(biject.split_to_cover(g)))

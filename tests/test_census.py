@@ -2,6 +2,8 @@
 
 import pytest
 
+from splitkit import census, verify
+from splitkit.canon import canon_key
 from splitkit.census import (
     MAX_N,
     count_table,
@@ -13,7 +15,8 @@ from splitkit.census import (
     iter_xy,
     naive_oracle,
 )
-from splitkit.core import SizeLimitError
+from splitkit.classify import balance_of, xy_isolates_universals
+from splitkit.core import Graph, SizeLimitError
 
 UNBALANCED = [0, 1, 2, 4, 8, 17, 38, 94, 258]  # splits, n = 0..8
 TOTALS = [1, 1, 2, 4, 9, 21, 56, 164]  # splits, n = 0..7
@@ -89,10 +92,16 @@ def test_enumeration_bound_named():
     assert str(MAX_N) in str(err.value)
 
 
-def test_transport_does_not_merge_keys():
-    # iter_split raises if two XY keys collapse; consuming it fully at the
-    # largest everyday size exercises the check
+def test_transport_does_not_merge_keys(monkeypatch):
+    # a census pass raises if two of its objects share a key; a full first
+    # pass at the largest everyday size exercises the check
+    monkeypatch.setattr(census, "_records", {})
     assert sum(1 for _ in iter_split(6)) == 56
+    monkeypatch.setattr(census, "_records", {})
+    real = census.canonical_object
+    monkeypatch.setattr(census, "canonical_object", lambda obj: (real(obj)[0], canon_key(Graph(0, ()))))
+    with pytest.raises(RuntimeError, match="share key"):
+        list(iter_split(3))
 
 
 def test_census_keys_sorted_distinct():
@@ -101,13 +110,71 @@ def test_census_keys_sorted_distinct():
         assert list(census.keys) == sorted(set(census.keys))
 
 
-def test_worker_count_does_not_change_output():
-    seq1 = [h for h in iter_xy(5, False, workers=1)]
-    seq4 = [h for h in iter_xy(5, False, workers=4)]
-    assert seq1 == seq4
-    seq1 = [g for g in iter_split(5, workers=1)]
-    seq8 = [g for g in iter_split(5, workers=8)]
-    assert seq1 == seq8
+def test_worker_count_does_not_change_output(monkeypatch):
+    # each pass starts from an empty record cache, so each one generates
+    def fresh(gen, *args, **kwargs):
+        monkeypatch.setattr(census, "_records", {})
+        return list(gen(*args, **kwargs))
+
+    assert fresh(iter_xy, 5, False, workers=1) == fresh(iter_xy, 5, False, workers=4)
+    assert fresh(iter_split, 5, workers=1) == fresh(iter_split, 5, workers=8)
+
+
+def test_replay_matches_the_first_pass(monkeypatch):
+    monkeypatch.setattr(census, "_records", {})
+    for tag in ("split", "cover", "xy", "poset"):
+        first = list(census.iter_objects(tag, 5))
+        stored = census.records(tag, 5)
+        assert [r.obj for r in stored] == first
+        assert list(census.iter_objects(tag, 5)) == first
+        for r in stored:
+            assert canon_key(r.obj) == r.key
+            if tag == "xy" and xy_isolates_universals(r.obj)[0]:
+                assert r.balance is None
+            else:
+                assert r.balance == balance_of(r.obj)
+    # split graphs are transported from XY-graphs without isolates in Y
+    expected = {(t, 5, False) for t in ("split", "cover", "xy", "poset")} | {("xy", 5, True)}
+    assert set(census._records) == expected
+
+
+def test_a_pass_that_stops_early_stores_nothing(monkeypatch):
+    monkeypatch.setattr(census, "_records", {})
+    head = iter_split(5)
+    assert [next(head) for _ in range(3)]
+    head.close()
+    assert ("split", 5, False) not in census._records
+    assert len(list(iter_split(5))) == 21
+    assert ("split", 5, False) in census._records
+
+
+def test_verify_canonicalizes_each_census_object_once(monkeypatch):
+    """One census pass per process: verify replays the stored records."""
+    monkeypatch.setattr(census, "_records", {})
+    canonicalized, shards = [], []
+    real_canon, real_shard = census.canonical_object, census._run_shard
+
+    def counting_canon(obj):
+        out = real_canon(obj)
+        canonicalized.append(out[1])
+        return out
+
+    def counting_shard(task):
+        shards.append(task)
+        return real_shard(task)
+
+    monkeypatch.setattr(census, "canonical_object", counting_canon)
+    monkeypatch.setattr(census, "_run_shard", counting_shard)
+    results = verify.run_all(5)
+    assert all(r.passed for r in results if r.suite != "triangle")
+    stored = [r.key for records in census._records.values() for r in records]
+    census_keys = [
+        k for tag in ("split", "cover", "poset") for n in range(6) for k in census.enumerate_class(tag, n).keys
+    ]
+    census_keys += [k for flag in (True, False) for n in range(6) for k in enumerate_xy(n, flag).keys]
+    assert sorted(canonicalized) == sorted(stored) == sorted(census_keys)
+    # one orderly-generation run per shard of each XY census
+    assert len(shards) == sum(len(census._shard_tasks(n, flag)) for flag in (True, False) for n in range(6))
 
 
 def test_balanced_objects_at_four_are_the_images_of_p4():

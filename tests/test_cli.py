@@ -103,6 +103,54 @@ def test_classify_pipeline(monkeypatch, capsys):
     assert "minimal" in json.loads(out)["error"]
 
 
+def _rejected_line(line, monkeypatch, capsys):
+    """classify gives ``line`` a per-line error record and exits with 3."""
+    code, out, _ = run(["classify"], line + "\n", monkeypatch, capsys)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["line"] == line
+    return doc["error"]
+
+
+def test_classify_rejects_a_float_size_instead_of_truncating(monkeypatch, capsys):
+    error = _rejected_line('{"class":"cover","n":3.9,"sets":[[0,1,2]]}', monkeypatch, capsys)
+    assert "n must be an integer, got 3.9" in error
+
+
+def test_classify_rejects_a_bool_size(monkeypatch, capsys):
+    error = _rejected_line('{"class":"xy","nx":true,"ny":1,"edges":[[0,0]]}', monkeypatch, capsys)
+    assert "nx must be an integer, got true" in error
+
+
+def test_classify_rejects_a_string_size(monkeypatch, capsys):
+    error = _rejected_line('{"class":"xy","nx":"2","ny":1,"edges":[[0,0]]}', monkeypatch, capsys)
+    assert 'nx must be an integer, got "2"' in error
+
+
+def test_classify_rejects_non_integer_entries(monkeypatch, capsys):
+    for line in (
+        '{"class":"cover","n":3,"sets":[[0,1,2.0]]}',
+        '{"class":"cover","n":3,"sets":["012"]}',
+        '{"class":"xy","nx":1,"ny":1,"edges":[[false,0]]}',
+        '{"class":"poset","n0":1,"n1":1,"below":[[0,"0"]]}',
+        '{"class":"poset","n0":1,"n1":1.0,"below":[[0,0]]}',
+    ):
+        assert "must be an integer" in _rejected_line(line, monkeypatch, capsys)
+
+
+def test_compile_up_rejects_a_size_keys_cannot_hold(monkeypatch, capsys):
+    empty_poset = '{"class":"poset","n0":0,"n1":0,"below":[]}\n'
+    argv = ["compile", "--class", "poset", "--direction", "up", "--n"]
+    for n in ("100000", "65536", "-1"):
+        code, out, err = run(argv + [n], empty_poset, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "65535" in err and n in err
+        assert sys.stdin.read() == empty_poset  # rejected before reading input
+    code, out, _ = run(argv + ["65535"], empty_poset, monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(json.loads(out)["object"])["n0"] == 65535
+
+
 def test_classify_skips_headers_and_blanks(monkeypatch, capsys):
     text = "# class=split n=1 count=1 balanced=0 unbalanced=1\n\n@\n"
     code, out, _ = run(["classify"], text, monkeypatch, capsys)

@@ -2,10 +2,10 @@
 
 CLI stdout and canonical keys are the behaviour contract, so any change to
 the kernels, the census or the maps must leave every hash below unchanged.
-The runs go through ``splitkit.cli.main`` in-process; the census key lists
-at n = 8, beyond the CLI runs, are pinned by one sha256 per class.  To
-print the tables
-for a deliberate, documented output change, run
+The runs go through ``splitkit.cli.main`` in-process, each with an empty
+census record cache as in a fresh process; the census key lists at n = 8
+are pinned by one sha256 per class.  To print the tables for a deliberate,
+documented output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,9 +14,11 @@ import contextlib
 import hashlib
 import io
 import sys
+from unittest import mock
 
 import pytest
 
+from splitkit import census
 from splitkit.census import enumerate_class
 from splitkit.cli import main
 
@@ -63,7 +65,7 @@ def _run(stdin: str, argv) -> str:
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), mock.patch.dict(census._records, clear=True):
             code = main(argv)
     finally:
         sys.stdin = saved
