@@ -360,7 +360,9 @@ def parse_object(text: str):
     def whole(value, name: str) -> int:
         # only a JSON integer: never a bool, a float or a string
         if type(value) is not int:
-            raise ParseError(f"schema violation for class {tag!r}: {name} must be an integer, got {json.dumps(value)}")
+            raise ParseError(
+                f"schema violation for class {tag!r}: {name} must be an integer, got {json.dumps(value)}"
+            )
         return value
 
     try:

@@ -168,10 +168,9 @@ def test_verify_canonicalizes_each_census_object_once(monkeypatch):
     results = verify.run_all(5)
     assert all(r.passed for r in results if r.suite != "triangle")
     stored = [r.key for records in census._records.values() for r in records]
-    census_keys = [
-        k for tag in ("split", "cover", "poset") for n in range(6) for k in census.enumerate_class(tag, n).keys
-    ]
-    census_keys += [k for flag in (True, False) for n in range(6) for k in enumerate_xy(n, flag).keys]
+    censuses = [census.enumerate_class(tag, n) for tag in ("split", "cover", "poset") for n in range(6)]
+    censuses += [enumerate_xy(n, flag) for flag in (True, False) for n in range(6)]
+    census_keys = [k for c in censuses for k in c.keys]
     assert sorted(canonicalized) == sorted(stored) == sorted(census_keys)
     # one orderly-generation run per shard of each XY census
     assert len(shards) == sum(len(census._shard_tasks(n, flag)) for flag in (True, False) for n in range(6))
