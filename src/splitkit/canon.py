@@ -39,6 +39,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import (
+    KEY_DIM_BYTES,
+    MAX_KEY_DIM,
     BipartitePoset,
     CanonicalKey,
     Graph,
@@ -49,9 +51,6 @@ from .core import (
 )
 
 _TAG_BYTES = {"split": b"s", "cover": b"c", "xy": b"x", "poset": b"p"}
-_DIM_BYTES = 2
-# Largest size a key can encode: every dimension takes _DIM_BYTES bytes.
-MAX_KEY_DIM = (1 << 8 * _DIM_BYTES) - 1
 
 
 def _pack_bits(bits: Sequence[int]) -> bytes:
@@ -70,7 +69,7 @@ def _pack_bits(bits: Sequence[int]) -> bytes:
 
 
 def _make_key(tag: str, dims: Sequence[int], bits: Sequence[int]) -> CanonicalKey:
-    data = _TAG_BYTES[tag] + b"".join(d.to_bytes(_DIM_BYTES, "big") for d in dims) + _pack_bits(bits)
+    data = _TAG_BYTES[tag] + b"".join(d.to_bytes(KEY_DIM_BYTES, "big") for d in dims) + _pack_bits(bits)
     return CanonicalKey(tag, data)
 
 

@@ -5,23 +5,29 @@ bitmasks over the X-rows) are appended one at a time in non-decreasing
 order, and a partial matrix survives only while it is canonical, meaning no
 permutation of the X-rows yields a smaller sorted column sequence.  Every
 canonical sequence has a canonical prefix chain, so the search visits each
-unlabeled XY-graph exactly once.  Split graphs are transported from the
-XY-graphs without isolates in Y, covers and posets from the split graphs;
-a naive oracle (generate every labeled object, canonicalize, deduplicate)
-provides the independent cross-check and shares nothing with the master
-path except the canonical forms.
+unlabeled XY-graph exactly once.  Split graphs, covers and posets are
+transported straight from the generated XY-graphs without isolates in Y
+(``xy_to_split``, then ``split_to_cover`` or ``split_to_poset``); a naive
+oracle (generate every labeled object, canonicalize, deduplicate) provides
+the independent cross-check and shares nothing with the master path except
+the canonical forms.
 
-Each census is built once per process.  It is a tuple of records in
-generation order, one per unlabeled object: the canonically labeled
-object, its canonical key and its balance (``None`` for an XY-graph with
-isolates in Y, whose balance is undefined).  The first full pass of an
-``iter_*`` generator over a (class, n, no-Y-isolates) census stores its
-records in one per-process cache; ``records`` and ``enumerate_*`` run that
-pass when nothing is stored yet, and every later pass replays the stored
-records.  So each census object is generated, canonicalized and
-classified once per process, and the CLI and the verify suites read keys
-and balances from the records.  A pass that stops early stores nothing.
-A building pass checks that no two of its objects share a key.
+Two per-process stores keep what is built.  The orderly-generation output
+(the XY-graphs as generated, not yet canonicalized) is stored once per
+(n, no-Y-isolates) pair, the first time any census at that size needs it.
+Records are stored per census that a caller asks for: a tuple in
+generation order, one per unlabeled object, holding the canonically
+labeled object, its canonical key and its balance (``None`` for an
+XY-graph with isolates in Y, whose balance is undefined).  The first full
+pass of an ``iter_*`` generator over a (class, n, no-Y-isolates) census
+stores its records; ``records`` and ``enumerate_*`` run that pass when
+nothing is stored yet, and every later pass replays the stored records.
+A transported census canonicalizes and classifies only its own objects,
+so a one-shot ``enumerate`` builds no XY or split census it does not
+print, while a caller that asks for every census (``verify``) still
+canonicalizes each census object once and runs each generation shard once
+per process.  A pass that stops early stores no records.  A building pass
+checks that no two of its objects share a key.
 
 The search tree shards by the content of the first column; shards are
 merged in a fixed order, so the census is identical for any worker count.
@@ -30,7 +36,6 @@ merged in a fixed order, so the census is identical for any worker count.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -169,6 +174,7 @@ def _run_shard(task: tuple[int, int, Optional[int]]) -> list[XYGraph]:
 # census records: built on the first full pass, replayed after
 
 
+_generated: dict[tuple[int, bool], tuple[XYGraph, ...]] = {}
 _records: dict[tuple[str, int, bool], tuple[Record, ...]] = {}
 
 
@@ -183,30 +189,42 @@ def _shard_batches(tasks, workers: int) -> Iterator[list[XYGraph]]:
     if workers <= 1:
         yield from map(_run_shard, tasks)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_run_shard, tasks)
 
 
+def _generation(n: int, require_no_y_isolates: bool, workers: int) -> tuple[XYGraph, ...]:
+    """The orderly-generation output at size n, run once per process."""
+    cache_key = (n, require_no_y_isolates)
+    stored = _generated.get(cache_key)
+    if stored is None:
+        tasks = _shard_tasks(n, require_no_y_isolates)
+        stored = _generated[cache_key] = tuple(itertools.chain.from_iterable(_shard_batches(tasks, workers)))
+    return stored
+
+
 def _xy_records(n: int, require_no_y_isolates: bool, workers: int) -> Iterator[Record]:
-    for batch in _shard_batches(_shard_tasks(n, require_no_y_isolates), workers):
-        for h in batch:
-            h, key = canonical_object(h)
-            yield Record(h, key, _xy_balance(h))
+    for h in _generation(n, require_no_y_isolates, workers):
+        h, key = canonical_object(h)
+        yield Record(h, key, _xy_balance(h))
 
 
-# class -> (source class, map); split graphs come from XY-graphs without
-# isolates in Y
+# class -> maps taking a generated XY-graph without isolates in Y to it
 _TRANSPORT = {
-    "split": ("xy", biject.xy_to_split),
-    "cover": ("split", biject.split_to_cover),
-    "poset": ("split", biject.split_to_poset),
+    "split": (biject.xy_to_split,),
+    "cover": (biject.xy_to_split, biject.split_to_cover),
+    "poset": (biject.xy_to_split, biject.split_to_poset),
 }
 
 
 def _transported(class_tag: str, n: int, workers: int) -> Iterator[Record]:
-    source, to_class = _TRANSPORT[class_tag]
-    for obj in iter_objects(source, n, True, workers):
-        obj, key = canonical_object(to_class(obj))
+    maps = _TRANSPORT[class_tag]
+    for obj in _generation(n, True, workers):
+        for to_class in maps:
+            obj = to_class(obj)
+        obj, key = canonical_object(obj)
         yield Record(obj, key, balance_of(obj))
 
 

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import biject, census, verify
-from .canon import MAX_KEY_DIM, canon_key, canonical_object
+from .canon import canon_key, canonical_object
 from .classify import (
     balance_cover,
     balance_poset,
@@ -30,6 +30,8 @@ from .classify import (
     omega_alpha,
 )
 from .core import (
+    GRAPH6_MAX_N,
+    MAX_KEY_DIM,
     DomainError,
     Graph,
     ParseError,
@@ -247,6 +249,10 @@ def cmd_compile(args) -> int:
         if not 0 <= args.n <= MAX_KEY_DIM:
             raise UsageError(
                 f"--n must be between 0 and {MAX_KEY_DIM}, the largest size a key encodes; got {args.n}"
+            )
+        if args.cls == "split" and args.n > GRAPH6_MAX_N:
+            raise UsageError(
+                f"--n must be at most {GRAPH6_MAX_N} for --class split, the largest graph6 size; got {args.n}"
             )
     errors = 0
     for line in _input_lines(sys.stdin):

@@ -212,6 +212,12 @@ class Balance:
         return self.value == "balanced"
 
 
+# Every dimension of a key takes KEY_DIM_BYTES bytes, so no object with a
+# size or side above MAX_KEY_DIM has a key.
+KEY_DIM_BYTES = 2
+MAX_KEY_DIM = (1 << 8 * KEY_DIM_BYTES) - 1
+
+
 @dataclass(frozen=True, order=True)
 class CanonicalKey:
     """Stable identity of an unlabeled object: tag, dimensions and bits.
@@ -261,11 +267,13 @@ def size_of(obj) -> int:
 # ---------------------------------------------------------------------------
 # graph6
 
+GRAPH6_MAX_N = 62  # the short form: one header byte holds n
+
 
 def serialize_graph6(g: Graph) -> str:
     """Encode a graph as a standard graph6 line (n <= 62)."""
-    if g.n > 62:
-        raise SizeLimitError(f"graph6 output supports n <= 62, got n={g.n}")
+    if g.n > GRAPH6_MAX_N:
+        raise SizeLimitError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
     chars = [chr(63 + g.n)]
     bits = []
     for j in range(1, g.n):
@@ -288,7 +296,7 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError("empty graph6 string (offset 0)")
     header = ord(line[0])
     if header == 126:
-        raise SizeLimitError("graph6 input supports n <= 62 (long-form header at offset 0)")
+        raise SizeLimitError(f"graph6 input supports n <= {GRAPH6_MAX_N} (long-form header at offset 0)")
     if not 63 <= header <= 125:
         raise ParseError(f"header byte {line[0]!r} out of range at offset 0")
     n = header - 63
@@ -365,30 +373,39 @@ def parse_object(text: str):
             )
         return value
 
+    def size(value, name: str) -> int:
+        # no key encodes a larger size: reject it before any work that grows with it
+        if whole(value, name) > MAX_KEY_DIM:
+            raise SizeLimitError(
+                f"class {tag!r}: {name} must be at most {MAX_KEY_DIM}, the largest size a key encodes; got {value}"
+            )
+        return value
+
     try:
         if tag == "cover":
+            size(len(doc["sets"]), "the number of sets")
             obj = SetCover(
-                whole(doc["n"], "n"),
+                size(doc["n"], "n"),
                 tuple(tuple(whole(e, "each sets entry") for e in s) for s in doc["sets"]),
             )
         elif tag == "xy":
             obj = XYGraph(
-                whole(doc["nx"], "nx"),
-                whole(doc["ny"], "ny"),
+                size(doc["nx"], "nx"),
+                size(doc["ny"], "ny"),
                 frozenset((whole(x, "each edges entry"), whole(y, "each edges entry"))
                           for x, y in doc["edges"]),
             )
         elif tag == "poset":
             obj = BipartitePoset(
-                whole(doc["n0"], "n0"),
-                whole(doc["n1"], "n1"),
+                size(doc["n0"], "n0"),
+                size(doc["n1"], "n1"),
                 frozenset((whole(a, "each below entry"), whole(b, "each below entry"))
                           for a, b in doc["below"]),
             )
         else:
             raise ParseError(f"unknown class {tag!r}")
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
+        if isinstance(exc, (ParseError, SizeLimitError)):
             raise
         raise ParseError(f"schema violation for class {tag!r}: {exc}") from None
     problems = validate(obj)

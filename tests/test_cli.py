@@ -138,6 +138,25 @@ def test_classify_rejects_non_integer_entries(monkeypatch, capsys):
         assert "must be an integer" in _rejected_line(line, monkeypatch, capsys)
 
 
+def test_classify_rejects_a_cover_size_no_key_holds(monkeypatch, capsys):
+    # without the cap, validation describes 10^8 uncovered elements one by one
+    error = _rejected_line('{"class":"cover","n":100000000,"sets":[]}', monkeypatch, capsys)
+    assert "n must be at most 65535" in error and "100000000" in error
+    error = _rejected_line(json.dumps({"class": "cover", "n": 1, "sets": [[0]] * 65536}), monkeypatch, capsys)
+    assert "the number of sets must be at most 65535" in error
+
+
+def test_classify_rejects_a_side_no_key_holds(monkeypatch, capsys):
+    # without the cap, packing the key overflows its 2-byte dimension
+    for line, name in (
+        ('{"class":"xy","nx":70000,"ny":1,"edges":[[0,0]]}', "nx"),
+        ('{"class":"xy","nx":1,"ny":65536,"edges":[[0,0]]}', "ny"),
+        ('{"class":"poset","n0":65536,"n1":0,"below":[]}', "n0"),
+        ('{"class":"poset","n0":1,"n1":65536,"below":[]}', "n1"),
+    ):
+        assert f"{name} must be at most 65535" in _rejected_line(line, monkeypatch, capsys)
+
+
 def test_compile_up_rejects_a_size_keys_cannot_hold(monkeypatch, capsys):
     empty_poset = '{"class":"poset","n0":0,"n1":0,"below":[]}\n'
     argv = ["compile", "--class", "poset", "--direction", "up", "--n"]
@@ -149,6 +168,17 @@ def test_compile_up_rejects_a_size_keys_cannot_hold(monkeypatch, capsys):
     code, out, _ = run(argv + ["65535"], empty_poset, monkeypatch, capsys)
     assert code == 0
     assert json.loads(json.loads(out)["object"])["n0"] == 65535
+
+
+def test_compile_split_up_rejects_a_size_graph6_cannot_hold(monkeypatch, capsys):
+    argv = ["compile", "--class", "split", "--direction", "up", "--n"]
+    code, out, err = run(argv + ["2000"], "@\n", monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "62" in err and "2000" in err
+    assert sys.stdin.read() == "@\n"  # rejected before reading input
+    code, out, _ = run(argv + ["62"], "@\n", monkeypatch, capsys)
+    assert code == 0
+    assert parse_graph6(json.loads(out)["object"]).n == 62
 
 
 def test_classify_skips_headers_and_blanks(monkeypatch, capsys):

@@ -2,9 +2,9 @@
 
 CLI stdout and canonical keys are the behaviour contract, so any change to
 the kernels, the census or the maps must leave every hash below unchanged.
-The runs go through ``splitkit.cli.main`` in-process, each with an empty
-census record cache as in a fresh process; the census key lists at n = 8
-are pinned by one sha256 per class.  To print the tables for a deliberate,
+The runs go through ``splitkit.cli.main`` in-process, each with empty
+census stores (generation output and records) as in a fresh process; the
+census key lists at n = 8 are pinned by one sha256 per class.  To print the tables for a deliberate,
 documented output change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -65,7 +65,11 @@ def _run(stdin: str, argv) -> str:
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(out), mock.patch.dict(census._records, clear=True):
+        with (
+            contextlib.redirect_stdout(out),
+            mock.patch.dict(census._records, clear=True),
+            mock.patch.dict(census._generated, clear=True),
+        ):
             code = main(argv)
     finally:
         sys.stdin = saved
