@@ -13,17 +13,21 @@ A search state stands for every order that permutes the vertices (or the
 columns) inside its cells, all of which emit the same bits so far.  Each
 step places the least-reading vertex or row, reading zeros before ones in
 every cell, and splits the cells the same way; every tied state is kept
-and equivalent states are merged.  Nothing is pruned by size or by an
-invariant, so the result is the objective itself.  Tied states can still
-multiply on highly symmetric inputs: apart from interchangeable twin
-vertices, automorphisms are not pruned.
+and equivalent states are merged.  In the matrix kernel, unit rows (a
+single 1) with as many copies, which every placed row of several ones
+treats alike, share one cell of their columns: the branches that placed
+them in different orders are one state.  Nothing is pruned by size or by
+an invariant, so the result is the objective itself.  Tied states can
+still multiply on highly symmetric inputs: apart from interchangeable
+twin vertices and unit rows, automorphisms are not pruned.
 
 Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host:
 sub-millisecond for 7x7 and random 12x11 matrices and for 11-vertex split
-graphs; 13 ms for a random split graph on 20 vertices and 0.4 s on 28;
-about 30 ms for the 10x10 identity and the 16-cycle; about 0.5 s for the
-35x7 incidence of the 3-subsets of a 7-set, the slowest input in the
-test suite.
+graphs; 1.6 ms for the incidence of a 7-set cover on 10 elements whose
+loyal elements tie k! ways; 13 ms for a random split graph on 20
+vertices and 0.4 s on 28; about 20 ms for the 10x10 identity and 30 ms
+for the 16-cycle; about 0.45 s for the 35x7 incidence of the 3-subsets
+of a 7-set, the slowest input in the test suite.
 
 Covers, XY-graphs and posets all reduce to the matrix kernel applied to
 their incidence matrix; the row and column groups act independently, which
@@ -131,16 +135,25 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     ones, in every cell, and placing it splits each cell that way.  A
     candidate ranks by (that reading, more copies first): copies of the
     placed row come next in any sorted result, and every other row reads
-    strictly higher afterwards.  Every tied state is kept, except that
-    states with the same remaining rows whose cells agree on everything the
-    remaining rows can still see are merged.  A state whose remaining rows
-    split no cell has a fixed future, and only the least such state is
-    kept.  Among equal results the witness has the least row order, so the
-    witness of a canonical matrix is the identity.
+    strictly higher afterwards.  A placed unit row (a single 1) joins the
+    cell right after its own column when every column of that cell carries
+    a placed unit row with as many copies and every placed row of several
+    ones agrees on both: the placed unit rows are then an identity block
+    on the joined cell, which sorts to the same bits in any order inside
+    it, so branches that took them in different orders become one state.
+    Every tied state is kept, except that states with the same remaining
+    rows whose cells agree on everything the remaining rows can still see
+    are merged.  A state whose remaining rows split no cell has a fixed
+    future, and only the least such state is kept.  Among equal results
+    the witness has the least row order for its column order (after a
+    join, the order that sorts the rows), so the witness of a canonical
+    matrix is the identity.
 
-    Sub-millisecond on random matrices up to 12x11; symmetric inputs keep
-    more tied states (30 ms for the 10x10 identity, 0.5 s for the 35x7
-    incidence of the 3-subsets of a 7-set).
+    Sub-millisecond on random matrices up to 12x11 and 1.6 ms on the 10x7
+    incidence of a cover whose loyal elements tie; symmetric inputs keep
+    more tied states (20 ms for the 10x10 identity, whose placed subsets
+    stay apart, and 0.45 s for the 35x7 incidence of the 3-subsets of a
+    7-set).
     """
     c = len(matrix[0]) if matrix else 0
     return _canon_rows(tuple(sum(1 << j for j in range(c) if row[j]) for row in matrix), c)
@@ -167,6 +180,11 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     copies = [len(members) for members in groups.values()]
     # col_rows[j]: the groups that are 1 in column j
     col_rows = [sum(1 << g for g, m in enumerate(masks) if m >> j & 1) for j in range(c)]
+    # unit_of[j]: the group that is the unit row (a single 1) on column j;
+    # non_unit: the mask of every other group
+    unit_of = {m.bit_length() - 1: g for g, m in enumerate(masks) if m and not m & (m - 1)}
+    non_unit = (1 << len(masks)) - 1 - sum(1 << g for g in unit_of.values())
+    joined = False
     # An open state is (placed groups, column cells, remaining groups, their
     # mask); `fixed` is the least state with a fixed future, or None.
     start = ((), ((1 << c) - 1,), tuple(range(len(masks))), (1 << len(masks)) - 1)
@@ -203,14 +221,37 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
         grown = []
         for (placed, cells, left, left_mask), g in tied:
             i = left.index(g)
-            split = tuple(_split_cells(cells, masks[g]))
-            grown.append((placed + (g,), split, left[:i] + left[i + 1 :], left_mask ^ 1 << g))
+            left_mask ^= 1 << g
+            split = _split_cells(cells, masks[g])
+            if unit_of and not non_unit >> g & 1:
+                # A unit row on column a joins the next cell when every placed
+                # row of several ones agrees on a and on that cell, and the
+                # cell's unit rows have as many copies.  Some placed row set
+                # the cell apart from a; if none of several ones did, a placed
+                # unit row on the cell did, and then every column of the cell
+                # carries a placed unit row, since only this join grows such
+                # a cell.  Those unit rows and g form an identity block on the
+                # joined cell, which sorts to the same bits in any order.
+                a = masks[g].bit_length() - 1
+                k = split.index(1 << a) + 1
+                if k < len(split):
+                    j = (split[k] & -split[k]).bit_length() - 1
+                    agree = not (col_rows[a] ^ col_rows[j]) & non_unit & ~left_mask
+                    if agree and copies[unit_of[j]] == copies[g]:
+                        split[k - 1 : k + 1] = [split[k] | 1 << a]
+                        joined = True
+            grown.append((placed + (g,), tuple(split), left[:i] + left[i + 1 :], left_mask))
         open_states, fixed = _settle(grown, fixed, col_rows, copies)
     future, placed, cells = fixed
     emitted.extend(value for value, g in future for _ in range(copies[g]))
     members = list(groups.values())
-    row_perm = tuple(i for g in placed for i in members[g])
     col_perm = tuple(j for cell in cells for j in range(c) if cell >> j & 1)
+    if joined:
+        # The placed order need not sort the unit rows of a joined cell in
+        # this column order; the least row order that sorts the rows does.
+        values = [sum((m >> j & 1) << (c - 1 - p) for p, j in enumerate(col_perm)) for m in masks]
+        placed = sorted(range(len(masks)), key=values.__getitem__)
+    row_perm = tuple(i for g in placed for i in members[g])
     bits = tuple(value >> (c - 1 - j) & 1 for value in emitted for j in range(c))
     return MatrixCanonForm(r, c, bits, row_perm, col_perm)
 
@@ -469,33 +510,32 @@ def canon_key(obj) -> CanonicalKey:
     raise UsageError(f"cannot canonicalize {type(obj).__name__}")
 
 
+def _canonical_ones(key: CanonicalKey, cols: int) -> list[tuple[int, int]]:
+    """(row, column) of every 1 of the canonical matrix that a matrix-class
+    key packs after its tag and two dimensions, in row-major order."""
+    packed = key.data[1 + 2 * KEY_DIM_BYTES :]
+    bits = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
+    return [divmod(f, cols) for f, bit in enumerate(bits) if bit == "1"]
+
+
 def canonical_object(obj):
     """Relabel an object to its canonical form; returns (object, key).
 
-    Matrix classes take their key from ``canon_key``; the second
-    ``canon_matrix`` call on the same rows is a cache hit.
+    Matrix classes read the canonical matrix back from the bits of their
+    key, so each incidence matrix is built and canonicalized once.
     """
     if isinstance(obj, Graph):
         gc = canon_graph(obj)
         return relabel_graph(obj, gc.order), gc.key
     key = canon_key(obj)
     if isinstance(obj, XYGraph):
-        rows = canon_matrix(xy_matrix(obj)).rows()
-        edges = frozenset(
-            (i, j) for i in range(obj.nx) for j in range(obj.ny) if rows[i][j]
-        )
-        return XYGraph(obj.nx, obj.ny, edges), key
+        return XYGraph(obj.nx, obj.ny, frozenset(_canonical_ones(key, obj.ny))), key
     if isinstance(obj, SetCover):
-        rows = canon_matrix(cover_matrix(obj)).rows()
-        sets = tuple(
-            tuple(e for e in range(obj.n) if rows[e][j]) for j in range(len(obj.sets))
-        )
-        return SetCover(obj.n, sets), key
-    rows = canon_matrix(poset_matrix(obj)).rows()
-    below = frozenset(
-        (a, b) for a in range(obj.n0) for b in range(obj.n1) if rows[a][b]
-    )
-    return BipartitePoset(obj.n0, obj.n1, below), key
+        sets: list[list[int]] = [[] for _ in obj.sets]
+        for e, j in _canonical_ones(key, len(obj.sets)):
+            sets[j].append(e)
+        return SetCover(obj.n, tuple(map(tuple, sets))), key
+    return BipartitePoset(obj.n0, obj.n1, frozenset(_canonical_ones(key, obj.n1))), key
 
 
 def is_isomorphic(a, b) -> bool:

@@ -481,6 +481,20 @@ def _validate_partition(p: KSPartition) -> list[str]:
     return out
 
 
+# Elements left uncovered or points with an empty down-set are named one by
+# one only up to this many; the rest are counted, so that a small line
+# cannot ask for an error record that grows with its stated size.
+_LISTED = 5
+
+
+def _named_first(items: list[int]) -> tuple[list[int], int]:
+    """The items to name one by one and how many more there are (0, or at
+    least 2, so that the count never stands for a single item)."""
+    if len(items) <= _LISTED + 1:
+        return items, 0
+    return items[:_LISTED], len(items) - _LISTED
+
+
 def _validate_cover(c: SetCover) -> list[str]:
     out = []
     if c.n < 0:
@@ -495,9 +509,10 @@ def _validate_cover(c: SetCover) -> list[str]:
     for i in range(len(c.sets) - 1):
         if c.sets[i] == c.sets[i + 1]:
             out.append(f"duplicate set at indices {i},{i + 1}")
-    for e in range(c.n):
-        if e not in covered:
-            out.append(f"union ≠ ground set: element {e} uncovered")
+    named, more = _named_first([e for e in range(c.n) if e not in covered])
+    out += [f"union ≠ ground set: element {e} uncovered" for e in named]
+    if more:
+        out.append(f"union ≠ ground set: and {more} more elements uncovered")
     return out
 
 
@@ -518,7 +533,9 @@ def _validate_poset(p: BipartitePoset) -> list[str]:
     for a, b in sorted(p.below):
         if not (0 <= a < p.n0 and 0 <= b < p.n1):
             out.append(f"relation ({a},{b}) outside height-0×height-1")
-    for b in range(p.n1):
-        if not any(bb == b for (_, bb) in p.below):
-            out.append(f"height-1 point {b} has empty down-set")
+    covered = {b for _, b in p.below}
+    named, more = _named_first([b for b in range(p.n1) if b not in covered])
+    out += [f"height-1 point {b} has empty down-set" for b in named]
+    if more:
+        out.append(f"and {more} more height-1 points have empty down-sets")
     return out

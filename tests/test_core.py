@@ -87,6 +87,18 @@ def test_validate_cover_examples():
     assert any("out-of-range" in v for v in validate(bad))
 
 
+def test_validate_names_the_first_few_missing_points_and_counts_the_rest():
+    assert validate(SetCover(6, ())) == [f"union ≠ ground set: element {e} uncovered" for e in range(6)]
+    assert validate(SetCover(7, ())) == [
+        *(f"union ≠ ground set: element {e} uncovered" for e in range(5)),
+        "union ≠ ground set: and 2 more elements uncovered",
+    ]
+    assert validate(BipartitePoset(1, 9, frozenset({(0, 3)}))) == [
+        *(f"height-1 point {b} has empty down-set" for b in (0, 1, 2, 4, 5)),
+        "and 3 more height-1 points have empty down-sets",
+    ]
+
+
 def test_validate_partition_examples():
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     good = KSPartition(p4, frozenset({1, 2}), frozenset({0, 3}))
