@@ -50,6 +50,7 @@ from .classify import (
     loyal_elements,
     poset_support,
     s_max_partition,
+    s_max_sides,
     xy_isolates_universals,
 )
 
@@ -111,18 +112,22 @@ def cover_to_split(c: SetCover, reps: Optional[Sequence[int]] = None) -> Graph:
 # split graphs <-> XY-graphs (same n)
 
 
+def _s_max_incidence(g: Graph) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """(|S|, |K|, pairs (i, j) with S-vertex i adjacent to K-vertex j) of the
+    S-max partition, both sides numbered in ascending vertex order."""
+    sides = s_max_sides(g)
+    if sides is None:
+        raise DomainError("not a split graph")
+    xs, ys = sides
+    pairs = frozenset(
+        (i, j) for i, u in enumerate(xs) for j, v in enumerate(ys) if g.adj[u] >> v & 1
+    )
+    return len(xs), len(ys), pairs
+
+
 def split_to_xy(g: Graph) -> XYGraph:
     """X = S and Y = K of the S-max partition, keeping only cross edges."""
-    if not is_split(g):
-        raise DomainError("not a split graph")
-    p = s_max_partition(g)
-    xs = sorted(p.S)
-    ys = sorted(p.K)
-    y_index = {v: j for j, v in enumerate(ys)}
-    edges = frozenset(
-        (i, y_index[v]) for i, u in enumerate(xs) for v in g.neighbors(u) if v in y_index
-    )
-    return XYGraph(len(xs), len(ys), edges)
+    return XYGraph(*_s_max_incidence(g))
 
 
 def xy_to_split(h: XYGraph) -> Graph:
@@ -143,16 +148,7 @@ def xy_to_split(h: XYGraph) -> Graph:
 
 def split_to_poset(g: Graph) -> BipartitePoset:
     """Height-1 points are the K-side of the S-max partition."""
-    if not is_split(g):
-        raise DomainError("not a split graph")
-    p = s_max_partition(g)
-    xs = sorted(p.S)
-    ys = sorted(p.K)
-    y_index = {v: j for j, v in enumerate(ys)}
-    below = frozenset(
-        (i, y_index[v]) for i, u in enumerate(xs) for v in g.neighbors(u) if v in y_index
-    )
-    return BipartitePoset(len(xs), len(ys), below)
+    return BipartitePoset(*_s_max_incidence(g))
 
 
 def poset_to_split(p: BipartitePoset) -> Graph:

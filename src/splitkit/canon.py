@@ -53,8 +53,12 @@ from .core import (
     XYGraph,
     class_tag_of,
 )
+from .classify import s_max_sides
 
-_TAG_BYTES = {"split": b"s", "cover": b"c", "xy": b"x", "poset": b"p"}
+# The first byte of every key, by kind.  A split graph is keyed by its S-max
+# incidence; a graph that is not split keeps its adjacency key.  Both are
+# keys of the "split" class.
+_TAG_BYTES = {"split": b"S", "graph": b"s", "cover": b"c", "xy": b"x", "poset": b"p"}
 
 
 def _pack_bits(bits: Sequence[int]) -> bytes:
@@ -72,9 +76,9 @@ def _pack_bits(bits: Sequence[int]) -> bytes:
     return bytes(out)
 
 
-def _make_key(tag: str, dims: Sequence[int], bits: Sequence[int]) -> CanonicalKey:
-    data = _TAG_BYTES[tag] + b"".join(d.to_bytes(KEY_DIM_BYTES, "big") for d in dims) + _pack_bits(bits)
-    return CanonicalKey(tag, data)
+def _make_key(kind: str, dims: Sequence[int], bits: Sequence[int]) -> CanonicalKey:
+    data = _TAG_BYTES[kind] + b"".join(d.to_bytes(KEY_DIM_BYTES, "big") for d in dims) + _pack_bits(bits)
+    return CanonicalKey("split" if kind == "graph" else kind, data)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +383,34 @@ def _twin_leaders(g: Graph) -> list[list[int]]:
 def canon_graph(g: Graph) -> GraphCanon:
     """Canonical key of a graph with a witnessing vertex order.
 
+    A split graph is keyed by the incidence of its S-max partition, rows S
+    and columns K (``classify.s_max_sides``, the sides ``split_to_xy``
+    uses): the key holds the split tag, |S|, |K| and the ``canon_matrix``
+    bits of that incidence.  Any two S-max partitions differ by exchanging
+    a pair of adjacent twins, which is an automorphism, so two split graphs
+    have equal keys iff they are isomorphic.  The witness lists S in the
+    kernel's row order, then K in its column order, so the canonical split
+    graph has S first and its witness is the identity.
+
+    Every other graph keeps the adjacency objective (``_canon_adjacency``).
+
+    On split graphs the cost is that of the matrix kernel on an |S| x |K|
+    matrix: 0.1 ms at 11 vertices, 0.9 / 1.8 ms for random split graphs on
+    40 / 62 vertices, and 8 / 44 ms for the thin spider (a k x k identity)
+    on 16 / 20 vertices.
+    """
+    sides = s_max_sides(g)
+    if sides is None:
+        return _canon_adjacency(g)
+    s_side, k_side = sides
+    mcf = canon_matrix([[g.adj[u] >> v & 1 for v in k_side] for u in s_side])
+    order = tuple(s_side[i] for i in mcf.row_perm) + tuple(k_side[j] for j in mcf.col_perm)
+    return GraphCanon(_make_key("split", (len(s_side), len(k_side)), mcf.bits), order)
+
+
+def _canon_adjacency(g: Graph) -> GraphCanon:
+    """The adjacency key of any graph, with a witnessing vertex order.
+
     The key holds the lexicographically least adjacency bits read in
     growing order (vertex k against vertices 0..k-1) over all vertex
     orders, so keys of two graphs are equal iff the graphs are isomorphic.
@@ -392,13 +424,13 @@ def canon_graph(g: Graph) -> GraphCanon:
     witness is the least order attaining the key, so the witness of a
     canonical graph is the identity.
 
-    Sub-millisecond on 11-vertex split graphs and 30 ms on the 16-cycle.
+    Sub-millisecond on random 11-vertex graphs and 30 ms on the 16-cycle.
     On split graphs the tied states grow with the subsets of the stable
     side: 13 ms at 20 vertices, 0.4 s at 28, and more than 20 s at 40.
     """
     n = g.n
     if n == 0:
-        return GraphCanon(_make_key("split", (0,), ()), ())
+        return GraphCanon(_make_key("graph", (0,), ()), ())
     adj = g.adj
     twin_classes = _twin_leaders(g)
 
@@ -440,7 +472,7 @@ def canon_graph(g: Graph) -> GraphCanon:
     order = min(
         tuple(v for cell in cells for v in range(n) if cell >> v & 1) for cells in states
     )
-    return GraphCanon(_make_key("split", (n,), bits), order)
+    return GraphCanon(_make_key("graph", (n,), bits), order)
 
 
 def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:

@@ -12,22 +12,26 @@ oracle (generate every labeled object, canonicalize, deduplicate) provides
 the independent cross-check and shares nothing with the master path except
 the canonical forms.
 
-Two per-process stores keep what is built.  The orderly-generation output
-(the XY-graphs as generated, not yet canonicalized) is stored once per
-(n, no-Y-isolates) pair, the first time any census at that size needs it.
-Records are stored per census that a caller asks for: a tuple in
-generation order, one per unlabeled object, holding the canonically
-labeled object, its canonical key and its balance (``None`` for an
-XY-graph with isolates in Y, whose balance is undefined).  The first full
-pass of an ``iter_*`` generator over a (class, n, no-Y-isolates) census
-stores its records; ``records`` and ``enumerate_*`` run that pass when
-nothing is stored yet, and every later pass replays the stored records.
-A transported census canonicalizes and classifies only its own objects,
-so a one-shot ``enumerate`` builds no XY or split census it does not
-print, while a caller that asks for every census (``verify``) still
-canonicalizes each census object once and runs each generation shard once
-per process.  A pass that stops early stores no records.  A building pass
-checks that no two of its objects share a key.
+Per-process stores keep what is built.  The orderly-generation output
+(the XY-graphs as generated, not yet canonicalized) is stored per shard of
+the search, the first time any census needs that shard, so no shard runs
+twice in a process.  Records are stored per census that a caller asks
+for: a tuple in generation order, one per unlabeled object, holding the
+canonically labeled object, its canonical key and its balance (``None``
+for an XY-graph with isolates in Y, whose balance is undefined).  The
+first full pass of an ``iter_*`` generator over a (class, n, no-Y-isolates)
+census stores its records; ``records`` and ``enumerate_*`` run that pass
+when nothing is stored yet, and every later pass replays the stored
+records.  XY records are also kept per shard: the XY census without
+isolates in Y is the unrestricted one without the shards whose first
+column is empty, that is, its records with a balance, in the same order,
+and each XY-graph is canonicalized once whichever of the two is built
+first.  A transported census canonicalizes and classifies only its own
+objects, so a one-shot ``enumerate`` builds no XY or split census it does
+not print, while a caller that asks for every census (``verify``)
+canonicalizes each unlabeled object of each class once.  A pass that
+stops early stores no census records.  A building pass checks that no two
+of its objects share a key.
 
 The search tree shards by the content of the first column; shards are
 merged in a fixed order, so the census is identical for any worker count.
@@ -141,9 +145,16 @@ def _gen_colseqs(nx: int, ny: int, min_col: int, prefix: tuple[int, ...]) -> Ite
             yield from _gen_colseqs(nx, ny, min_col, cand)
 
 
-def _shard_tasks(n: int, require_no_y_isolates: bool) -> list[tuple[int, int, Optional[int]]]:
-    """(nx, ny, first column) shards in a fixed deterministic order."""
-    tasks: list[tuple[int, int, Optional[int]]] = []
+# A shard of the search: (nx, ny, content of the first column), or
+# (nx, 0, None) for the single XY-graph with an empty Y.
+Task = tuple[int, int, Optional[int]]
+
+
+def _shard_tasks(n: int, require_no_y_isolates: bool) -> list[Task]:
+    """Shards in a fixed deterministic order.  Without isolates in Y, the
+    shards whose first column is empty are left out: the first column is
+    the least, so those shards hold exactly the XY-graphs with an isolate."""
+    tasks: list[Task] = []
     for nx in range(n, -1, -1):
         ny = n - nx
         if ny == 0:
@@ -155,7 +166,7 @@ def _shard_tasks(n: int, require_no_y_isolates: bool) -> list[tuple[int, int, Op
     return tasks
 
 
-def _run_shard(task: tuple[int, int, Optional[int]]) -> list[XYGraph]:
+def _run_shard(task: Task) -> list[XYGraph]:
     nx, ny, first = task
     if first is None:
         return [XYGraph(nx, 0, frozenset())]
@@ -174,7 +185,8 @@ def _run_shard(task: tuple[int, int, Optional[int]]) -> list[XYGraph]:
 # census records: built on the first full pass, replayed after
 
 
-_generated: dict[tuple[int, bool], tuple[XYGraph, ...]] = {}
+_generated: dict[Task, tuple[XYGraph, ...]] = {}
+_xy_shard_records: dict[Task, tuple[Record, ...]] = {}
 _records: dict[tuple[str, int, bool], tuple[Record, ...]] = {}
 
 
@@ -195,20 +207,29 @@ def _shard_batches(tasks, workers: int) -> Iterator[list[XYGraph]]:
         yield from pool.map(_run_shard, tasks)
 
 
-def _generation(n: int, require_no_y_isolates: bool, workers: int) -> tuple[XYGraph, ...]:
-    """The orderly-generation output at size n, run once per process."""
-    cache_key = (n, require_no_y_isolates)
-    stored = _generated.get(cache_key)
-    if stored is None:
-        tasks = _shard_tasks(n, require_no_y_isolates)
-        stored = _generated[cache_key] = tuple(itertools.chain.from_iterable(_shard_batches(tasks, workers)))
-    return stored
+def _generation(n: int, require_no_y_isolates: bool, workers: int) -> list[tuple[Task, tuple[XYGraph, ...]]]:
+    """(task, output) of every shard at size n in order; each shard task
+    runs once per process, whichever census asks for it first."""
+    tasks = _shard_tasks(n, require_no_y_isolates)
+    missing = [task for task in tasks if task not in _generated]
+    for task, graphs in zip(missing, _shard_batches(missing, workers)):
+        _generated[task] = tuple(graphs)
+    return [(task, _generated[task]) for task in tasks]
 
 
 def _xy_records(n: int, require_no_y_isolates: bool, workers: int) -> Iterator[Record]:
-    for h in _generation(n, require_no_y_isolates, workers):
-        h, key = canonical_object(h)
-        yield Record(h, key, _xy_balance(h))
+    # Records are kept per shard: the census without isolates in Y is the
+    # unrestricted one without its first-column-empty shards, so each
+    # XY-graph is canonicalized once whichever of the two is built first.
+    for task, graphs in _generation(n, require_no_y_isolates, workers):
+        shard = _xy_shard_records.get(task)
+        if shard is None:
+            shard = []
+            for h in graphs:
+                h, key = canonical_object(h)
+                shard.append(Record(h, key, _xy_balance(h)))
+            shard = _xy_shard_records[task] = tuple(shard)
+        yield from shard
 
 
 # class -> maps taking a generated XY-graph without isolates in Y to it
@@ -221,7 +242,7 @@ _TRANSPORT = {
 
 def _transported(class_tag: str, n: int, workers: int) -> Iterator[Record]:
     maps = _TRANSPORT[class_tag]
-    for obj in _generation(n, True, workers):
+    for obj in itertools.chain.from_iterable(graphs for _, graphs in _generation(n, True, workers)):
         for to_class in maps:
             obj = to_class(obj)
         obj, key = canonical_object(obj)

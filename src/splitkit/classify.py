@@ -11,6 +11,9 @@ points makes every height-0 point full support.
 
 from __future__ import annotations
 
+from bisect import insort
+from typing import Optional
+
 from .core import (
     Balance,
     BipartitePoset,
@@ -29,19 +32,17 @@ from .core import (
 # split graphs
 
 
-def _degree_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-
-
 def _degree_split_data(g: Graph):
-    """(is_split, m) for the descending-degree criterion.
+    """(is_split, m, order) for the descending-degree criterion.
 
     With degrees d_1 >= ... >= d_n and m = max{i : d_i >= i-1}, the graph is
     split iff sum(d_i, i<=m) = m(m-1) + sum(d_i, i>m); then omega = m and
-    the m highest-degree vertices form a maximum clique.
+    the m highest-degree vertices form a maximum clique.  ``order`` lists
+    the vertices by descending degree, ties by index.
     """
-    order = _degree_order(g)
-    degs = [g.degree(v) for v in order]
+    degree = [row.bit_count() for row in g.adj]
+    order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+    degs = [degree[v] for v in order]
     m = 0
     for i in range(1, g.n + 1):
         if degs[i - 1] >= i - 1:
@@ -72,20 +73,46 @@ def k_max_partition(g: Graph) -> KSPartition:
     return p
 
 
+def _swing_into_s(g: Graph, k_side, s_side) -> tuple[list[int], list[int]]:
+    """(S, K), each sorted, after the least K-vertex with no S-neighbor (a
+    swing vertex) moves from a K-max partition into S, when one exists."""
+    k_side = sorted(k_side)
+    s_side = sorted(s_side)
+    smask = _mask(s_side)
+    for i, k in enumerate(k_side):
+        if not g.adj[k] & smask:
+            del k_side[i]
+            insort(s_side, k)
+            break
+    return s_side, k_side
+
+
+def s_max_sides(g: Graph) -> Optional[tuple[list[int], list[int]]]:
+    """(S, K) of the S-max partition, each sorted, from one degree pass; None
+    when the graph is not split.
+
+    The same partition as :func:`s_max_partition`, without building or
+    validating a partition object.  Any two S-max partitions differ by
+    exchanging one pair of adjacent twins, so the S x K incidence of this
+    one identifies the graph up to isomorphism.
+    """
+    ok, m, order = _degree_split_data(g)
+    if not ok:
+        return None
+    return _swing_into_s(g, order[:m], order[m:])
+
+
 def s_max_partition(g: Graph) -> KSPartition:
     """Partition with |S| = alpha(G).
 
     Obtained from the K-max partition by moving one swing vertex (a
-    K-vertex with no S-neighbor) into S when one exists.  Unique up to
-    automorphism of the graph.
+    K-vertex with no S-neighbor) into S when one exists; the least one
+    moves, as in :func:`s_max_sides`.  Unique up to automorphism of the
+    graph.
     """
     p = k_max_partition(g)
-    smask = _mask(p.S)
-    swings = sorted(k for k in p.K if not g.adj[k] & smask)
-    if swings:
-        k = swings[0]
-        return KSPartition(g, p.K - {k}, p.S | {k})
-    return p
+    s_side, k_side = _swing_into_s(g, p.K, p.S)
+    return KSPartition(g, frozenset(k_side), frozenset(s_side))
 
 
 def omega_alpha(g: Graph) -> SplitAnalysis:

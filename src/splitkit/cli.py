@@ -385,6 +385,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be at least 1; got {args.workers}")
         return args.fn(args)
     except (UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -384,34 +384,48 @@ def parse_object(text: str):
     try:
         if tag == "cover":
             size(len(doc["sets"]), "the number of sets")
-            obj = SetCover(
-                size(doc["n"], "n"),
-                tuple(tuple(whole(e, "each sets entry") for e in s) for s in doc["sets"]),
-            )
+            n = size(doc["n"], "n")
+            sets = [[whole(e, "each sets entry") for e in s] for s in doc["sets"]]
+            repeated = [f"element {e} in input set {i}" for i, s in enumerate(sets) for e in _repeats(s)]
+            obj = SetCover(n, tuple(map(tuple, sets)))
         elif tag == "xy":
-            obj = XYGraph(
-                size(doc["nx"], "nx"),
-                size(doc["ny"], "ny"),
-                frozenset((whole(x, "each edges entry"), whole(y, "each edges entry"))
-                          for x, y in doc["edges"]),
-            )
+            nx, ny = size(doc["nx"], "nx"), size(doc["ny"], "ny")
+            edges = [(whole(x, "each edges entry"), whole(y, "each edges entry")) for x, y in doc["edges"]]
+            repeated = [f"edge ({x},{y})" for x, y in _repeats(edges)]
+            obj = XYGraph(nx, ny, frozenset(edges))
         elif tag == "poset":
-            obj = BipartitePoset(
-                size(doc["n0"], "n0"),
-                size(doc["n1"], "n1"),
-                frozenset((whole(a, "each below entry"), whole(b, "each below entry"))
-                          for a, b in doc["below"]),
-            )
+            n0, n1 = size(doc["n0"], "n0"), size(doc["n1"], "n1")
+            below = [(whole(a, "each below entry"), whole(b, "each below entry")) for a, b in doc["below"]]
+            repeated = [f"relation ({a},{b})" for a, b in _repeats(below)]
+            obj = BipartitePoset(n0, n1, frozenset(below))
         else:
             raise ParseError(f"unknown class {tag!r}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (ParseError, SizeLimitError)):
             raise
         raise ParseError(f"schema violation for class {tag!r}: {exc}") from None
-    problems = validate(obj)
+    # the objects store sets, so an entry listed twice would vanish unseen
+    named, more = _named_first(repeated)
+    problems = [f"{entry} listed more than once" for entry in named]
+    if more:
+        problems.append(f"and {more} more entries listed more than once")
+    problems += validate(obj)
     if problems:
         raise ValidationError(problems)
     return obj
+
+
+def _repeats(entries: list) -> list:
+    """The entries listed more than once, each named once, in listed order."""
+    if len(set(entries)) == len(entries):
+        return []
+    seen: set = set()
+    repeats: dict = {}
+    for entry in entries:
+        if entry in seen:
+            repeats[entry] = None
+        seen.add(entry)
+    return list(repeats)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ import time
 
 import pytest
 
+from splitkit import census
+from splitkit.biject import split_to_xy
 from splitkit.canon import (
+    _canon_adjacency,
     canon_cover,
     canon_graph,
     canon_key,
@@ -274,6 +277,30 @@ def test_graph_keys_against_networkx_beyond_exhaustive_range():
         assert same == nx.is_isomorphic(h1, h2)
 
 
+def split_graph(k, s_neighbors):
+    """Clique K = 0..k-1 and one stable vertex after it per K-neighbor set."""
+    clique = [(i, j) for j in range(k) for i in range(j)]
+    cross = [(u, k + i) for i, nbrs in enumerate(s_neighbors) for u in nbrs]
+    return graph(k + len(s_neighbors), clique + cross)
+
+
+def thin_spider(k):
+    """K_k with a pendant vertex on each clique vertex: its S-max incidence
+    is the k x k identity."""
+    return split_graph(k, [[i] for i in range(k)])
+
+
+def co_spider(k):
+    """Each stable vertex sees all of K_k but one: the k x k co-identity."""
+    return split_graph(k, [[j for j in range(k) if j != i] for i in range(k)])
+
+
+def random_split_graph(rng, n):
+    k = rng.randrange(1, n)
+    p = rng.choice((0.3, 0.5, 0.7))
+    return split_graph(k, [[u for u in range(k) if rng.random() < p] for _ in range(n - k)])
+
+
 def _symmetric_cases():
     """Highly symmetric inputs, where tied search states are most numerous."""
     cases = []
@@ -293,6 +320,14 @@ def _symmetric_cases():
     clique = [(i, j) for j in range(10) for i in range(j)]
     cross = [(u, v) for u in range(10) for v in range(10, 20) if rng.random() < 0.5]
     cases.append(("random split graph n=20", graph(20, clique + cross)))
+    cases.append(("thin spider n=16", thin_spider(8)))
+    cases.append(("thin spider n=20", thin_spider(10)))
+    cases.append(("co-spider n=16", co_spider(8)))
+    cases.append(("split graph of the pairs of a 6-set", split_graph(6, pairs)))
+    for n in (40, 62):
+        k = n // 2
+        cross = [[u for u in range(k) if rng.random() < 0.5] for _ in range(n - k)]
+        cases.append((f"random split graph n={n}", split_graph(k, cross)))
     return cases
 
 
@@ -348,3 +383,57 @@ def test_canonical_object_round_trips_key():
         assert canon_key(canonical) == key == canon_key(obj)
         again, key2 = canonical_object(canonical)
         assert again == canonical and key2 == key
+
+
+# ---------------------------------------------------------------------------
+# split graphs: the S-max incidence key against the adjacency search
+
+
+def _same_partition(objects, key_a, key_b):
+    """True iff two keys make the same classes on ``objects``."""
+    pairs = {(key_a(g), key_b(g)) for g in objects}
+    return len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+
+def test_split_keys_partition_the_census_as_the_adjacency_search_does():
+    for n in range(9):
+        graphs = [r.obj for r in census.records("split", n)]
+        assert _same_partition(graphs, lambda g: canon_graph(g).key, lambda g: _canon_adjacency(g).key)
+        assert len({canon_graph(g).key for g in graphs}) == (1, 1, 2, 4, 9, 21, 56, 164, 557)[n]
+
+
+def test_split_keys_partition_relabeled_graphs_as_the_adjacency_search_does():
+    rng = random.Random(1981)
+    graphs = [random_split_graph(rng, rng.randrange(2, 15)) for _ in range(60)]
+    # graphs built from one clique size and few stable vertices often coincide
+    graphs += [random_split_graph(rng, 6) for _ in range(40)]
+    graphs += [thin_spider(k) for k in range(1, 8)] + [co_spider(k) for k in range(1, 8)]
+    objects = []
+    for g in graphs:
+        assert _canon_adjacency(g).key.data[:1] == b"s" and canon_graph(g).key.data[:1] == b"S"
+        objects.append(g)
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            objects.append(relabel(g, perm))
+    assert _same_partition(objects, lambda g: canon_graph(g).key, lambda g: _canon_adjacency(g).key)
+
+
+def test_split_key_is_the_xy_key_of_its_s_max_incidence():
+    # X = S and Y = K of the same S-max partition: only the tag byte differs
+    for n in range(9):
+        for r in census.records("split", n):
+            assert r.key == canon_graph(r.obj).key
+            assert r.key.data[1:] == canon_xy(split_to_xy(r.obj)).data[1:]
+
+
+def test_canonical_split_graph_lists_s_first_with_identity_witness():
+    rng = random.Random(62)
+    for g in [random_split_graph(rng, rng.randrange(2, 20)) for _ in range(100)] + [thin_spider(5)]:
+        gc = canon_graph(g)
+        canonical = relabel_graph(g, gc.order)
+        s = int.from_bytes(gc.key.data[1:3], "big")
+        assert all(not canonical.adj[v] & ((1 << s) - 1) for v in range(s))  # S is stable
+        again = canon_graph(canonical)
+        assert again.key == gc.key and again.order == tuple(range(g.n))
+

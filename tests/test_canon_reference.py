@@ -2,7 +2,8 @@
 
 The references below are the earlier searches kept as oracles: the matrix
 kernel sweeps every order of the smaller side and sorts the other side
-greedily, and the graph kernel keeps every tied vertex prefix.  They share
+greedily, and the adjacency search (``canon._canon_adjacency``, which keys
+every graph that is not split) keeps every tied vertex prefix.  They share
 no code with ``splitkit.canon``; keys are rebuilt here from their bits.
 """
 
@@ -11,7 +12,7 @@ import random
 from functools import lru_cache
 
 from splitkit import canon
-from splitkit.canon import canon_graph, canon_matrix, canon_xy, relabel_graph
+from splitkit.canon import _canon_adjacency, canon_matrix, canon_xy, relabel_graph
 from splitkit.core import Graph, XYGraph
 
 # ---------------------------------------------------------------------------
@@ -242,13 +243,15 @@ def test_interchangeable_unit_rows_do_not_multiply_tied_states(monkeypatch):
 
 
 def _check_graph(g):
-    gc = canon_graph(g)
+    # the adjacency search, which keys every graph that is not split; split
+    # graphs are keyed by their S-max incidence (tests/test_canon.py)
+    gc = _canon_adjacency(g)
     bits, order = ref_canon_graph(g)
     assert gc.key.data == ref_key_bytes(b"s", (g.n,), bits)
     assert gc.order == order
     canonical = relabel_graph(g, gc.order)
-    assert canon_graph(canonical).key == gc.key
-    assert canon_graph(canonical).order == tuple(range(g.n))
+    assert _canon_adjacency(canonical).key == gc.key
+    assert _canon_adjacency(canonical).order == tuple(range(g.n))
 
 
 def test_graphs_agree_with_the_prefix_frontier():

@@ -115,6 +115,7 @@ def test_worker_count_does_not_change_output(monkeypatch):
     def fresh(gen, *args, **kwargs):
         monkeypatch.setattr(census, "_records", {})
         monkeypatch.setattr(census, "_generated", {})
+        monkeypatch.setattr(census, "_xy_shard_records", {})
         return list(gen(*args, **kwargs))
 
     assert fresh(iter_xy, 5, False, workers=1) == fresh(iter_xy, 5, False, workers=4)
@@ -148,10 +149,12 @@ def test_a_pass_that_stops_early_stores_nothing(monkeypatch):
     assert ("split", 5, False) in census._records
 
 
-def test_verify_canonicalizes_each_census_object_once(monkeypatch):
-    """One census pass per process: verify replays the stored records."""
+def _count_work(monkeypatch):
+    """Empty census stores, and lists that collect the key of every
+    canonicalization and the task of every shard run by the census."""
     monkeypatch.setattr(census, "_records", {})
     monkeypatch.setattr(census, "_generated", {})
+    monkeypatch.setattr(census, "_xy_shard_records", {})
     canonicalized, shards = [], []
     real_canon, real_shard = census.canonical_object, census._run_shard
 
@@ -166,36 +169,43 @@ def test_verify_canonicalizes_each_census_object_once(monkeypatch):
 
     monkeypatch.setattr(census, "canonical_object", counting_canon)
     monkeypatch.setattr(census, "_run_shard", counting_shard)
+    return canonicalized, shards
+
+
+def test_verify_canonicalizes_each_census_object_once(monkeypatch):
+    """One census pass per process: verify replays the stored records."""
+    canonicalized, shards = _count_work(monkeypatch)
     results = verify.run_all(5)
     assert all(r.passed for r in results if r.suite != "triangle")
-    stored = [r.key for records in census._records.values() for r in records]
+    # the XY census without isolates in Y reuses the unrestricted records
+    stored = [r.key for (_, _, no_isolates), records in census._records.items() if not no_isolates for r in records]
     censuses = [census.enumerate_class(tag, n) for tag in ("split", "cover", "poset") for n in range(6)]
-    censuses += [enumerate_xy(n, flag) for flag in (True, False) for n in range(6)]
+    censuses += [enumerate_xy(n, False) for n in range(6)]
     census_keys = [k for c in censuses for k in c.keys]
     assert sorted(canonicalized) == sorted(stored) == sorted(census_keys)
-    # one orderly-generation run per shard of each XY census
-    assert len(shards) == sum(len(census._shard_tasks(n, flag)) for flag in (True, False) for n in range(6))
+    # one orderly-generation run per shard of the unrestricted XY censuses
+    assert sorted(shards) == sorted(t for n in range(6) for t in census._shard_tasks(n, False))
+
+
+@pytest.mark.parametrize("first_without_isolates", [True, False])
+def test_xy_census_without_isolates_is_the_unrestricted_one_with_a_balance(monkeypatch, first_without_isolates):
+    canonicalized, shards = _count_work(monkeypatch)
+    census.records("xy", 6, first_without_isolates)
+    # a one-shot census does only its own work
+    assert len(canonicalized) == len(census.records("xy", 6, first_without_isolates))
+    assert shards == census._shard_tasks(6, first_without_isolates)
+    census.records("xy", 6, not first_without_isolates)
+    unrestricted = census.records("xy", 6, False)
+    assert census.records("xy", 6, True) == tuple(r for r in unrestricted if r.balance is not None)
+    assert len(canonicalized) == len(unrestricted)
+    assert sorted(shards) == sorted(census._shard_tasks(6, False))
 
 
 def test_a_transported_census_builds_only_itself(monkeypatch):
     """A cover census canonicalizes its covers and nothing it passes through."""
-    monkeypatch.setattr(census, "_records", {})
-    monkeypatch.setattr(census, "_generated", {})
-    canonicalized, shards = [], []
-    real_canon, real_shard = census.canonical_object, census._run_shard
-
-    def counting_canon(obj):
-        canonicalized.append(type(obj).__name__)
-        return real_canon(obj)
-
-    def counting_shard(task):
-        shards.append(task)
-        return real_shard(task)
-
-    monkeypatch.setattr(census, "canonical_object", counting_canon)
-    monkeypatch.setattr(census, "_run_shard", counting_shard)
+    canonicalized, shards = _count_work(monkeypatch)
     assert len(census.records("cover", 6)) == 56
-    assert canonicalized == ["SetCover"] * 56
+    assert len(canonicalized) == 56 and {key.class_tag for key in canonicalized} == {"cover"}
     assert shards == census._shard_tasks(6, True)
     assert set(census._records) == {("cover", 6, False)}
 

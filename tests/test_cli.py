@@ -180,6 +180,34 @@ def test_classify_rejects_a_side_no_key_holds(monkeypatch, capsys):
         assert f"{name} must be at most 65535" in _rejected_line(line, monkeypatch, capsys)
 
 
+def test_classify_rejects_an_entry_listed_twice(monkeypatch, capsys):
+    # the parsed objects hold sets, so a repeat used to vanish without a word
+    for line, message in (
+        ('{"class":"cover","n":2,"sets":[[0,0,1]]}', "element 0 in input set 0 listed more than once"),
+        ('{"class":"xy","nx":1,"ny":1,"edges":[[0,0],[0,0]]}', "edge (0,0) listed more than once"),
+        ('{"class":"poset","n0":1,"n1":1,"below":[[0,0],[0,0]]}', "relation (0,0) listed more than once"),
+    ):
+        assert _rejected_line(line, monkeypatch, capsys) == message
+
+
+def test_repeated_entries_give_a_bounded_error_record(monkeypatch, capsys):
+    line = json.dumps({"class": "xy", "nx": 1, "ny": 500, "edges": [[0, y] for y in range(500)] * 2})
+    error = _rejected_line(line, monkeypatch, capsys)
+    assert error.startswith("edge (0,0) listed more than once; edge (0,1) listed more than once;")
+    assert error.endswith("and 495 more entries listed more than once") and len(error) < 400
+
+
+def test_workers_below_one_is_a_usage_error(capsys):
+    for workers in ("0", "-2"):
+        code, out, err = run(["enumerate", "--class", "split", "--n", "3", "--workers", workers], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --workers must be at least 1; got {workers}\n"
+    code, out, err = run(["verify", "--suite", "counts", "--max-n", "2", "--workers", "0"], capsys=capsys)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    code, out, err = run(["gallery", "--n", "3", "--workers", "-2"], capsys=capsys)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+
+
 def test_compile_up_rejects_a_size_keys_cannot_hold(monkeypatch, capsys):
     empty_poset = '{"class":"poset","n0":0,"n1":0,"below":[]}\n'
     argv = ["compile", "--class", "poset", "--direction", "up", "--n"]

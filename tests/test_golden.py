@@ -69,6 +69,7 @@ def _run(stdin: str, argv) -> str:
             contextlib.redirect_stdout(out),
             mock.patch.dict(census._records, clear=True),
             mock.patch.dict(census._generated, clear=True),
+            mock.patch.dict(census._xy_shard_records, clear=True),
         ):
             code = main(argv)
     finally:
@@ -93,30 +94,30 @@ GOLDEN = {
     'enumerate --class split --n 1 --balance unbalanced': '0 198eb086a8f5ffb1d54b69c63b596617e87b5901a904bc661e4db36e636602ab',
     'enumerate --class split --n 1 --stream': '0 b286f747c7d13a55110c5cde73c031a772ccfbcb6e804488a23cb05ed34c2569',
     'enumerate --class split --n 1 --count-only': '0 b4fe2d1a490b755e8375770a31eddb566b2be577810764622903392816126a7b',
-    'enumerate --class split --n 2': '0 eaf501dc7e57b7e61d138639baa6b7e75a0f118db67eb1667167d4310e1b5960',
+    'enumerate --class split --n 2': '0 62312a57c60086d8899fb2cf9221338c76de8b2fbe5eb16e671bdf0ad2db2afb',
     'enumerate --class split --n 2 --balance balanced': '0 5ce3a669677be0f2afa418c04c5f8bc8f2530bb72fbbdef8f0d969e0f9b2091f',
-    'enumerate --class split --n 2 --balance unbalanced': '0 eaf501dc7e57b7e61d138639baa6b7e75a0f118db67eb1667167d4310e1b5960',
+    'enumerate --class split --n 2 --balance unbalanced': '0 62312a57c60086d8899fb2cf9221338c76de8b2fbe5eb16e671bdf0ad2db2afb',
     'enumerate --class split --n 2 --stream': '0 5c6a77c2d040b5bd17e923b2ad8e6614a348a7a97c71b446ecaca45115c1eb30',
     'enumerate --class split --n 2 --count-only': '0 5ce3a669677be0f2afa418c04c5f8bc8f2530bb72fbbdef8f0d969e0f9b2091f',
-    'enumerate --class split --n 3': '0 a3854e8b8aa7c855e972be17e9a04667e918f052b0186d4c059d5fb924d4d42e',
+    'enumerate --class split --n 3': '0 3540062fe6170967b4f211817879a6a560750f1e778b060cc00119ecf27317ea',
     'enumerate --class split --n 3 --balance balanced': '0 e3659cf3b163e78c8fa1cf857bc27ddfbe1fa65fb688c68203469e397826f33e',
-    'enumerate --class split --n 3 --balance unbalanced': '0 a3854e8b8aa7c855e972be17e9a04667e918f052b0186d4c059d5fb924d4d42e',
+    'enumerate --class split --n 3 --balance unbalanced': '0 3540062fe6170967b4f211817879a6a560750f1e778b060cc00119ecf27317ea',
     'enumerate --class split --n 3 --stream': '0 8ef8d795970f949831bb05d21558641968c4048049b81bc1a39d9d94e00b88fd',
     'enumerate --class split --n 3 --count-only': '0 e3659cf3b163e78c8fa1cf857bc27ddfbe1fa65fb688c68203469e397826f33e',
-    'enumerate --class split --n 4': '0 11514c5bbf5684dba20442d0461054648d5156581131ad63936de7def7c35ac4',
+    'enumerate --class split --n 4': '0 a57de2bc38aeb7409807f0e8d2b916136a79e5b60c30abf1dfe5bd057a1c663b',
     'enumerate --class split --n 4 --balance balanced': '0 18beb5d80a78cc387e8a88c2bd455fab216ac094f4546582d05b2421f8d094e5',
-    'enumerate --class split --n 4 --balance unbalanced': '0 2cbfdf9ffd00f4c1c864ae625c8064d3e3e6c4ae7314f7f7f146c4b88575b062',
+    'enumerate --class split --n 4 --balance unbalanced': '0 911c3f685b5fa3ec9d3cad93a801f6532bf81302e5b37dccadf7e74738d31aea',
     'enumerate --class split --n 4 --stream': '0 b7abb1a006b39cd28e1ea5e05d8a04b92d97bcead6ccc758a6e9618d356dbd89',
     'enumerate --class split --n 4 --count-only': '0 81aa177692dd568850e82913bb518a30369db0733957c8258d89d4ed4e0ebb41',
-    'enumerate --class split --n 5': '0 687be5cd2b1a61bdf6f744f8226e03ceaeba8eb14b99295a99702c348b03aee4',
-    'enumerate --class split --n 5 --balance balanced': '0 9b3fba04e45a432de668b608ed448538ac4668245e9a00f855c31c40abbbba6d',
-    'enumerate --class split --n 5 --balance unbalanced': '0 b4733a55b569a14fa67a1e1dbd47ef6dbccc54c21c2025eeae47ca216b9406c3',
+    'enumerate --class split --n 5': '0 1531821e660526597cb6d96a276abbaad4063c8a5cefd5848f31c3e6b84d9cf1',
+    'enumerate --class split --n 5 --balance balanced': '0 34dd8787ee47890d8c449cd51a1b90ca3382bdb97cd479c37255000feb8330dc',
+    'enumerate --class split --n 5 --balance unbalanced': '0 defd9272fd8c681e8125f6cd961374a5de48de01809952c13eca8bea886cdffb',
     'enumerate --class split --n 5 --stream': '0 60cbb7cf3106470b1dcce2608e2009cd8c9b302018c6041f137792c6b0fb68e4',
     'enumerate --class split --n 5 --count-only': '0 b2764de04574d6efa39fdc7df032ac670e1106aa3b65d1eb752e13a27d735ee1',
-    'enumerate --class split --n 6': '0 500ed4cee4c52bababfc591cf1f9d55f27df23dd6d98e6c42d2acea03d55f61d',
-    'enumerate --class split --n 6 --balance balanced': '0 bf1374a12ea45b53062acdb0bb290a3825981ef362405f9b8637257680d77bd0',
-    'enumerate --class split --n 6 --balance unbalanced': '0 49b05f8b28932d66ed6eb481b5aeb833fedaffdf96d4f7b6e9f210d1a8ff7214',
-    'enumerate --class split --n 6 --stream': '0 4bcc7419b4b28912d3163d6452107ba71b145960160a87f7ea7694b825745043',
+    'enumerate --class split --n 6': '0 91782a4da5f7940684869f0e6f6c067404fcdde0e472895adf5dab89cfbb6e5a',
+    'enumerate --class split --n 6 --balance balanced': '0 e31282d74611c1e01bfe246c4a2cc8de49f4b333e4e554ad96cda07cb92a62a4',
+    'enumerate --class split --n 6 --balance unbalanced': '0 ef993d16ce75d3599579b647846ffc92eca44dd4131c665f476d9c49fca73ef5',
+    'enumerate --class split --n 6 --stream': '0 b6d4d63fa586dbe5c2a64e82a5526eb821d45a3f1924bc9c02a044556099ffdd',
     'enumerate --class split --n 6 --count-only': '0 52ea20c580b599af3637a2211f271ee5635bf9fd534b9c84264ba32e2aa2e623',
     'enumerate --class cover --n 0': '0 f0079a3e1b1714b5d463ae0482140ad04d7a45352532e8c8114435286ef8daf9',
     'enumerate --class cover --n 0 --balance balanced': '0 f0079a3e1b1714b5d463ae0482140ad04d7a45352532e8c8114435286ef8daf9',
@@ -223,7 +224,7 @@ GOLDEN = {
     'enumerate --class poset --n 6 --balance unbalanced': '0 e398e176829effaa4b5652f51e059dc587c578214cfb05193f8ad8eeeef8189b',
     'enumerate --class poset --n 6 --stream': '0 aa276375e90906120f9a5c6e6b3bd8e361db85d15cd6e236c7561341cafdda07',
     'enumerate --class poset --n 6 --count-only': '0 2eee9be4ab70f095947ae2a8a5b32375d418a6b2b7225d84864f9b87400519c0',
-    'enumerate --class split --n 7': '0 631c384befd5ab1f3e0a7ea5f361da4cbed6631d703acbe0aaeaf0ba4d140d3e',
+    'enumerate --class split --n 7': '0 47d49c6cdee77b52dd0ffe4190b86d89b928a9dd25b41bd76f0d710680c9274f',
     'enumerate --class cover --n 7': '0 41764f7922e36d905b6f516d09bca1a1ad76a8c753c04c34c348180e99a7341e',
     'enumerate --class xy --n 7': '0 256c47a7c343c20392eab03aa59fee2db4bb1c4a67c71f53f39185527fd8d92a',
     'enumerate --class poset --n 7': '0 667fd5d830559bf2ce6f9b347953cbcaabb23f792c05abd56add2c9852d333a0',
@@ -234,18 +235,18 @@ GOLDEN = {
     'enumerate --class xy --n 4 --no-y-isolates': '0 a815b3082a805eb0623dea77468e6e71480d15892e33c3f774a22d29825e1bdb',
     'enumerate --class xy --n 5 --no-y-isolates': '0 fab0081f1f99f9abc490da74aef61d9186883149714ab76ca59c244b2f95409b',
     'enumerate --class xy --n 6 --no-y-isolates': '0 139c3d2a48972201d34e0e14bd481a320790df0d24825e2602d84e6f3ca4b06b',
-    'gallery --n 5': '0 ba1c8578f70e8aea8afe219024aa508a60b2e1328b2bbf2892366e1ead4ecd54',
-    'split census n=4 | classify': '0 b1b691cc0354a95c8bc0fa2ed3750160a967e309aed86c2e2acffcd647e68129',
-    'Bg | map --from split --to cover': '0 34e2713b920bc3c26d89295cb32a297e094b82bba37c7e84b16f6f0b21d018c8',
-    '{"class":"xy","nx":1,"ny":1,"edges":[[0,0]]} | map --from xy --to split-shift': '0 7dc354948c6a899cab4c875e011c4cfedeb56f4169d84037c26ac8bc1386fa06',
-    'CF | compile --class split --direction down': '0 9754883f953890d2b5f86d0aecb23c4d5f1373bac0e17896d55c62b593c43922',
+    'gallery --n 5': '0 4e7e3c0eda2ecea7c7e1afdb861f089c1648905dedaaa5b12a2cbc5b29ae248b',
+    'split census n=4 | classify': '0 09fcc51ce7ca7026544ef3fd86f40d6320bb6d15ca2ef59818771e6c433610c7',
+    'Bg | map --from split --to cover': '0 37c0e1198ba69dbeb2790366bc87ad94e6ad2cb4107636f1fd88ebc234ee6390',
+    '{"class":"xy","nx":1,"ny":1,"edges":[[0,0]]} | map --from xy --to split-shift': '0 b734b86551d8f157402b79fcfd8b82fd6e522b8f03adb0dc29a0841f4a0085bb',
+    'CF | compile --class split --direction down': '0 90d0d07c30f9b25a1f724bf13a4326c91de3cdfc89d0571a9aa72a455f5b7523',
     '{"class":"poset","n0":0,"n1":0,"below":[]} | compile --class poset --direction up --n 2': '0 76af2fe66d0e8b9fee33117e8d697ebb32257c0b730fb5d3ff51a80ceafe2eee',
     'verify --suite all --max-n 5': '0 d3e3e9f6f881e390578be429fd6910964295e6a6676238964d3c4583e41f4a2a',
 }
 
 # sha256 of the sorted census key list at n = 8 (xy without --no-y-isolates)
 GOLDEN_KEYS_8 = {
-    'split': '53e08b013b59c6bf345c774affc3ce698f378971d5e9382d74e9abe8e2534ec8',
+    'split': '567d7723ba13304b8f6a9cbe3cb1c2b512bc6a983dab79632584c66838419016',
     'cover': '80de6287890129c562e5acf4b6239f540303ad10f1dc48848cb2c58b5954e04d',
     'xy': '2231eb17bfc767a59db06d194115a7e9c89c8137988c402fb80a13617f891c5b',
     'poset': '65ef63e3d4ec567f194129c76129dbeb53064bb854495c95c13bb63df124d22b',
