@@ -217,18 +217,17 @@ def _generation(n: int, require_no_y_isolates: bool, workers: int) -> list[tuple
     return [(task, _generated[task]) for task in tasks]
 
 
+def _xy_record(h: XYGraph) -> Record:
+    h, key = canonical_object(h)
+    return Record(h, key, _xy_balance(h))
+
+
 def _xy_records(n: int, require_no_y_isolates: bool, workers: int) -> Iterator[Record]:
-    # Records are kept per shard: the census without isolates in Y is the
-    # unrestricted one without its first-column-empty shards, so each
-    # XY-graph is canonicalized once whichever of the two is built first.
+    # per shard, so that the two XY censuses at n share their records
     for task, graphs in _generation(n, require_no_y_isolates, workers):
         shard = _xy_shard_records.get(task)
         if shard is None:
-            shard = []
-            for h in graphs:
-                h, key = canonical_object(h)
-                shard.append(Record(h, key, _xy_balance(h)))
-            shard = _xy_shard_records[task] = tuple(shard)
+            shard = _xy_shard_records[task] = tuple(map(_xy_record, graphs))
         yield from shard
 
 

@@ -73,7 +73,7 @@ def k_max_partition(g: Graph) -> KSPartition:
     return p
 
 
-def _swing_into_s(g: Graph, k_side, s_side) -> tuple[list[int], list[int]]:
+def _swing_into_s(g: Graph, s_side, k_side) -> tuple[list[int], list[int]]:
     """(S, K), each sorted, after the least K-vertex with no S-neighbor (a
     swing vertex) moves from a K-max partition into S, when one exists."""
     k_side = sorted(k_side)
@@ -99,7 +99,7 @@ def s_max_sides(g: Graph) -> Optional[tuple[list[int], list[int]]]:
     ok, m, order = _degree_split_data(g)
     if not ok:
         return None
-    return _swing_into_s(g, order[:m], order[m:])
+    return _swing_into_s(g, order[m:], order[:m])
 
 
 def s_max_partition(g: Graph) -> KSPartition:
@@ -111,7 +111,7 @@ def s_max_partition(g: Graph) -> KSPartition:
     graph.
     """
     p = k_max_partition(g)
-    s_side, k_side = _swing_into_s(g, p.K, p.S)
+    s_side, k_side = _swing_into_s(g, p.S, p.K)
     return KSPartition(g, frozenset(k_side), frozenset(s_side))
 
 

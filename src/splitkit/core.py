@@ -18,6 +18,7 @@ Text formats:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -419,13 +420,7 @@ def _repeats(entries: list) -> list:
     """The entries listed more than once, each named once, in listed order."""
     if len(set(entries)) == len(entries):
         return []
-    seen: set = set()
-    repeats: dict = {}
-    for entry in entries:
-        if entry in seen:
-            repeats[entry] = None
-        seen.add(entry)
-    return list(repeats)
+    return [entry for entry, count in Counter(entries).items() if count > 1]
 
 
 # ---------------------------------------------------------------------------
