@@ -1,12 +1,15 @@
 """Canonical forms reducing "unlabeled" equality to byte equality.
 
-A key is defined by one of two lex-least objectives, not by the search
-that finds it:
+A key is defined by a lex-least objective, not by the search that finds
+it:
 
-* graphs -- the least adjacency bit string read in growing order (vertex k
-  against vertices 0..k-1, for k = 1..n-1) over all vertex orders;
 * 0/1 matrices under independent row and column permutations -- the least
-  row-major bit string over all row and column orders.
+  row-major bit string over all row and column orders.  Covers, XY-graphs
+  and posets are keyed by their incidence matrix, and a split graph by the
+  incidence of its S-max partition (rows S, columns K);
+* graphs that are not split -- the least adjacency bit string read in
+  growing order (vertex k against vertices 0..k-1, for k = 1..n-1) over
+  all vertex orders.
 
 Both kernels find their objective by an exact search over ordered cells.
 A search state stands for every order that permutes the vertices (or the
@@ -22,18 +25,21 @@ still multiply on highly symmetric inputs: apart from interchangeable
 twin vertices and unit rows, automorphisms are not pruned.
 
 Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host:
-sub-millisecond for 7x7 and random 12x11 matrices and for 11-vertex split
-graphs; 1.6 ms for the incidence of a 7-set cover on 10 elements whose
-loyal elements tie k! ways; 13 ms for a random split graph on 20
-vertices and 0.4 s on 28; about 20 ms for the 10x10 identity and 30 ms
-for the 16-cycle; about 0.45 s for the 35x7 incidence of the 3-subsets
-of a 7-set, the slowest input in the test suite.
+sub-millisecond for 7x7 and random 12x11 matrices, for 11-vertex split
+graphs and for random split graphs up to 40 vertices (1.7 ms at 62);
+1.6 ms for the incidence of a 7-set cover on 10 elements whose loyal
+elements tie k! ways; about 20 ms for the 10x10 identity, 26-41 ms for
+the 20-vertex thin spider (K10 with a pendant vertex on each clique
+vertex, whose S-max incidence is that identity) and 30 ms for the
+16-cycle; about 0.45 s for the 35x7 incidence of the 3-subsets of a
+7-set, the slowest input in the test suite.
 
-Covers, XY-graphs and posets all reduce to the matrix kernel applied to
-their incidence matrix; the row and column groups act independently, which
-is exactly what keeps X distinguished and keeps a cover's elements and sets
-apart.  Keys embed the class tag and dimensions before the bits so objects
-of different shapes can never collide.
+The row and column groups of the matrix kernel act independently, which
+is exactly what keeps X distinguished, keeps a cover's elements and sets
+apart and keeps a split graph's stable side apart from its clique.  Keys
+embed a tag byte and the dimensions before the bits, so objects of
+different shapes never collide, nor do split graphs and graphs that are
+not split.
 """
 
 from __future__ import annotations
@@ -395,9 +401,9 @@ def canon_graph(g: Graph) -> GraphCanon:
     Every other graph keeps the adjacency objective (``_canon_adjacency``).
 
     On split graphs the cost is that of the matrix kernel on an |S| x |K|
-    matrix: 0.1 ms at 11 vertices, 0.9 / 1.8 ms for random split graphs on
-    40 / 62 vertices, and 8 / 44 ms for the thin spider (a k x k identity)
-    on 16 / 20 vertices.
+    matrix: about 0.2 ms for 9- to 11-vertex split graphs, 0.5 / 1.7 ms
+    for random split graphs on 40 / 62 vertices, and 5-7 / 26-41 ms for
+    the thin spider (a k x k identity) on 16 / 20 vertices.
     """
     sides = s_max_sides(g)
     if sides is None:
