@@ -13,6 +13,7 @@ documented output change, run
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from unittest import mock
 
@@ -34,6 +35,18 @@ _README_PIPES = (
         ["compile", "--class", "poset", "--direction", "up", "--n", "2"],
     ),
 )
+# (class whose n = 4 census is piped in, argv); between them the records
+# print every choice label the maps have
+_MAP_PIPES = (
+    [(cls, ["compile", "--class", cls, "--direction", "down"]) for cls in _CLASSES]
+    + [(cls, ["compile", "--class", cls, "--direction", "up", "--n", "5"]) for cls in _CLASSES]
+    + [
+        ("cover", ["map", "--from", "cover", "--to", "split"]),
+        ("split", ["map", "--from", "split", "--to", "xy-shift"]),
+        ("cover", ["map", "--from", "split", "--to", "cover", "--inverse"]),
+    ]
+)
+_CHOICE_LABELS = {"rep[0]", "swing", "extremal_set", "universal", "demote", "promote"}
 
 
 def _runs():
@@ -56,11 +69,15 @@ def _runs():
     for stdin, argv in _README_PIPES:
         source = "split census n=4" if stdin == _SPLIT_4 else stdin.strip()
         runs.append((f"{source} | {' '.join(argv)}", stdin, argv))
+    for cls, argv in _MAP_PIPES:
+        stdin = _capture("", ["enumerate", "--class", cls, "--n", "4"])[1]
+        runs.append((f"{cls} census n=4 | {' '.join(argv)}", stdin, argv))
     runs.append(("verify --suite all --max-n 5", "", ["verify", "--suite", "all", "--max-n", "5"]))
     return runs
 
 
-def _run(stdin: str, argv) -> str:
+def _capture(stdin: str, argv) -> tuple[int, str]:
+    """(exit code, stdout) of one run from empty census stores."""
     out = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
@@ -74,7 +91,12 @@ def _run(stdin: str, argv) -> str:
             code = main(argv)
     finally:
         sys.stdin = saved
-    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+    return code, out.getvalue()
+
+
+def _run(stdin: str, argv) -> str:
+    code, out = _capture(stdin, argv)
+    return f"{code} {hashlib.sha256(out.encode()).hexdigest()}"
 
 
 def _key_list_digest(cls: str) -> str:
@@ -241,6 +263,18 @@ GOLDEN = {
     '{"class":"xy","nx":1,"ny":1,"edges":[[0,0]]} | map --from xy --to split-shift': '0 b734b86551d8f157402b79fcfd8b82fd6e522b8f03adb0dc29a0841f4a0085bb',
     'CF | compile --class split --direction down': '0 90d0d07c30f9b25a1f724bf13a4326c91de3cdfc89d0571a9aa72a455f5b7523',
     '{"class":"poset","n0":0,"n1":0,"below":[]} | compile --class poset --direction up --n 2': '0 76af2fe66d0e8b9fee33117e8d697ebb32257c0b730fb5d3ff51a80ceafe2eee',
+    'split census n=4 | classify': '0 09fcc51ce7ca7026544ef3fd86f40d6320bb6d15ca2ef59818771e6c433610c7',
+    'split census n=4 | compile --class split --direction down': '3 70080035af12bd4f54307d51563b4b6deea70e3c62c023e55015646b644d293f',
+    'cover census n=4 | compile --class cover --direction down': '3 a88b50cca41dc1f12ca0d05f8638a4be35827281ffd520a46712f3be0b951fbb',
+    'xy census n=4 | compile --class xy --direction down': '3 51d8faf60c2b05df42f82de348a72fb2ec524cc39c0043b829c400193aec145d',
+    'poset census n=4 | compile --class poset --direction down': '3 ab8c5b410b44d36d359d6cb71fdb7bf44f1c07ea58ec4f8f43bf74ca6e046d3c',
+    'split census n=4 | compile --class split --direction up --n 5': '0 ccf38af87419d97c5ff7b2012adde2a50bdc1f02002a82504d5c62f59a3a7a50',
+    'cover census n=4 | compile --class cover --direction up --n 5': '0 3fce80f7865d8d8d860485a7e113b48d415effe8f922407e1640d052b5f6053c',
+    'xy census n=4 | compile --class xy --direction up --n 5': '3 df5a23e94119d1ceaafb2392a8250c6287ced4f905fd904d660eb04d1b74ce48',
+    'poset census n=4 | compile --class poset --direction up --n 5': '0 20fe7ecc75bec82e052f6f0459146e2b6e6c5f615e7cb57d4dada6b3665c4f53',
+    'cover census n=4 | map --from cover --to split': '0 83c2210b5b97926adfd6eb40186469f6f1b8ecc90e4c7ce5f3102737b53136d5',
+    'split census n=4 | map --from split --to xy-shift': '3 75c054a3b4b7edf43491526b5ff453f7a04711581dc2731b6a14b747bc5263bd',
+    'cover census n=4 | map --from split --to cover --inverse': '0 83c2210b5b97926adfd6eb40186469f6f1b8ecc90e4c7ce5f3102737b53136d5',
     'verify --suite all --max-n 5': '0 d3e3e9f6f881e390578be429fd6910964295e6a6676238964d3c4583e41f4a2a',
 }
 
@@ -256,6 +290,15 @@ GOLDEN_KEYS_8 = {
 @pytest.mark.parametrize("name,stdin,argv", _runs(), ids=[r[0] for r in _runs()])
 def test_golden_transcript(name, stdin, argv):
     assert _run(stdin, argv) == GOLDEN[name]
+
+
+def test_map_pins_print_every_choice_label():
+    labels = set()
+    for name, stdin, argv in _runs():
+        if " census n=4 | " in name and argv[0] in ("map", "compile"):
+            for line in _capture(stdin, argv)[1].splitlines():
+                labels.update(label for label, _ in json.loads(line).get("choices", ()))
+    assert labels >= _CHOICE_LABELS
 
 
 @pytest.mark.parametrize("cls", _CLASSES)
