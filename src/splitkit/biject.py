@@ -7,7 +7,8 @@ structure (a representative loyal element, a swing vertex, a universal
 vertex, an extremal set, a demotable or promotable point) accept the choice
 as an argument; the default is always the least admissible index, and any
 admissible choice yields the same canonical key (checked exhaustively at
-small sizes).
+small sizes).  ``MAPS`` lists every map with its inverse and its admissible
+choices; the CLI and the verification suites derive their tables from it.
 
 The compilation maps connect unbalanced objects on n points with all
 objects of the class on at most n-1 points:
@@ -27,8 +28,9 @@ objects of the class on at most n-1 points:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import canonical_object
 from .core import (
@@ -39,7 +41,6 @@ from .core import (
     SetCover,
     UsageError,
     XYGraph,
-    _mask,
     class_tag_of,
 )
 from .classify import (
@@ -47,10 +48,12 @@ from .classify import (
     is_minimal,
     is_split,
     k_max_partition,
+    k_swings,
     loyal_elements,
     poset_support,
     s_max_partition,
     s_max_sides,
+    s_swings,
     xy_isolates_universals,
 )
 
@@ -180,8 +183,7 @@ def unbalanced_split_to_xy(g: Graph, swing: Optional[int] = None) -> XYGraph:
     if not is_split(g):
         raise DomainError("not a split graph")
     p = k_max_partition(g)
-    smask = _mask(p.S)
-    swings = sorted(k for k in p.K if not g.adj[k] & smask)
+    swings = k_swings(g, p.S, p.K)
     if not swings:
         raise DomainError("balanced split graph: no swing vertex to remove")
     if swing is None:
@@ -281,8 +283,7 @@ def compile_split_down(g: Graph, swing: Optional[int] = None) -> Graph:
     if not is_split(g):
         raise DomainError("not a split graph")
     p = s_max_partition(g)
-    kmask = _mask(p.K)
-    swings = sorted(s for s in p.S if g.adj[s] & kmask == kmask)
+    swings = s_swings(g, p.S, p.K)
     if not swings:
         raise DomainError("balanced split graph: no swing vertex (no balance witness)")
     if swing is None:
@@ -290,8 +291,7 @@ def compile_split_down(g: Graph, swing: Optional[int] = None) -> Graph:
     elif swing not in swings:
         raise UsageError(f"vertex {swing} is not a swing vertex of the S-max partition")
     s_rest = p.S - {swing}
-    smask = _mask(s_rest)
-    keep = sorted(s_rest | {k for k in p.K if g.adj[k] & smask})
+    keep = sorted(s_rest | (p.K - set(k_swings(g, s_rest, p.K))))
     index = {v: i for i, v in enumerate(keep)}
     edges = [
         (index[u], index[v]) for u in keep for v in g.neighbors(u) if v in index and u < v
@@ -324,26 +324,26 @@ def compile_split_up(h: Graph, n: int) -> Graph:
 # compilation: minimal set covers
 
 
-def compile_cover_down(c: SetCover, extremal: Optional[int] = None) -> SetCover:
+def compile_cover_down(c: SetCover, extremal_set: Optional[int] = None) -> SetCover:
     """Drop an extremal set together with the elements only it covered."""
     if not is_minimal(c):
         raise DomainError("cover is not minimal")
     candidates = extremal_sets(c)
     if not candidates:
         raise DomainError("balanced cover: no set of size |V|-|C|+1 (no balance witness)")
-    if extremal is None:
-        extremal = candidates[0]
-    elif extremal not in candidates:
-        raise UsageError(f"set {extremal} does not have the extremal size")
+    if extremal_set is None:
+        extremal_set = candidates[0]
+    elif extremal_set not in candidates:
+        raise UsageError(f"set {extremal_set} does not have the extremal size")
     membership = [0] * c.n
     for s in c.sets:
         for e in s:
             membership[e] += 1
-    dropped = {e for e in c.sets[extremal] if membership[e] == 1}
+    dropped = {e for e in c.sets[extremal_set] if membership[e] == 1}
     keep = sorted(set(range(c.n)) - dropped)
     index = {e: i for i, e in enumerate(keep)}
     sets = tuple(
-        tuple(index[e] for e in s) for j, s in enumerate(c.sets) if j != extremal
+        tuple(index[e] for e in s) for j, s in enumerate(c.sets) if j != extremal_set
     )
     return SetCover(len(keep), sets)
 
@@ -402,6 +402,11 @@ def compile_xy_up(h: XYGraph, n: int) -> XYGraph:
 # compilation: bipartite posets
 
 
+def _demotable(p: BipartitePoset, partial: frozenset[int]) -> list[int]:
+    """Height-1 points above no partial support point, in order."""
+    return [b for b in range(p.n1) if not p.down_set(b) & partial]
+
+
 def compile_poset_down(p: BipartitePoset, demote: Optional[int] = None) -> BipartitePoset:
     """Remove the full support points, demoting a suitable height-1 point if needed.
 
@@ -413,15 +418,14 @@ def compile_poset_down(p: BipartitePoset, demote: Optional[int] = None) -> Bipar
     full, partial = poset_support(p)
     if not full:
         raise DomainError("balanced poset: no full support point (no balance witness)")
-    downsets = {b: p.down_set(b) for b in range(p.n1)}
-    if all(downsets[b] & partial for b in range(p.n1)):
+    candidates = _demotable(p, partial)
+    if not candidates:
         if demote is not None:
             raise UsageError("no height-1 point needs demoting for this poset")
         h0 = sorted(partial)
         a_index = {v: i for i, v in enumerate(h0)}
         below = frozenset((a_index[a], b) for a, b in p.below if a in partial)
         return BipartitePoset(len(h0), p.n1, below)
-    candidates = sorted(b for b in range(p.n1) if not downsets[b] & partial)
     if demote is None:
         demote = candidates[0]
     elif demote not in candidates:
@@ -468,107 +472,132 @@ def compile_poset_up(q: BipartitePoset, n: int, promote: Optional[int] = None) -
 
 @dataclass(frozen=True)
 class MapReport:
-    """Audit record of one map application on canonically labeled objects."""
+    """Audit record of one map application on canonically labeled objects.
+
+    ``choices`` holds the choice made, each label the keyword that replays
+    it, with ``rep[i]`` for entry i of ``reps``.
+    """
 
     input_key: CanonicalKey
     output_key: CanonicalKey
     choices: tuple[tuple[str, int], ...]
 
 
-def _rep_choices(c: SetCover) -> tuple[tuple[str, int], ...]:
-    return tuple((f"rep[{i}]", r) for i, r in enumerate(default_reps(c)))
+def _rep_choices(c: SetCover) -> Iterator[dict]:
+    default = default_reps(c)
+    yield {"reps": default}
+    for reps in itertools.product(*loyal_elements(c)):
+        if reps != default:
+            yield {"reps": reps}
 
 
-def _swing_s_choice(g: Graph) -> tuple[tuple[str, int], ...]:
-    p = s_max_partition(g)
-    kmask = _mask(p.K)
-    swings = sorted(s for s in p.S if g.adj[s] & kmask == kmask)
-    return (("swing", swings[0]),) if swings else ()
-
-
-def _swing_k_choice(g: Graph) -> tuple[tuple[str, int], ...]:
+def _k_swing_choices(g: Graph) -> Iterator[dict]:
     p = k_max_partition(g)
-    smask = _mask(p.S)
-    swings = sorted(k for k in p.K if not g.adj[k] & smask)
-    return (("swing", swings[0]),) if swings else ()
+    for k in k_swings(g, p.S, p.K):
+        yield {"swing": k}
 
 
-def _extremal_choice(c: SetCover) -> tuple[tuple[str, int], ...]:
-    candidates = extremal_sets(c)
-    return (("extremal_set", candidates[0]),) if candidates else ()
+def _s_swing_choices(g: Graph) -> Iterator[dict]:
+    p = s_max_partition(g)
+    for s in s_swings(g, p.S, p.K):
+        yield {"swing": s}
 
 
-def _universal_choice(h: XYGraph) -> tuple[tuple[str, int], ...]:
-    _, universals = xy_isolates_universals(h)
-    return (("universal", min(universals)),) if universals else ()
+def _extremal_choices(c: SetCover) -> Iterator[dict]:
+    for i in extremal_sets(c):
+        yield {"extremal_set": i}
 
 
-def _demote_choice(p: BipartitePoset) -> tuple[tuple[str, int], ...]:
+def _universal_choices(h: XYGraph) -> Iterator[dict]:
+    for u in sorted(xy_isolates_universals(h)[1]):
+        yield {"universal": u}
+
+
+def _demote_choices(p: BipartitePoset) -> Iterator[dict]:
     full, partial = poset_support(p)
     if not full:
-        return ()
-    candidates = sorted(
-        b for b in range(p.n1) if not p.down_set(b) & partial
-    )
-    return (("demote", candidates[0]),) if candidates else ()
+        return
+    candidates = _demotable(p, partial)
+    if not candidates:
+        yield {}  # nothing to demote: the full support points just go
+    for b in candidates:
+        yield {"demote": b}
 
 
-def _promote_choice(q: BipartitePoset) -> tuple[tuple[str, int], ...]:
+def _promote_choices(q: BipartitePoset) -> Iterator[dict]:
     full, _ = poset_support(q)
-    return (("promote", min(full)),) if full else ()
-
-
-def _no_choices(_obj) -> tuple[tuple[str, int], ...]:
-    return ()
+    if not full:
+        yield {}  # nothing to promote
+    for a in sorted(full):
+        yield {"promote": a}
 
 
 @dataclass(frozen=True)
 class MapSpec:
+    """A map ``fn(obj)``, or ``fn(obj, n)`` when ``needs_n``, from the
+    ``domain`` class to the ``codomain`` class; ``inverse`` names the map
+    that undoes it.  ``choices(obj)`` lazily yields the keyword arguments of
+    every admissible choice on ``obj``, the default first, and nothing when
+    the map has no choice to make on ``obj``."""
+
     fn: Callable
     domain: str
     codomain: str
-    needs_n: bool
-    choices_of: Callable
+    inverse: Optional[str] = None
+    needs_n: bool = False
+    choices: Optional[Callable[[object], Iterator[dict]]] = None
 
 
+def _pair(domain: str, codomain: str, fwd: Callable, inv: Callable, fwd_choices=None, inv_choices=None):
+    """Entries of ``fwd`` and its inverse ``inv``, each naming the other; in
+    a compilation pair ``inv`` is the up map, which takes a target size."""
+    return {
+        fwd.__name__: MapSpec(fwd, domain, codomain, inv.__name__, False, fwd_choices),
+        inv.__name__: MapSpec(inv, codomain, domain, fwd.__name__, domain == codomain, inv_choices),
+    }
+
+
+# The one table of maps.  The CLI routes and the verification suites are
+# derived from it, in this order.
 MAPS: dict[str, MapSpec] = {
-    "split_to_cover": MapSpec(split_to_cover, "split", "cover", False, _no_choices),
-    "cover_to_split": MapSpec(cover_to_split, "cover", "split", False, _rep_choices),
-    "split_to_xy": MapSpec(split_to_xy, "split", "xy", False, _no_choices),
-    "xy_to_split": MapSpec(xy_to_split, "xy", "split", False, _no_choices),
-    "split_to_poset": MapSpec(split_to_poset, "split", "poset", False, _no_choices),
-    "poset_to_split": MapSpec(poset_to_split, "poset", "split", False, _no_choices),
-    "xy_to_unbalanced_split": MapSpec(
-        xy_to_unbalanced_split, "xy", "split", False, _no_choices
-    ),
-    "unbalanced_split_to_xy": MapSpec(
-        unbalanced_split_to_xy, "split", "xy", False, _swing_k_choice
-    ),
-    "cover_to_poset": MapSpec(cover_to_poset, "cover", "poset", False, _rep_choices),
-    "poset_to_cover": MapSpec(poset_to_cover, "poset", "cover", False, _no_choices),
-    "xy_to_cover": MapSpec(xy_to_cover, "xy", "cover", False, _no_choices),
-    "cover_to_xy": MapSpec(cover_to_xy, "cover", "xy", False, _rep_choices),
-    "xy_to_poset": MapSpec(xy_to_poset, "xy", "poset", False, _no_choices),
-    "poset_to_xy": MapSpec(poset_to_xy, "poset", "xy", False, _no_choices),
-    "compile_split_down": MapSpec(
-        compile_split_down, "split", "split", False, _swing_s_choice
-    ),
-    "compile_split_up": MapSpec(compile_split_up, "split", "split", True, _no_choices),
-    "compile_cover_down": MapSpec(
-        compile_cover_down, "cover", "cover", False, _extremal_choice
-    ),
-    "compile_cover_up": MapSpec(compile_cover_up, "cover", "cover", True, _rep_choices),
-    "compile_xy_down": MapSpec(compile_xy_down, "xy", "xy", False, _universal_choice),
-    "compile_xy_up": MapSpec(compile_xy_up, "xy", "xy", True, _no_choices),
-    "compile_poset_down": MapSpec(
-        compile_poset_down, "poset", "poset", False, _demote_choice
-    ),
-    "compile_poset_up": MapSpec(compile_poset_up, "poset", "poset", True, _promote_choice),
+    **_pair("split", "cover", split_to_cover, cover_to_split, inv_choices=_rep_choices),
+    **_pair("split", "xy", split_to_xy, xy_to_split),
+    **_pair("split", "poset", split_to_poset, poset_to_split),
+    **_pair("cover", "xy", cover_to_xy, xy_to_cover, _rep_choices),
+    **_pair("cover", "poset", cover_to_poset, poset_to_cover, _rep_choices),
+    **_pair("xy", "poset", xy_to_poset, poset_to_xy),
+    **_pair("xy", "split", xy_to_unbalanced_split, unbalanced_split_to_xy, inv_choices=_k_swing_choices),
+    **_pair("split", "split", compile_split_down, compile_split_up, _s_swing_choices),
+    **_pair("cover", "cover", compile_cover_down, compile_cover_up, _extremal_choices, _rep_choices),
+    **_pair("xy", "xy", compile_xy_down, compile_xy_up, _universal_choices),
+    **_pair("poset", "poset", compile_poset_down, compile_poset_up, _demote_choices, _promote_choices),
 }
 
 
+def _routes() -> dict[tuple[str, str], str]:
+    """(source class, target) -> map name for every map between two
+    classes.  The second map between the same two classes, the one that
+    changes the size by one, has the target ``<codomain>-shift``."""
+    routes: dict[tuple[str, str], str] = {}
+    for name, spec in MAPS.items():
+        if spec.domain != spec.codomain:
+            shifted = (spec.domain, spec.codomain) in routes
+            routes[spec.domain, spec.codomain + ("-shift" if shifted else "")] = name
+    return routes
+
+
+ROUTES = _routes()
+
+
+def _report_choices(choice: dict) -> tuple[tuple[str, int], ...]:
+    if "reps" in choice:
+        return tuple((f"rep[{i}]", r) for i, r in enumerate(choice["reps"]))
+    return tuple(choice.items())
+
+
 def apply_named_map(name: str, obj, n: Optional[int] = None):
-    """Run a named map on the canonical form of ``obj``.
+    """Run a named map on the canonical form of ``obj`` with its default
+    choice.
 
     Returns (canonical output object, MapReport).  Batch callers sort their
     outputs by input key, so identical batches serialize identically.
@@ -586,10 +615,8 @@ def apply_named_map(name: str, obj, n: Optional[int] = None):
         # canonicalizing spares the search on an arbitrary graph
         raise DomainError("not a split graph")
     canon_in, key_in = canonical_object(obj)
-    if spec.needs_n:
-        out = spec.fn(canon_in, n)
-    else:
-        out = spec.fn(canon_in)
-    choices = spec.choices_of(canon_in)
+    # with no choice to make the map raises its own domain error
+    choice = next(spec.choices(canon_in), {}) if spec.choices else {}
+    out = spec.fn(canon_in, n, **choice) if spec.needs_n else spec.fn(canon_in, **choice)
     canon_out, key_out = canonical_object(out)
-    return canon_out, MapReport(key_in, key_out, choices)
+    return canon_out, MapReport(key_in, key_out, _report_choices(choice))

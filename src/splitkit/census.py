@@ -33,8 +33,8 @@ canonicalizes each unlabeled object of each class once.  A pass that
 stops early stores no census records.  A building pass checks that no two
 of its objects share a key.
 
-The search tree shards by the content of the first column; shards are
-merged in a fixed order, so the census is identical for any worker count.
+The search tree shards by the content of the first column; shards run
+and merge in a fixed order.
 """
 
 from __future__ import annotations
@@ -197,23 +197,13 @@ def _xy_balance(h: XYGraph) -> Optional[Balance]:
         return None  # isolates in Y
 
 
-def _shard_batches(tasks, workers: int) -> Iterator[list[XYGraph]]:
-    if workers <= 1:
-        yield from map(_run_shard, tasks)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_run_shard, tasks)
-
-
-def _generation(n: int, require_no_y_isolates: bool, workers: int) -> list[tuple[Task, tuple[XYGraph, ...]]]:
+def _generation(n: int, require_no_y_isolates: bool) -> list[tuple[Task, tuple[XYGraph, ...]]]:
     """(task, output) of every shard at size n in order; each shard task
     runs once per process, whichever census asks for it first."""
     tasks = _shard_tasks(n, require_no_y_isolates)
-    missing = [task for task in tasks if task not in _generated]
-    for task, graphs in zip(missing, _shard_batches(missing, workers)):
-        _generated[task] = tuple(graphs)
+    for task in tasks:
+        if task not in _generated:
+            _generated[task] = tuple(_run_shard(task))
     return [(task, _generated[task]) for task in tasks]
 
 
@@ -222,9 +212,9 @@ def _xy_record(h: XYGraph) -> Record:
     return Record(h, key, _xy_balance(h))
 
 
-def _xy_records(n: int, require_no_y_isolates: bool, workers: int) -> Iterator[Record]:
+def _xy_records(n: int, require_no_y_isolates: bool) -> Iterator[Record]:
     # per shard, so that the two XY censuses at n share their records
-    for task, graphs in _generation(n, require_no_y_isolates, workers):
+    for task, graphs in _generation(n, require_no_y_isolates):
         shard = _xy_shard_records.get(task)
         if shard is None:
             shard = _xy_shard_records[task] = tuple(map(_xy_record, graphs))
@@ -239,16 +229,16 @@ _TRANSPORT = {
 }
 
 
-def _transported(class_tag: str, n: int, workers: int) -> Iterator[Record]:
+def _transported(class_tag: str, n: int) -> Iterator[Record]:
     maps = _TRANSPORT[class_tag]
-    for obj in itertools.chain.from_iterable(graphs for _, graphs in _generation(n, True, workers)):
+    for obj in itertools.chain.from_iterable(graphs for _, graphs in _generation(n, True)):
         for to_class in maps:
             obj = to_class(obj)
         obj, key = canonical_object(obj)
         yield Record(obj, key, balance_of(obj))
 
 
-def _pass(class_tag: str, n: int, no_isolates: bool, workers: int) -> Iterator[Record]:
+def _pass(class_tag: str, n: int, no_isolates: bool) -> Iterator[Record]:
     """One pass over a census: replay its stored records, or build them
     and store them once the pass is complete."""
     _check_bound(n)
@@ -258,9 +248,9 @@ def _pass(class_tag: str, n: int, no_isolates: bool, workers: int) -> Iterator[R
         yield from stored
         return
     if class_tag == "xy":
-        build = _xy_records(n, no_isolates, workers)
+        build = _xy_records(n, no_isolates)
     else:
-        build = _transported(class_tag, n, workers)
+        build = _transported(class_tag, n)
     built = []
     seen: set[CanonicalKey] = set()
     for record in build:
@@ -272,53 +262,47 @@ def _pass(class_tag: str, n: int, no_isolates: bool, workers: int) -> Iterator[R
     _records[cache_key] = tuple(built)
 
 
-def iter_xy(
-    n: int, require_no_y_isolates: bool = False, workers: int = 1
-) -> Iterator[XYGraph]:
+def iter_xy(n: int, require_no_y_isolates: bool = False) -> Iterator[XYGraph]:
     """Canonically labeled XY-graphs on n vertices, one per unlabeled object."""
-    for record in _pass("xy", n, require_no_y_isolates, workers):
+    for record in _pass("xy", n, require_no_y_isolates):
         yield record.obj
 
 
-def iter_split(n: int, workers: int = 1) -> Iterator[Graph]:
+def iter_split(n: int) -> Iterator[Graph]:
     """Canonically labeled split graphs on n vertices via XY transport."""
-    for record in _pass("split", n, False, workers):
+    for record in _pass("split", n, False):
         yield record.obj
 
 
-def iter_cover(n: int, workers: int = 1) -> Iterator[SetCover]:
-    for record in _pass("cover", n, False, workers):
+def iter_cover(n: int) -> Iterator[SetCover]:
+    for record in _pass("cover", n, False):
         yield record.obj
 
 
-def iter_poset(n: int, workers: int = 1) -> Iterator[BipartitePoset]:
-    for record in _pass("poset", n, False, workers):
+def iter_poset(n: int) -> Iterator[BipartitePoset]:
+    for record in _pass("poset", n, False):
         yield record.obj
 
 
-def iter_objects(
-    class_tag: str, n: int, require_no_y_isolates: bool = False, workers: int = 1
-):
+def iter_objects(class_tag: str, n: int, require_no_y_isolates: bool = False):
     if class_tag == "split":
-        return iter_split(n, workers)
+        return iter_split(n)
     if class_tag == "cover":
-        return iter_cover(n, workers)
+        return iter_cover(n)
     if class_tag == "poset":
-        return iter_poset(n, workers)
+        return iter_poset(n)
     if class_tag == "xy":
-        return iter_xy(n, require_no_y_isolates, workers)
+        return iter_xy(n, require_no_y_isolates)
     raise UsageError(f"unknown class {class_tag!r}")
 
 
-def records(
-    class_tag: str, n: int, require_no_y_isolates: bool = False, workers: int = 1
-) -> tuple[Record, ...]:
+def records(class_tag: str, n: int, require_no_y_isolates: bool = False) -> tuple[Record, ...]:
     """Records of one census in generation order, from a full first pass of
     ``iter_objects`` when none is stored.  ``require_no_y_isolates``
     applies to XY-graphs only."""
     cache_key = (class_tag, n, require_no_y_isolates and class_tag == "xy")
     if cache_key not in _records:
-        for _ in iter_objects(class_tag, n, require_no_y_isolates, workers):
+        for _ in iter_objects(class_tag, n, require_no_y_isolates):
             pass
     return _records[cache_key]
 
@@ -327,8 +311,8 @@ def records(
 # censuses
 
 
-def _census(class_tag: str, n: int, require_no_y_isolates: bool, workers: int) -> Census:
-    stored = records(class_tag, n, require_no_y_isolates, workers)
+def _census(class_tag: str, n: int, require_no_y_isolates: bool) -> Census:
+    stored = records(class_tag, n, require_no_y_isolates)
     balances = [r.balance for r in stored]
     return Census(
         class_tag,
@@ -340,24 +324,24 @@ def _census(class_tag: str, n: int, require_no_y_isolates: bool, workers: int) -
     )
 
 
-def enumerate_xy(n: int, require_no_y_isolates: bool = False, workers: int = 1) -> Census:
-    return _census("xy", n, require_no_y_isolates, workers)
+def enumerate_xy(n: int, require_no_y_isolates: bool = False) -> Census:
+    return _census("xy", n, require_no_y_isolates)
 
 
-def enumerate_split(n: int, workers: int = 1) -> Census:
-    return _census("split", n, False, workers)
+def enumerate_split(n: int) -> Census:
+    return _census("split", n, False)
 
 
-def enumerate_cover(n: int, workers: int = 1) -> Census:
-    return _census("cover", n, False, workers)
+def enumerate_cover(n: int) -> Census:
+    return _census("cover", n, False)
 
 
-def enumerate_poset(n: int, workers: int = 1) -> Census:
-    return _census("poset", n, False, workers)
+def enumerate_poset(n: int) -> Census:
+    return _census("poset", n, False)
 
 
-def enumerate_class(class_tag: str, n: int, require_no_y_isolates: bool = False, workers: int = 1) -> Census:
-    return _census(class_tag, n, require_no_y_isolates, workers)
+def enumerate_class(class_tag: str, n: int, require_no_y_isolates: bool = False) -> Census:
+    return _census(class_tag, n, require_no_y_isolates)
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +497,18 @@ def _oracle_census(tag: str, n: int, results: dict) -> Census:
 # count table
 
 
-def count_table(max_n: int, workers: int = 1) -> list[dict]:
+def count_table(max_n: int) -> list[dict]:
     """Per-size totals and balance counts for every class, plus the
     cumulative column sum(split totals below n)."""
     _check_bound(max_n)
     rows = []
     cumulative = 0
     for n in range(max_n + 1):
-        split = enumerate_split(n, workers)
-        cover = enumerate_cover(n, workers)
-        poset = enumerate_poset(n, workers)
-        xy = enumerate_xy(n, True, workers)
-        xy_all = enumerate_xy(n, False, workers)
+        split = enumerate_split(n)
+        cover = enumerate_cover(n)
+        poset = enumerate_poset(n)
+        xy = enumerate_xy(n, True)
+        xy_all = enumerate_xy(n, False)
         rows.append(
             {
                 "n": n,

@@ -64,6 +64,18 @@ def _require_split(g: Graph):
     return m, order
 
 
+def s_swings(g: Graph, S, K) -> list[int]:
+    """S-vertices adjacent to all of K (all of S when K is empty), sorted."""
+    kmask = _mask(K)
+    return sorted(s for s in S if g.adj[s] & kmask == kmask)
+
+
+def k_swings(g: Graph, S, K) -> list[int]:
+    """K-vertices with no S-neighbor, sorted."""
+    smask = _mask(S)
+    return sorted(k for k in K if not g.adj[k] & smask)
+
+
 def k_max_partition(g: Graph) -> KSPartition:
     """Partition with |K| = omega(G): the m highest-degree vertices."""
     m, order = _require_split(g)
@@ -102,6 +114,11 @@ def s_max_sides(g: Graph) -> Optional[tuple[list[int], list[int]]]:
     return _swing_into_s(g, order[m:], order[:m])
 
 
+def _require_s_max_sides(g: Graph) -> tuple[list[int], list[int]]:
+    m, order = _require_split(g)
+    return _swing_into_s(g, order[m:], order[:m])
+
+
 def s_max_partition(g: Graph) -> KSPartition:
     """Partition with |S| = alpha(G).
 
@@ -116,11 +133,13 @@ def s_max_partition(g: Graph) -> KSPartition:
 
 
 def omega_alpha(g: Graph) -> SplitAnalysis:
-    """Exact clique and stability numbers of a split graph."""
-    p = k_max_partition(g)
-    smask = _mask(p.S)
-    has_swing = any(not g.adj[k] & smask for k in p.K)
-    return SplitAnalysis(omega=len(p.K), alpha=len(p.S) + (1 if has_swing else 0))
+    """Exact clique and stability numbers of a split graph.
+
+    alpha is |S| of the S-max partition; omega is |K|, plus one when an
+    S-vertex sees all of K (K plus that vertex is then a larger clique).
+    """
+    S, K = _require_s_max_sides(g)
+    return SplitAnalysis(omega=len(K) + bool(s_swings(g, S, K)), alpha=len(S))
 
 
 def swing_vertices(g: Graph, p: KSPartition) -> frozenset[int]:
@@ -131,11 +150,7 @@ def swing_vertices(g: Graph, p: KSPartition) -> frozenset[int]:
     problems = validate(p)
     if problems:
         raise DomainError("invalid partition: " + "; ".join(problems))
-    kmask = _mask(p.K)
-    smask = _mask(p.S)
-    from_s = {s for s in p.S if g.adj[s] & kmask == kmask}
-    from_k = {k for k in p.K if not g.adj[k] & smask}
-    return frozenset(from_s | from_k)
+    return frozenset(s_swings(g, p.S, p.K) + k_swings(g, p.S, p.K))
 
 
 def trichotomy(g: Graph, p: KSPartition) -> SplitAnalysis:
@@ -152,15 +167,13 @@ def trichotomy(g: Graph, p: KSPartition) -> SplitAnalysis:
     s_full = len(p.S) == oa.alpha
     if k_full and s_full:
         return SplitAnalysis(oa.omega, oa.alpha, "balanced", None)
-    kmask = _mask(p.K)
-    smask = _mask(p.S)
     if s_full and len(p.K) == oa.omega - 1:
-        swings = sorted(s for s in p.S if g.adj[s] & kmask == kmask)
+        swings = s_swings(g, p.S, p.K)
         if not swings:
             raise AssertionError("case (ii) partition without a swing vertex")
         return SplitAnalysis(oa.omega, oa.alpha, "unbalanced_S_max", swings[0])
     if k_full and len(p.S) == oa.alpha - 1:
-        swings = sorted(k for k in p.K if not g.adj[k] & smask)
+        swings = k_swings(g, p.S, p.K)
         if not swings:
             raise AssertionError("case (iii) partition without a swing vertex")
         return SplitAnalysis(oa.omega, oa.alpha, "unbalanced_K_max", swings[0])
@@ -176,9 +189,8 @@ def balance_split(g: Graph) -> Balance:
     Equivalently, unbalanced iff the S-max partition has a swing vertex;
     the least such vertex is the witness.
     """
-    p = s_max_partition(g)
-    kmask = _mask(p.K)
-    swings = sorted(s for s in p.S if g.adj[s] & kmask == kmask)
+    S, K = _require_s_max_sides(g)
+    swings = s_swings(g, S, K)
     if swings:
         return Balance("unbalanced", swings[0])
     return Balance("balanced")
@@ -191,9 +203,8 @@ def maximal_cliques_split(g: Graph) -> list[frozenset[int]]:
     S-vertex, or the clique side K itself when nothing extends it.
     """
     p = k_max_partition(g)
-    kmask = _mask(p.K)
     cliques = [frozenset({s} | set(g.neighbors(s))) for s in sorted(p.S)]
-    if p.K and not any(g.adj[s] & kmask == kmask for s in p.S):
+    if p.K and not s_swings(g, p.S, p.K):
         cliques.append(frozenset(p.K))
     return cliques
 

@@ -4,8 +4,8 @@ Commands compose over JSON-lines pipes: ``enumerate`` emits censuses,
 ``classify`` / ``map`` / ``compile`` read objects from stdin one per line
 (graph6 for split graphs, JSON for the other classes) and emit one JSON
 record per input line, ``verify`` runs the certification suites and
-``gallery`` prints the aligned multi-class listing.  Nothing is randomized
-and output never depends on the worker count.
+``gallery`` prints the aligned multi-class listing.  Nothing is randomized.
+``--workers`` is accepted for compatibility and has no effect.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 parse or
 domain error in the input.
@@ -47,41 +47,6 @@ from .core import (
     serialize_object,
 )
 
-_PAIR_TO_MAP = {
-    ("split", "cover"): "split_to_cover",
-    ("cover", "split"): "cover_to_split",
-    ("split", "xy"): "split_to_xy",
-    ("xy", "split"): "xy_to_split",
-    ("split", "poset"): "split_to_poset",
-    ("poset", "split"): "poset_to_split",
-    ("cover", "poset"): "cover_to_poset",
-    ("poset", "cover"): "poset_to_cover",
-    ("xy", "cover"): "xy_to_cover",
-    ("cover", "xy"): "cover_to_xy",
-    ("xy", "poset"): "xy_to_poset",
-    ("poset", "xy"): "poset_to_xy",
-    ("xy", "split-shift"): "xy_to_unbalanced_split",
-    ("split", "xy-shift"): "unbalanced_split_to_xy",
-}
-
-_MAP_INVERSE = {
-    "split_to_cover": "cover_to_split",
-    "cover_to_split": "split_to_cover",
-    "split_to_xy": "xy_to_split",
-    "xy_to_split": "split_to_xy",
-    "split_to_poset": "poset_to_split",
-    "poset_to_split": "split_to_poset",
-    "cover_to_poset": "poset_to_cover",
-    "poset_to_cover": "cover_to_poset",
-    "xy_to_cover": "cover_to_xy",
-    "cover_to_xy": "xy_to_cover",
-    "xy_to_poset": "poset_to_xy",
-    "poset_to_xy": "xy_to_poset",
-    "xy_to_unbalanced_split": "unbalanced_split_to_xy",
-    "unbalanced_split_to_xy": "xy_to_unbalanced_split",
-}
-
-
 def _serialize(obj) -> str:
     if isinstance(obj, Graph):
         return serialize_graph6(obj)
@@ -120,7 +85,8 @@ def cmd_enumerate(args) -> int:
     fmt = args.format or ("g6" if args.cls == "split" else "json")
     if (fmt == "g6") != (args.cls == "split"):
         raise UsageError("graph6 output is available exactly for --class split")
-    no_iso = args.no_y_isolates if args.cls == "xy" else False
+    if args.no_y_isolates and args.cls != "xy":
+        raise UsageError("--no-y-isolates applies to --class xy only")
 
     def emit(record):
         if args.balance != "all":
@@ -128,11 +94,11 @@ def cmd_enumerate(args) -> int:
                 return  # filtered out; None means undefined (Y-isolates)
         print(_serialize(record.obj))
 
-    header = _census_header(census.enumerate_class(args.cls, args.n, no_iso, args.workers))
+    header = _census_header(census.enumerate_class(args.cls, args.n, args.no_y_isolates))
     if args.count_only:
         print(header)
         return 0
-    stored = census.records(args.cls, args.n, no_iso, args.workers)
+    stored = census.records(args.cls, args.n, args.no_y_isolates)
     if not args.stream:
         print(header)
         stored = sorted(stored, key=lambda r: r.key)
@@ -223,12 +189,12 @@ def _emit_map(name: str, obj, n=None) -> dict:
 
 
 def cmd_map(args) -> int:
-    name = _PAIR_TO_MAP.get((args.src, args.dst))
+    name = biject.ROUTES.get((args.src, args.dst))
     if name is None:
-        known = ", ".join(f"{a}->{b}" for a, b in sorted(_PAIR_TO_MAP))
+        known = ", ".join(f"{a}->{b}" for a, b in sorted(biject.ROUTES))
         raise UsageError(f"no map from {args.src!r} to {args.dst!r}; known: {known}")
     if args.inverse:
-        name = _MAP_INVERSE[name]
+        name = biject.MAPS[name].inverse
     errors = 0
     for line in _input_lines(sys.stdin):
         try:
@@ -243,6 +209,8 @@ def cmd_map(args) -> int:
 
 def cmd_compile(args) -> int:
     name = f"compile_{args.cls}_{args.direction}"
+    if args.direction == "down" and args.n is not None:
+        raise UsageError("--n applies to --direction up only")
     if args.direction == "up":
         if args.n is None:
             raise UsageError("compile --direction up needs a target size --n")
@@ -258,7 +226,7 @@ def cmd_compile(args) -> int:
     for line in _input_lines(sys.stdin):
         try:
             obj = _parse_line(line)
-            record = _emit_map(name, obj, args.n if args.direction == "up" else None)
+            record = _emit_map(name, obj, args.n)
         except (ParseError, ValidationError, DomainError, UsageError, SizeLimitError) as exc:
             record = {"error": str(exc), "line": line}
             errors += 1
@@ -272,9 +240,9 @@ def cmd_compile(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite == "all":
-        results = verify.run_all(args.max_n, args.workers)
+        results = verify.run_all(args.max_n)
     else:
-        results = verify.run_suite(args.suite, args.max_n, args.workers)
+        results = verify.run_suite(args.suite, args.max_n)
     failed = False
     for result in results:
         print(json.dumps(result.to_doc(), separators=(",", ":")))
@@ -289,7 +257,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gallery(args) -> int:
     rows = []
-    for record in census.records("split", args.n, workers=args.workers):
+    for record in census.records("split", args.n):
         g, balance = record.obj, record.balance
         cover, cover_key = canonical_object(biject.split_to_cover(g))
         poset, poset_key = canonical_object(biject.split_to_poset(g))
@@ -344,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--format", choices=["g6", "json"], default=None)
     p.add_argument("--stream", action="store_true", help="emit in generation order, header last")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("classify", help="classify objects read from stdin")
@@ -370,12 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", "roundtrip", "balance", "compilation", "choice", "counts", "triangle"],
     )
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gallery", help="aligned multi-class listing at size n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(fn=cmd_gallery)
 
     return parser

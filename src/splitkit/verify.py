@@ -12,21 +12,12 @@ asserted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import biject, census
 from .canon import canon_key
-from .classify import (
-    balance_of,
-    loyal_elements,
-    extremal_sets,
-    k_max_partition,
-    poset_support,
-    s_max_partition,
-    xy_isolates_universals,
-)
-from .core import SetCover, UsageError, _mask, size_of
+from .classify import balance_of
+from .core import UsageError, size_of
 
 # Reference counts.  Split-graph totals are OEIS A048194 (prepended with the
 # single empty object at n=0); the unbalanced totals are forced from them by
@@ -59,22 +50,32 @@ class SuiteResult:
         }
 
 
-_PAIRS = {
-    "split-cover": ("split", biject.split_to_cover, "cover", biject.cover_to_split),
-    "split-xy": ("split", biject.split_to_xy, "xy", biject.xy_to_split),
-    "split-poset": ("split", biject.split_to_poset, "poset", biject.poset_to_split),
-    "cover-xy": ("cover", biject.cover_to_xy, "xy", biject.xy_to_cover),
-    "cover-poset": ("cover", biject.cover_to_poset, "poset", biject.poset_to_cover),
-    "xy-poset": ("xy", biject.xy_to_poset, "poset", biject.poset_to_xy),
-}
+def _pairs() -> dict[str, tuple]:
+    """name -> (domain, map, codomain, inverse) of each bijection between
+    two classes at the same size, under the direction listed first."""
+    pairs = {}
+    for (dom, cod), name in biject.ROUTES.items():
+        spec = biject.MAPS[name]
+        if not cod.endswith("-shift") and f"{cod}-{dom}" not in pairs:
+            pairs[f"{dom}-{cod}"] = (dom, spec.fn, cod, biject.MAPS[spec.inverse].fn)
+    return pairs
 
+
+_PAIRS = _pairs()
 PAIR_NAMES = tuple(_PAIRS) + ("xy-shift",)
 BALANCE_PAIR_NAMES = tuple(_PAIRS)
+# class -> (compile down, compile up)
+_COMPILE = {
+    spec.domain: (spec.fn, biject.MAPS[spec.inverse].fn)
+    for spec in biject.MAPS.values()
+    if spec.domain == spec.codomain and not spec.needs_n
+}
+CHOICE_MAPS = tuple(name for name, spec in biject.MAPS.items() if spec.choices)
 
 
-def _iter(tag: str, n: int, workers: int = 1):
+def _iter(tag: str, n: int):
     """Census records of ``tag`` at ``n``; XY-graphs without isolates in Y."""
-    return census.records(tag, n, require_no_y_isolates=(tag == "xy"), workers=workers)
+    return census.records(tag, n, require_no_y_isolates=(tag == "xy"))
 
 
 def _check_key(result: SuiteResult, key, back):
@@ -84,16 +85,16 @@ def _check_key(result: SuiteResult, key, back):
         result.failures.append((key.hex, key.hex, back_key.hex))
 
 
-def verify_roundtrip(pair: str, max_n: int, workers: int = 1) -> SuiteResult:
+def verify_roundtrip(pair: str, max_n: int) -> SuiteResult:
     """inverse(forward(o)) and forward(inverse(o)) are identities on keys."""
     result = SuiteResult("roundtrip", {"pair": pair, "max_n": max_n}, 0)
     if pair == "xy-shift":
         for n in range(max_n + 1):
-            for rec in census.records("xy", n, require_no_y_isolates=False, workers=workers):
+            for rec in census.records("xy", n, require_no_y_isolates=False):
                 result.checked += 1
                 back = biject.unbalanced_split_to_xy(biject.xy_to_unbalanced_split(rec.obj))
                 _check_key(result, rec.key, back)
-            for rec in _iter("split", n + 1, workers):
+            for rec in _iter("split", n + 1):
                 if rec.balance.is_balanced:
                     continue
                 result.checked += 1
@@ -104,16 +105,16 @@ def verify_roundtrip(pair: str, max_n: int, workers: int = 1) -> SuiteResult:
         raise UsageError(f"unknown pair {pair!r}; known: {', '.join(PAIR_NAMES)}")
     dom, fwd, cod, inv = _PAIRS[pair]
     for n in range(max_n + 1):
-        for rec in _iter(dom, n, workers):
+        for rec in _iter(dom, n):
             result.checked += 1
             _check_key(result, rec.key, inv(fwd(rec.obj)))
-        for rec in _iter(cod, n, workers):
+        for rec in _iter(cod, n):
             result.checked += 1
             _check_key(result, rec.key, fwd(inv(rec.obj)))
     return result
 
 
-def verify_balance(pair: str, max_n: int, workers: int = 1) -> SuiteResult:
+def verify_balance(pair: str, max_n: int) -> SuiteResult:
     """Balance(o) equals Balance(map(o)) in both directions of a pair."""
     if pair not in _PAIRS:
         raise UsageError(f"unknown pair {pair!r}; known: {', '.join(BALANCE_PAIR_NAMES)}")
@@ -121,7 +122,7 @@ def verify_balance(pair: str, max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("balance", {"pair": pair, "max_n": max_n}, 0)
     for n in range(max_n + 1):
         for tag, fn in ((dom, fwd), (cod, inv)):
-            for rec in _iter(tag, n, workers):
+            for rec in _iter(tag, n):
                 result.checked += 1
                 got = balance_of(fn(rec.obj)).value
                 if rec.balance.value != got:
@@ -129,15 +130,7 @@ def verify_balance(pair: str, max_n: int, workers: int = 1) -> SuiteResult:
     return result
 
 
-_COMPILE = {
-    "split": (biject.compile_split_down, biject.compile_split_up),
-    "cover": (biject.compile_cover_down, biject.compile_cover_up),
-    "xy": (biject.compile_xy_down, biject.compile_xy_up),
-    "poset": (biject.compile_poset_down, biject.compile_poset_up),
-}
-
-
-def verify_compilation(class_tag: str, n: int, workers: int = 1) -> SuiteResult:
+def verify_compilation(class_tag: str, n: int) -> SuiteResult:
     """compile_down is a key-level bijection from the unbalanced census at n
     onto the union of the censuses at 0..n-1, with compile_up its two-sided
     inverse."""
@@ -147,9 +140,9 @@ def verify_compilation(class_tag: str, n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("compilation", {"class": class_tag, "n": n}, 0)
     union_keys = set()
     for t in range(n):
-        union_keys.update(census.enumerate_class(class_tag, t, True, workers).keys)
+        union_keys.update(census.enumerate_class(class_tag, t, True).keys)
     image = {}
-    for rec in _iter(class_tag, n, workers):
+    for rec in _iter(class_tag, n):
         if rec.balance.is_balanced:
             continue
         result.checked += 1
@@ -167,7 +160,7 @@ def verify_compilation(class_tag: str, n: int, workers: int = 1) -> SuiteResult:
         result.failures.append((key.hex, "hit by compile_down", "missed"))
     # The other inverse direction: up then down returns every small object.
     for t in range(n):
-        for rec in _iter(class_tag, t, workers):
+        for rec in _iter(class_tag, t):
             result.checked += 1
             key = rec.key
             big = up(rec.obj, n)
@@ -185,73 +178,16 @@ def verify_compilation(class_tag: str, n: int, workers: int = 1) -> SuiteResult:
 # choice independence
 
 
-def _rep_spaces(c: SetCover):
-    return [dict(reps=reps) for reps in itertools.product(*loyal_elements(c))]
-
-
-def _choice_space(map_name: str, obj) -> list[dict]:
-    if map_name in ("cover_to_split", "cover_to_xy", "cover_to_poset"):
-        return _rep_spaces(obj)
-    if map_name == "unbalanced_split_to_xy":
-        p = k_max_partition(obj)
-        smask = _mask(p.S)
-        return [dict(swing=k) for k in sorted(p.K) if not obj.adj[k] & smask]
-    if map_name == "compile_split_down":
-        p = s_max_partition(obj)
-        kmask = _mask(p.K)
-        return [dict(swing=s) for s in sorted(p.S) if obj.adj[s] & kmask == kmask]
-    if map_name == "compile_cover_down":
-        return [dict(extremal=i) for i in extremal_sets(obj)]
-    if map_name == "compile_cover_up":
-        return _rep_spaces(obj)
-    if map_name == "compile_xy_down":
-        _, universals = xy_isolates_universals(obj)
-        return [dict(universal=u) for u in sorted(universals)]
-    if map_name == "compile_poset_down":
-        full, partial = poset_support(obj)
-        if not full:
-            return []
-        cands = [b for b in range(obj.n1) if not obj.down_set(b) & partial]
-        return [dict(demote=b) for b in cands] or [dict()]
-    if map_name == "compile_poset_up":
-        full, _ = poset_support(obj)
-        return [dict(promote=v) for v in sorted(full)] or [dict()]
-    return []  # the map has no choice points
-
-
-CHOICE_MAPS = (
-    "cover_to_split",
-    "cover_to_xy",
-    "cover_to_poset",
-    "unbalanced_split_to_xy",
-    "compile_split_down",
-    "compile_cover_down",
-    "compile_cover_up",
-    "compile_xy_down",
-    "compile_poset_down",
-    "compile_poset_up",
-)
-
-
-def verify_choice_independence(map_name: str, max_n: int, workers: int = 1) -> SuiteResult:
+def verify_choice_independence(map_name: str, max_n: int) -> SuiteResult:
     """Every admissible choice at every choice point yields the same key."""
     if map_name not in biject.MAPS:
         raise UsageError(f"unknown map {map_name!r}")
     spec = biject.MAPS[map_name]
     result = SuiteResult("choice", {"map": map_name, "max_n": max_n}, 0)
-    unbalanced_only = map_name in (
-        "unbalanced_split_to_xy",
-        "compile_split_down",
-        "compile_cover_down",
-        "compile_xy_down",
-        "compile_poset_down",
-    )
     for n in range(max_n + 1):
-        for rec in _iter(spec.domain, n, workers):
+        for rec in _iter(spec.domain, n):
             obj = rec.obj
-            if unbalanced_only and rec.balance.is_balanced:
-                continue
-            space = _choice_space(map_name, obj)
+            space = list(spec.choices(obj)) if spec.choices else []
             if not space:
                 continue
             targets = [n + 1, n + 2] if spec.needs_n else [None]
@@ -274,9 +210,9 @@ def verify_choice_independence(map_name: str, max_n: int, workers: int = 1) -> S
 # counts and the triangle report
 
 
-def verify_counts(max_n: int, workers: int = 1) -> SuiteResult:
+def verify_counts(max_n: int) -> SuiteResult:
     """Census counts match the reference sequences and agree across classes."""
-    table = census.count_table(max_n, workers)
+    table = census.count_table(max_n)
     result = SuiteResult("counts", {"max_n": max_n, "table": table}, 0)
     for row in table:
         n = row["n"]
@@ -300,12 +236,12 @@ def verify_counts(max_n: int, workers: int = 1) -> SuiteResult:
     return result
 
 
-def verify_triangle(max_n: int, workers: int = 1) -> SuiteResult:
+def verify_triangle(max_n: int) -> SuiteResult:
     """Measure (do not assert) whether split->cover->poset matches split->poset."""
     agree = 0
     total = 0
     for n in range(max_n + 1):
-        for rec in _iter("split", n, workers):
+        for rec in _iter("split", n):
             g = rec.obj
             total += 1
             direct = canon_key(biject.split_to_poset(g))
@@ -325,36 +261,36 @@ def verify_triangle(max_n: int, workers: int = 1) -> SuiteResult:
 # whole battery
 
 
-def run_suite(name: str, max_n: int, workers: int = 1) -> list[SuiteResult]:
+def run_suite(name: str, max_n: int) -> list[SuiteResult]:
     if name == "roundtrip":
         # The shift pair compares censuses at n and n+1, so cap it one lower.
-        out = [verify_roundtrip(p, max_n, workers) for p in _PAIRS]
-        out.append(verify_roundtrip("xy-shift", max(max_n - 1, 0), workers))
+        out = [verify_roundtrip(p, max_n) for p in _PAIRS]
+        out.append(verify_roundtrip("xy-shift", max(max_n - 1, 0)))
         return out
     if name == "balance":
-        return [verify_balance(p, max_n, workers) for p in BALANCE_PAIR_NAMES]
+        return [verify_balance(p, max_n) for p in BALANCE_PAIR_NAMES]
     if name == "compilation":
         return [
-            verify_compilation(tag, n, workers)
+            verify_compilation(tag, n)
             for tag in _COMPILE
             for n in range(1, max_n + 1)
         ]
     if name == "choice":
-        return [verify_choice_independence(m, max_n, workers) for m in CHOICE_MAPS]
+        return [verify_choice_independence(m, max_n) for m in CHOICE_MAPS]
     if name == "counts":
-        return [verify_counts(max_n, workers)]
+        return [verify_counts(max_n)]
     if name == "triangle":
-        return [verify_triangle(max_n, workers)]
+        return [verify_triangle(max_n)]
     raise UsageError(f"unknown suite {name!r}")
 
 
 ASSERTING_SUITES = ("roundtrip", "balance", "compilation", "choice", "counts")
 
 
-def run_all(max_n: int, workers: int = 1, include_triangle: bool = True) -> list[SuiteResult]:
+def run_all(max_n: int, include_triangle: bool = True) -> list[SuiteResult]:
     results = []
     for name in ASSERTING_SUITES:
-        results.extend(run_suite(name, max_n, workers))
+        results.extend(run_suite(name, max_n))
     if include_triangle:
-        results.extend(run_suite("triangle", max_n, workers))
+        results.extend(run_suite("triangle", max_n))
     return results

@@ -1,9 +1,13 @@
 """Hand-checked examples for every map, plus report/replay behavior."""
 
+from collections import Counter
+
 import pytest
 
+from splitkit import biject, census, verify
 from splitkit.biject import (
     MAPS,
+    ROUTES,
     apply_named_map,
     compile_cover_down,
     compile_cover_up,
@@ -267,5 +271,50 @@ def test_report_choices_replay():
 
 def test_map_registry_is_complete():
     for name, spec in MAPS.items():
+        assert spec.fn.__name__ == name
         assert spec.domain in ("split", "cover", "xy", "poset")
         assert spec.codomain in ("split", "cover", "xy", "poset")
+        inverse = MAPS[spec.inverse]
+        assert inverse.inverse == name
+        assert (inverse.domain, inverse.codomain) == (spec.codomain, spec.domain)
+    # one CLI (--from, --to) route per map, compile maps excepted
+    routed = Counter(ROUTES.values())
+    assert routed == Counter(name for name in MAPS if not name.startswith("compile_"))
+    assert verify.CHOICE_MAPS == (
+        "cover_to_split",
+        "cover_to_xy",
+        "cover_to_poset",
+        "unbalanced_split_to_xy",
+        "compile_split_down",
+        "compile_cover_down",
+        "compile_cover_up",
+        "compile_xy_down",
+        "compile_poset_down",
+        "compile_poset_up",
+    )
+
+
+def test_first_choice_is_the_default_and_its_report_replays():
+    for name, spec in MAPS.items():
+        if spec.choices is None:
+            continue
+        for n in range(6):
+            for rec in census.records(spec.domain, n, spec.domain == "xy"):
+                first = next(spec.choices(rec.obj), None)
+                if first is None:
+                    continue
+                size = (n + 1,) if spec.needs_n else ()
+                assert spec.fn(rec.obj, *size, **first) == spec.fn(rec.obj, *size), (name, rec.key.hex)
+                # each label replays as its keyword, rep[i] as entry i of reps
+                labels = apply_named_map(name, rec.obj, *size)[1].choices
+                if "reps" in first:
+                    assert [label for label, _ in labels] == [f"rep[{i}]" for i in range(len(labels))]
+                    labels = [("reps", tuple(v for _, v in labels))]
+                assert dict(labels) == first, (name, rec.key.hex)
+
+
+def test_named_map_does_not_enumerate_the_choice_space(monkeypatch):
+    # the product of loyal elements is left unbuilt: only the default is used
+    monkeypatch.setattr(biject, "itertools", None)
+    out, report = apply_named_map("cover_to_split", SetCover(5, ((0, 1), (2, 3, 4))))
+    assert [label for label, _ in report.choices] == ["rep[0]", "rep[1]"] and out.n == 5

@@ -110,18 +110,6 @@ def test_census_keys_sorted_distinct():
         assert list(census.keys) == sorted(set(census.keys))
 
 
-def test_worker_count_does_not_change_output(monkeypatch):
-    # each pass starts from empty stores, so each one generates
-    def fresh(gen, *args, **kwargs):
-        monkeypatch.setattr(census, "_records", {})
-        monkeypatch.setattr(census, "_generated", {})
-        monkeypatch.setattr(census, "_xy_shard_records", {})
-        return list(gen(*args, **kwargs))
-
-    assert fresh(iter_xy, 5, False, workers=1) == fresh(iter_xy, 5, False, workers=4)
-    assert fresh(iter_split, 5, workers=1) == fresh(iter_split, 5, workers=8)
-
-
 def test_replay_matches_the_first_pass(monkeypatch):
     monkeypatch.setattr(census, "_records", {})
     for tag in ("split", "cover", "xy", "poset"):

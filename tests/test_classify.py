@@ -79,6 +79,19 @@ def valid_k_masks(g):
     return out
 
 
+def census_and_relabeled(max_n, seed=0):
+    """Each census split graph on fewer than ``max_n`` vertices, then a
+    seeded random relabeling of it.  Canonical labels put S first; a
+    relabeling also exercises the degree-order ties the swing scans meet."""
+    rng = random.Random(seed)
+    for n in range(max_n):
+        for g in iter_split(n):
+            yield g
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def automorphisms(g):
     out = []
     edges = frozenset(g.edges())
@@ -136,17 +149,16 @@ def test_partition_examples():
 
 
 def test_partitions_are_valid_and_extreme():
-    for n in range(7):
-        for g in iter_split(n):
-            oa = omega_alpha(g)
-            pk = k_max_partition(g)
-            ps = s_max_partition(g)
-            assert validate(pk) == [] and validate(ps) == []
-            assert len(pk.K) == oa.omega
-            assert len(ps.S) == oa.alpha
-            masks = valid_k_masks(g)
-            assert oa.omega == max((bin(m).count("1") for m in masks), default=0)
-            assert oa.alpha == max(g.n - bin(m).count("1") for m in masks) if g.n else oa.alpha == 0
+    for g in census_and_relabeled(7):
+        oa = omega_alpha(g)
+        pk = k_max_partition(g)
+        ps = s_max_partition(g)
+        assert validate(pk) == [] and validate(ps) == []
+        assert len(pk.K) == oa.omega
+        assert len(ps.S) == oa.alpha
+        masks = valid_k_masks(g)
+        assert oa.omega == max((bin(m).count("1") for m in masks), default=0)
+        assert oa.alpha == max(g.n - bin(m).count("1") for m in masks) if g.n else oa.alpha == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +239,12 @@ def test_balance_split_examples():
 
 def test_balance_iff_swing_vertex():
     # unbalanced iff the S-max partition has a swing vertex
-    for n in range(7):
-        for g in iter_split(n):
-            b = balance_split(g)
-            swings = swing_vertices(g, s_max_partition(g))
-            assert (b.value == "unbalanced") == bool(swings)
-            if b.value == "unbalanced":
-                assert b.witness in swings
+    for g in census_and_relabeled(7):
+        b = balance_split(g)
+        swings = swing_vertices(g, s_max_partition(g))
+        assert (b.value == "unbalanced") == bool(swings)
+        if b.value == "unbalanced":
+            assert b.witness in swings
 
 
 def test_partition_uniqueness_up_to_automorphism():

@@ -208,6 +208,22 @@ def test_workers_below_one_is_a_usage_error(capsys):
     assert (code, out) == (2, "") and err.count("\n") == 1
 
 
+def test_compile_down_rejects_a_target_size(monkeypatch, capsys):
+    # --n only sizes the up direction; down used to ignore it
+    argv = ["compile", "--class", "split", "--direction", "down", "--n", "5"]
+    code, out, err = run(argv, "CF\n", monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --n applies to --direction up only\n"
+
+
+def test_no_y_isolates_outside_xy_is_a_usage_error(capsys):
+    # it used to be ignored, printing the whole census of the class
+    for cls in ("split", "cover", "poset"):
+        code, out, err = run(["enumerate", "--class", cls, "--n", "3", "--no-y-isolates"], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --no-y-isolates applies to --class xy only\n"
+
+
 def test_compile_up_rejects_a_size_keys_cannot_hold(monkeypatch, capsys):
     empty_poset = '{"class":"poset","n0":0,"n1":0,"below":[]}\n'
     argv = ["compile", "--class", "poset", "--direction", "up", "--n"]
