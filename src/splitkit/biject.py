@@ -498,8 +498,8 @@ def _k_swing_choices(g: Graph) -> Iterator[dict]:
 
 
 def _s_swing_choices(g: Graph) -> Iterator[dict]:
-    p = s_max_partition(g)
-    for s in s_swings(g, p.S, p.K):
+    S, K = s_max_sides(g)  # the partition of s_max_partition, unvalidated
+    for s in s_swings(g, S, K):
         yield {"swing": s}
 
 
