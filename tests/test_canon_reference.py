@@ -7,6 +7,7 @@ every graph that is not split) keeps every tied vertex prefix.  They share
 no code with ``splitkit.canon``; keys are rebuilt here from their bits.
 """
 
+import hashlib
 import itertools
 import random
 from functools import lru_cache
@@ -266,3 +267,55 @@ def test_stream_shaped_split_graphs_agree_with_the_prefix_frontier():
     rng = random.Random(2014)
     for _ in range(40):
         _check_graph(stream_split_graph(rng, rng.randrange(9, 12)))
+
+
+# ---------------------------------------------------------------------------
+# kernel pin: the bytes of about 9,000 seeded matrices, hashed
+
+
+def pinned_matrices(rng):
+    """3,000 each of cover-shaped matrices (up to 7 sets over up to 12
+    elements, each set with a loyal element), random matrices up to 10x8,
+    and identity blocks with 1-3 copies of each unit row plus zero and
+    dense rows; rows and columns shuffled."""
+    for _ in range(3000):
+        k = rng.randrange(1, 8)
+        rows = [[int(i == j) for i in range(k)] for j in range(k)]
+        rows += [rows[rng.randrange(k)] for _ in range(rng.randrange(0, 12 - k + 1) // 2)]
+        p = rng.choice((0.2, 0.4, 0.6))
+        while len(rows) < 12 and rng.random() < 0.6:
+            rows.append([int(rng.random() < p) for _ in range(k)])
+        yield _shuffled(rng, rows)
+    for m in random_matrices(rng, 3000, 8):
+        if len(m) > 1 and rng.random() < 0.3:
+            m += [list(row) for row in m[: rng.randrange(1, 3)]]
+        yield m[:10]
+    for _ in range(3000):
+        k = rng.randrange(1, 8)
+        rows = []
+        for j in range(k):
+            rows += [[int(i == j) for i in range(k)]] * rng.randrange(1, 4)
+        rows += [[0] * k] * rng.randrange(3)
+        rows += [[int(rng.random() < 0.8) for _ in range(k)] for _ in range(rng.randrange(3))]
+        yield _shuffled(rng, rows)
+
+
+def _shuffled(rng, rows):
+    rng.shuffle(rows)
+    cols = rng.sample(range(len(rows[0])), len(rows[0]))
+    return [[row[j] for j in cols] for row in rows]
+
+
+def test_kernel_bytes_are_pinned():
+    # sha256 over the canon_matrix bits and the canon_xy key bytes of every
+    # pinned matrix; the golden transcript covers only censuses with n <= 8,
+    # this covers stream-sized inputs of the shapes the search treats apart
+    digest = hashlib.sha256()
+    count = 0
+    for m in pinned_matrices(random.Random(2017)):
+        edges = frozenset((i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v)
+        digest.update(bytes(canon_matrix(m).bits))
+        digest.update(canon_xy(XYGraph(len(m), len(m[0]), edges)).data)
+        count += 1
+    assert count == 9000
+    assert digest.hexdigest() == "b236bcec32c17b0742764494f654c29430bfea25d1e7bf2a96379d90609f9b4c"
