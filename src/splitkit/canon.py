@@ -16,23 +16,28 @@ A search state stands for every order that permutes the vertices (or the
 columns) inside its cells, all of which emit the same bits so far.  Each
 step places the least-reading vertex or row, reading zeros before ones in
 every cell, and splits the cells the same way; every tied state is kept
-and equivalent states are merged.  In the matrix kernel, unit rows (a
-single 1) with as many copies, which every placed row of several ones
-treats alike, share one cell of their columns: the branches that placed
-them in different orders are one state.  Nothing is pruned by size or by
-an invariant, so the result is the objective itself.  Tied states can
-still multiply on highly symmetric inputs: apart from interchangeable
-twin vertices and unit rows, automorphisms are not pruned.
+and equivalent states are merged.  In the matrix kernel, a tie among
+unit rows (a single 1) is placed as one run: the tied states keep only
+the subsets of their unit rows that the rows of several ones can still
+tell apart, and the placed unit rows share one cell of their columns, so
+neither their orders nor their other subsets branch.  Every cover has
+such rows, one per loyal element.  Nothing is pruned by size or by an
+invariant, so the result is the objective itself.  Tied states can still
+multiply on highly symmetric inputs without unit rows: apart from
+interchangeable twin vertices and unit rows, automorphisms are not
+pruned.
 
 Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host:
 sub-millisecond for 7x7 and random 12x11 matrices, for 11-vertex split
-graphs and for random split graphs up to 40 vertices (1.7 ms at 62);
-1.6 ms for the incidence of a 7-set cover on 10 elements whose loyal
-elements tie k! ways; about 20 ms for the 10x10 identity, 26-41 ms for
-the 20-vertex thin spider (K10 with a pendant vertex on each clique
-vertex, whose S-max incidence is that identity) and 30 ms for the
-16-cycle; about 0.45 s for the 35x7 incidence of the 3-subsets of a
-7-set, the slowest input in the test suite.
+graphs and for random split graphs up to 40 vertices (1.3 ms at 62);
+0.35 ms for the incidence of a 7-set cover on 10 elements whose loyal
+elements tie; under 0.5 ms for k x k identities and the incidence of k
+disjoint pairs up to k = 64, and for the thin spiders on 20 and 40
+vertices (K_k with a pendant vertex on each clique vertex, whose S-max
+incidence is the identity).  Matrices without unit rows: 50 ms / 0.25 s
+for the 10x10 / 12x12 co-identity, 0.75 s for the 35x7 incidence of the
+3-subsets of a 7-set and 5 s for the 28x8 incidence of K8.  The adjacency
+search takes 35 ms on the 16-cycle.
 
 The row and column groups of the matrix kernel act independently, which
 is exactly what keeps X distinguished, keeps a cover's elements and sets
@@ -67,24 +72,25 @@ from .classify import s_max_sides
 _TAG_BYTES = {"split": b"S", "graph": b"s", "cover": b"c", "xy": b"x", "poset": b"p"}
 
 
-def _pack_bits(bits: Sequence[int]) -> bytes:
-    out = bytearray()
-    acc = 0
-    fill = 0
-    for b in bits:
-        acc = acc << 1 | (1 if b else 0)
-        fill += 1
-        if fill == 8:
-            out.append(acc)
-            acc = fill = 0
-    if fill:
-        out.append(acc << (8 - fill))
-    return bytes(out)
-
-
-def _make_key(kind: str, dims: Sequence[int], bits: Sequence[int]) -> CanonicalKey:
-    data = _TAG_BYTES[kind] + b"".join(d.to_bytes(KEY_DIM_BYTES, "big") for d in dims) + _pack_bits(bits)
+def _make_key(kind: str, dims: Sequence[int], rows: Sequence[int], width: int) -> CanonicalKey:
+    """The tag byte, the dimensions, then ``rows`` (``width`` bits each, the
+    most significant first) packed row-major and padded with zero bits."""
+    packed = 0
+    for row in rows:
+        packed = packed << width | row
+    size = len(rows) * width
+    pad = -size % 8
+    dim_bytes = b"".join(d.to_bytes(KEY_DIM_BYTES, "big") for d in dims)
+    data = _TAG_BYTES[kind] + dim_bytes + (packed << pad).to_bytes((size + pad) // 8, "big")
     return CanonicalKey("split" if kind == "graph" else kind, data)
+
+
+def _ones(mask: int):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +125,25 @@ def _split_cells(cells: Sequence[int], mask: int) -> list[int]:
 class MatrixCanonForm:
     """Lex-least row-major matrix over independent row/column permutations.
 
-    ``canonical[i][j] == original[row_perm[i]][col_perm[j]]`` and ``bits``
-    is the canonical matrix flattened row-major.
+    ``values[i]`` is canonical row i read as a ``col_count``-bit integer,
+    column 0 the most significant bit, and
+    ``canonical[i][j] == original[row_perm[i]][col_perm[j]]``.
     """
 
     row_count: int
     col_count: int
-    bits: tuple[int, ...]
+    values: tuple[int, ...]
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
 
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The canonical matrix flattened row-major."""
+        return tuple(bit for row in self.rows() for bit in row)
+
     def rows(self) -> list[tuple[int, ...]]:
         c = self.col_count
-        return [tuple(self.bits[i * c : (i + 1) * c]) for i in range(self.row_count)]
+        return [tuple(value >> (c - 1 - j) & 1 for j in range(c)) for value in self.values]
 
 
 def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
@@ -145,25 +157,33 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     ones, in every cell, and placing it splits each cell that way.  A
     candidate ranks by (that reading, more copies first): copies of the
     placed row come next in any sorted result, and every other row reads
-    strictly higher afterwards.  A placed unit row (a single 1) joins the
-    cell right after its own column when every column of that cell carries
-    a placed unit row with as many copies and every placed row of several
-    ones agrees on both: the placed unit rows are then an identity block
-    on the joined cell, which sorts to the same bits in any order inside
-    it, so branches that took them in different orders become one state.
-    Every tied state is kept, except that states with the same remaining
-    rows whose cells agree on everything the remaining rows can still see
-    are merged.  A state whose remaining rows split no cell has a fixed
-    future, and only the least such state is kept.  Among equal results
-    the witness has the least row order for its column order (after a
-    join, the order that sorts the rows), so the witness of a canonical
-    matrix is the identity.
+    strictly higher afterwards.
 
-    Sub-millisecond on random matrices up to 12x11 and 1.6 ms on the 10x7
-    incidence of a cover whose loyal elements tie; symmetric inputs keep
-    more tied states (20 ms for the 10x10 identity, whose placed subsets
-    stay apart, and 0.45 s for the 35x7 incidence of the 3-subsets of a
-    7-set).
+    Unit rows (a single 1) are placed in runs.  When the least reading is
+    a unit row, each tied state's candidates are the unit rows with the
+    most copies on the columns U of one cell, with d columns after it in
+    the cells D; placed one by one in any order they read 1 << d,
+    1 << (d + 1), ...  This goes on until U runs out or a remaining row R
+    of several ones with supp(R) inside U and D has its columns in U
+    placed: R then reads below the next unit row.  So the run places, in
+    every tied state, the units on supp(R) & U for each such R with the
+    fewest columns in U over all tied states, or, when there is no such R,
+    all of U in the states with the largest U.  The placed units are an
+    identity block on one cell, which sorts to the same bits in any order
+    inside it; that cell also joins the next cell when every column of it
+    carries a placed unit row with as many copies and every placed row of
+    several ones agrees on both.  Every tied state is kept, except that
+    states with the same remaining rows whose cells agree on everything
+    the remaining rows can still see are merged.  A state whose remaining
+    rows split no cell has a fixed future, and only the least such state
+    is kept.  Among equal results the witness sorts the rows for its
+    column order, so the witness of a canonical matrix is the identity.
+
+    About 0.1 ms per call on the stream's matrices with unit rows and
+    0.07 ms on those without; 0.3 / 0.4 ms for the 64x64 identity and the
+    128x64 incidence of 64 disjoint pairs.  Symmetric inputs without unit
+    rows keep more tied states (50 ms for the 10x10 co-identity, 0.75 s
+    for the 35x7 incidence of the 3-subsets of a 7-set).
     """
     c = len(matrix[0]) if matrix else 0
     return _canon_rows(tuple(sum(1 << j for j in range(c) if row[j]) for row in matrix), c)
@@ -180,26 +200,29 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     """
     r = len(rows)
     if r == 0 or c == 0:
-        return MatrixCanonForm(r, c, (), tuple(range(r)), tuple(range(c)))
+        return MatrixCanonForm(r, c, (0,) * r, tuple(range(r)), tuple(range(c)))
     groups: dict[int, list[int]] = {}
     for i, mask in enumerate(rows):
         groups.setdefault(mask, []).append(i)
-    # Distinct rows, numbered by first occurrence, so the order of placed
-    # group numbers is the order of the witness rows.
+    # Distinct rows, numbered by first occurrence.
     masks = list(groups)
-    copies = [len(members) for members in groups.values()]
+    members = list(groups.values())
+    copies = [len(rows_of) for rows_of in members]
     # col_rows[j]: the groups that are 1 in column j
-    col_rows = [sum(1 << g for g, m in enumerate(masks) if m >> j & 1) for j in range(c)]
+    col_rows = [0] * c
+    for g, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            col_rows[low.bit_length() - 1] |= 1 << g
+            mask ^= low
     # unit_of[j]: the group that is the unit row (a single 1) on column j;
     # non_unit: the mask of every other group
     unit_of = {m.bit_length() - 1: g for g, m in enumerate(masks) if m and not m & (m - 1)}
     non_unit = (1 << len(masks)) - 1 - sum(1 << g for g in unit_of.values())
-    joined = False
     # An open state is (placed groups, column cells, remaining groups, their
     # mask); `fixed` is the least state with a fixed future, or None.
     start = ((), ((1 << c) - 1,), tuple(range(len(masks))), (1 << len(masks)) - 1)
     open_states, fixed = _settle([start], None, col_rows, copies)
-    emitted: list[int] = []
     while open_states:
         best = None
         tied = []
@@ -218,52 +241,104 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
             if best is None or rank < best:
                 best, tied = rank, []
             if rank == best:
-                tied.extend((state, g) for g in cand if copies[g] == most)
-        if fixed is not None:
-            value, g = fixed[0][0]
-            if (value, -copies[g]) < best:
-                break  # the fixed state beats every open one
-            if (value, -copies[g]) > best:
-                fixed = None
-            else:
-                fixed = (fixed[0][1:], fixed[1], fixed[2])
-        emitted.extend([best[0]] * -best[1])
+                tied.append((state, [g for g in cand if copies[g] == most]))
+        value, most = best[0], -best[1]
+        if value & (value - 1) or not value:
+            # a row of several ones or the zero row: one row per tied state
+            moves = [(state, (g,), masks[g]) for state, cand in tied for g in cand]
+            steps = 1
+        else:
+            moves, steps = _unit_run(tied, masks, non_unit)
+        beaten = False
+        for t in range(steps):
+            if fixed is not None:
+                future, order, cells = fixed
+                ahead = (future[0][0], -copies[future[0][1]])
+                if ahead < (value << t, -most):
+                    beaten = True  # the fixed state beats every open one
+                    break
+                fixed = None if ahead > (value << t, -most) else (future[1:], order, cells)
+        if beaten:
+            break
         grown = []
-        for (placed, cells, left, left_mask), g in tied:
-            i = left.index(g)
-            left_mask ^= 1 << g
-            split = _split_cells(cells, masks[g])
-            if unit_of and not non_unit >> g & 1:
-                # A unit row on column a joins the next cell when every placed
-                # row of several ones agrees on a and on that cell, and the
-                # cell's unit rows have as many copies.  Some placed row set
-                # the cell apart from a; if none of several ones did, a placed
-                # unit row on the cell did, and then every column of the cell
-                # carries a placed unit row, since only this join grows such
-                # a cell.  Those unit rows and g form an identity block on the
-                # joined cell, which sorts to the same bits in any order.
-                a = masks[g].bit_length() - 1
-                k = split.index(1 << a) + 1
+        for (placed, cells, left, left_mask), gs, mask in moves:
+            for g in gs:
+                left_mask ^= 1 << g
+            split = _split_cells(cells, mask)
+            if not non_unit >> gs[0] & 1:
+                # The run's columns join the next cell when every placed row
+                # of several ones agrees on both and the cell's unit rows
+                # have as many copies.  Some placed row set the cell apart
+                # from the run's cell; if none of several ones did, a placed
+                # unit row did, and then every column of the cell carries a
+                # placed unit row, since only a run grows such a cell.
+                k = split.index(mask) + 1
                 if k < len(split):
+                    a = (mask & -mask).bit_length() - 1
                     j = (split[k] & -split[k]).bit_length() - 1
                     agree = not (col_rows[a] ^ col_rows[j]) & non_unit & ~left_mask
-                    if agree and copies[unit_of[j]] == copies[g]:
-                        split[k - 1 : k + 1] = [split[k] | 1 << a]
-                        joined = True
-            grown.append((placed + (g,), tuple(split), left[:i] + left[i + 1 :], left_mask))
+                    if agree and copies[unit_of[j]] == most:
+                        split[k - 1 : k + 1] = [split[k] | mask]
+            if len(gs) == 1:
+                i = left.index(gs[0])
+                left = left[:i] + left[i + 1 :]
+            else:
+                left = tuple(g for g in left if left_mask >> g & 1)
+            grown.append((placed + tuple(gs), tuple(split), left, left_mask))
         open_states, fixed = _settle(grown, fixed, col_rows, copies)
-    future, placed, cells = fixed
-    emitted.extend(value for value, g in future for _ in range(copies[g]))
-    members = list(groups.values())
-    col_perm = tuple(j for cell in cells for j in range(c) if cell >> j & 1)
-    if joined:
-        # The placed order need not sort the unit rows of a joined cell in
-        # this column order; the least row order that sorts the rows does.
-        values = [sum((m >> j & 1) << (c - 1 - p) for p, j in enumerate(col_perm)) for m in masks]
-        placed = sorted(range(len(masks)), key=values.__getitem__)
-    row_perm = tuple(i for g in placed for i in members[g])
-    bits = tuple(value >> (c - 1 - j) & 1 for value in emitted for j in range(c))
-    return MatrixCanonForm(r, c, bits, row_perm, col_perm)
+    # Every order inside a cell of the least state reads the same bits once
+    # its rows are sorted; the witness takes the columns of each cell in
+    # ascending order and the least row order that sorts the rows.
+    col_perm = []
+    values = [0] * len(masks)
+    for cell in fixed[2]:
+        while cell:
+            j = (cell & -cell).bit_length() - 1
+            cell ^= 1 << j
+            weight = 1 << (c - 1 - len(col_perm))
+            col_perm.append(j)
+            on = col_rows[j]
+            while on:
+                low = on & -on
+                values[low.bit_length() - 1] |= weight
+                on ^= low
+    order = sorted(range(len(masks)), key=values.__getitem__)
+    row_perm = tuple(i for g in order for i in members[g])
+    canonical = tuple(values[g] for g in order for _ in members[g])
+    return MatrixCanonForm(r, c, canonical, row_perm, tuple(col_perm))
+
+
+def _unit_run(tied, masks, non_unit):
+    """The moves of a run of tied unit rows, and how many unit steps it emits.
+
+    ``tied`` lists (state, candidate unit groups), the candidates on the
+    columns U of one cell, followed by the cells D.  A remaining row R of
+    several ones with supp(R) inside U | D fits once its columns in U are
+    placed.  With F the fewest columns in U of such an R over all tied
+    states, each state places the units on supp(R) & U for every such R
+    with F of them; with no such R, the states with the largest U place all
+    of it.  A move is (state, groups in ascending order, their columns).
+    """
+    sites = []
+    for state, cand in tied:
+        cells, left_mask = state[1], state[3]
+        units = sum(masks[g] for g in cand)
+        i = next(k for k, cell in enumerate(cells) if cell & units)
+        reach = units | sum(cells[i + 1 :])
+        fits = {masks[h] & units for h in _ones(left_mask & non_unit) if not masks[h] & ~reach}
+        sites.append((state, cand, units, fits))
+    least = min((s.bit_count() for _, _, _, fits in sites for s in fits), default=None)
+    if least is None:
+        widest = max(units.bit_count() for _, _, units, _ in sites)
+        moves = [(state, cand, units) for state, cand, units, _ in sites if units.bit_count() == widest]
+        return moves, widest
+    moves = [
+        (state, [g for g in cand if masks[g] & s], s)
+        for state, cand, _, fits in sites
+        for s in sorted(fits)
+        if s.bit_count() == least
+    ]
+    return moves, least
 
 
 def _settle(states, fixed, col_rows, copies):
@@ -401,9 +476,9 @@ def canon_graph(g: Graph) -> GraphCanon:
     Every other graph keeps the adjacency objective (``_canon_adjacency``).
 
     On split graphs the cost is that of the matrix kernel on an |S| x |K|
-    matrix: about 0.2 ms for 9- to 11-vertex split graphs, 0.5 / 1.7 ms
-    for random split graphs on 40 / 62 vertices, and 5-7 / 26-41 ms for
-    the thin spider (a k x k identity) on 16 / 20 vertices.
+    matrix: about 0.2 ms for 9- to 11-vertex split graphs, 0.7 / 1.3 ms
+    for random split graphs on 40 / 62 vertices, and 0.15 / 0.25 ms for
+    the thin spider (a k x k identity) on 20 / 40 vertices.
     """
     sides = s_max_sides(g)
     if sides is None:
@@ -411,7 +486,7 @@ def canon_graph(g: Graph) -> GraphCanon:
     s_side, k_side = sides
     mcf = canon_matrix([[g.adj[u] >> v & 1 for v in k_side] for u in s_side])
     order = tuple(s_side[i] for i in mcf.row_perm) + tuple(k_side[j] for j in mcf.col_perm)
-    return GraphCanon(_make_key("split", (len(s_side), len(k_side)), mcf.bits), order)
+    return GraphCanon(_make_key("split", (len(s_side), len(k_side)), mcf.values, len(k_side)), order)
 
 
 def _canon_adjacency(g: Graph) -> GraphCanon:
@@ -436,7 +511,7 @@ def _canon_adjacency(g: Graph) -> GraphCanon:
     """
     n = g.n
     if n == 0:
-        return GraphCanon(_make_key("graph", (0,), ()), ())
+        return GraphCanon(_make_key("graph", (0,), (), 0), ())
     adj = g.adj
     twin_classes = _twin_leaders(g)
 
@@ -450,7 +525,7 @@ def _canon_adjacency(g: Graph) -> GraphCanon:
         return out
 
     states: dict[tuple[int, ...], int] = {(1 << v,): 1 << v for v in candidates(0)}
-    bits: list[int] = []
+    packed = 0
     for k in range(1, n):
         best = None
         tied = []
@@ -461,7 +536,7 @@ def _canon_adjacency(g: Graph) -> GraphCanon:
                     best, tied = block, [(cells, used, v)]
                 elif block == best:
                     tied.append((cells, used, v))
-        bits.extend(best >> (k - 1 - i) & 1 for i in range(k))
+        packed = packed << k | best
         states = {}
         for cells, used, v in tied:
             row = adj[v]
@@ -478,7 +553,7 @@ def _canon_adjacency(g: Graph) -> GraphCanon:
     order = min(
         tuple(v for cell in cells for v in range(n) if cell >> v & 1) for cells in states
     )
-    return GraphCanon(_make_key("graph", (n,), bits), order)
+    return GraphCanon(_make_key("graph", (n,), (packed,), n * (n - 1) // 2), order)
 
 
 def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
@@ -523,17 +598,17 @@ def poset_matrix(p: BipartitePoset) -> list[list[int]]:
 
 def canon_xy(g: XYGraph) -> CanonicalKey:
     mcf = canon_matrix(xy_matrix(g))
-    return _make_key("xy", (g.nx, g.ny), mcf.bits)
+    return _make_key("xy", (g.nx, g.ny), mcf.values, g.ny)
 
 
 def canon_cover(c: SetCover) -> CanonicalKey:
     mcf = canon_matrix(cover_matrix(c))
-    return _make_key("cover", (c.n, len(c.sets)), mcf.bits)
+    return _make_key("cover", (c.n, len(c.sets)), mcf.values, len(c.sets))
 
 
 def canon_poset(p: BipartitePoset) -> CanonicalKey:
     mcf = canon_matrix(poset_matrix(p))
-    return _make_key("poset", (p.n0, p.n1), mcf.bits)
+    return _make_key("poset", (p.n0, p.n1), mcf.values, p.n1)
 
 
 def canon_key(obj) -> CanonicalKey:
@@ -552,8 +627,10 @@ def _canonical_ones(key: CanonicalKey, cols: int) -> list[tuple[int, int]]:
     """(row, column) of every 1 of the canonical matrix that a matrix-class
     key packs after its tag and two dimensions, in row-major order."""
     packed = key.data[1 + 2 * KEY_DIM_BYTES :]
-    bits = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
-    return [divmod(f, cols) for f, bit in enumerate(bits) if bit == "1"]
+    last = 8 * len(packed) - 1
+    ones = [divmod(last - p, cols) for p in _ones(int.from_bytes(packed, "big"))]
+    ones.reverse()
+    return ones
 
 
 def canonical_object(obj):

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from splitkit import census
-from splitkit.biject import split_to_xy
+from splitkit.biject import cover_to_split, split_to_xy
 from splitkit.canon import (
     _canon_adjacency,
     canon_cover,
@@ -307,6 +307,14 @@ def _symmetric_cases():
     for k in range(7, 11):
         cases.append((f"identity {k}", [[int(i == j) for j in range(k)] for i in range(k)]))
         cases.append((f"co-identity {k}", [[int(i != j) for j in range(k)] for i in range(k)]))
+    for k in (16, 32, 64):
+        cases.append((f"identity {k}", [[int(i == j) for j in range(k)] for i in range(k)]))
+    for k in (12, 16, 24):
+        # element e of a cover of k disjoint pairs lies in set e // 2
+        pairs_k = [[int(e // 2 == j) for j in range(k)] for e in range(2 * k)]
+        cases.append((f"{k} disjoint pairs", pairs_k))
+    pairs_16 = SetCover(32, tuple((2 * j, 2 * j + 1) for j in range(16)))
+    cases.append(("split graph of 16 disjoint pairs", cover_to_split(pairs_16)))
     pairs = list(itertools.combinations(range(6), 2))
     cases.append(("edge-vertex incidence of K6", [[int(v in e) for v in range(6)] for e in pairs]))
     triples = list(itertools.combinations(range(7), 3))
@@ -322,6 +330,7 @@ def _symmetric_cases():
     cases.append(("random split graph n=20", graph(20, clique + cross)))
     cases.append(("thin spider n=16", thin_spider(8)))
     cases.append(("thin spider n=20", thin_spider(10)))
+    cases.append(("thin spider n=40", thin_spider(20)))
     cases.append(("co-spider n=16", co_spider(8)))
     cases.append(("split graph of the pairs of a 6-set", split_graph(6, pairs)))
     for n in (40, 62):
