@@ -133,16 +133,24 @@ def split_to_xy(g: Graph) -> XYGraph:
     return XYGraph(*_s_max_incidence(g))
 
 
-def xy_to_split(h: XYGraph) -> Graph:
-    """Complete Y into a clique; X becomes the stable side."""
+def _check_no_y_isolates(h: XYGraph) -> None:
     isolates, _ = xy_isolates_universals(h)
     if isolates:
         raise DomainError(f"Y-vertices {sorted(isolates)} are isolates")
-    edges = [(x, h.nx + y) for x, y in h.edges]
-    for a in range(h.ny):
-        for b in range(a + 1, h.ny):
-            edges.append((h.nx + a, h.nx + b))
-    return Graph.from_edges(h.nx + h.ny, edges)
+
+
+def _incidence_split(rows: int, cols: int, pairs) -> Graph:
+    """Rows 0..rows-1 become the stable side and the columns, numbered after
+    them, a clique; each (row, column) pair becomes an edge."""
+    edges = [(a, rows + b) for a, b in pairs]
+    edges += [(rows + a, rows + b) for b in range(cols) for a in range(b)]
+    return Graph.from_edges(rows + cols, edges)
+
+
+def xy_to_split(h: XYGraph) -> Graph:
+    """Complete Y into a clique; X becomes the stable side."""
+    _check_no_y_isolates(h)
+    return _incidence_split(h.nx, h.ny, h.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +164,7 @@ def split_to_poset(g: Graph) -> BipartitePoset:
 
 def poset_to_split(p: BipartitePoset) -> Graph:
     """Height-1 points become a clique; comparabilities become edges."""
-    edges = [(a, p.n0 + b) for a, b in p.below]
-    for a in range(p.n1):
-        for b in range(a + 1, p.n1):
-            edges.append((p.n0 + a, p.n0 + b))
-    return Graph.from_edges(p.n0 + p.n1, edges)
+    return _incidence_split(p.n0, p.n1, p.below)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +173,7 @@ def poset_to_split(p: BipartitePoset) -> Graph:
 
 def xy_to_unbalanced_split(h: XYGraph) -> Graph:
     """Add a fresh vertex to Y and complete Y into a clique (output has n+1 vertices)."""
-    v = h.nx + h.ny
-    edges = [(x, h.nx + y) for x, y in h.edges]
-    k_side = list(range(h.nx, h.nx + h.ny)) + [v]
-    for i, a in enumerate(k_side):
-        for b in k_side[i + 1 :]:
-            edges.append((a, b))
-    return Graph.from_edges(v + 1, edges)
+    return _incidence_split(h.nx, h.ny + 1, h.edges)
 
 
 def unbalanced_split_to_xy(g: Graph, swing: Optional[int] = None) -> XYGraph:
@@ -203,28 +201,39 @@ def unbalanced_split_to_xy(g: Graph, swing: Optional[int] = None) -> XYGraph:
 # minimal set covers <-> bipartite posets
 
 
+def _rep_incidence(
+    c: SetCover, reps: Optional[Sequence[int]]
+) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """(rows, columns, pairs): the representatives in ascending order are the
+    rows, the other elements the columns, and each set pairs its
+    representative with its other members."""
+    reps = _check_reps(c, reps)
+    rows = sorted(reps)
+    cols = sorted(set(range(c.n)) - set(reps))
+    row_index = {v: i for i, v in enumerate(rows)}
+    col_index = {v: j for j, v in enumerate(cols)}
+    pairs = frozenset(
+        (row_index[r], col_index[e]) for r, s in zip(reps, c.sets) for e in s if e != r
+    )
+    return len(rows), len(cols), pairs
+
+
+def _incidence_cover(rows: int, cols: int, pairs) -> SetCover:
+    """One set per row: the row together with its columns, numbered after the rows."""
+    sets = [[a] for a in range(rows)]
+    for a, b in sorted(pairs):
+        sets[a].append(rows + b)
+    return SetCover(rows + cols, tuple(map(tuple, sets)))
+
+
 def cover_to_poset(c: SetCover, reps: Optional[Sequence[int]] = None) -> BipartitePoset:
     """Representatives sit at height 0, below their co-members."""
-    reps = _check_reps(c, reps)
-    h0 = sorted(reps)
-    h1 = sorted(set(range(c.n)) - set(reps))
-    a_index = {v: i for i, v in enumerate(h0)}
-    b_index = {v: j for j, v in enumerate(h1)}
-    below = set()
-    for i, s in enumerate(c.sets):
-        r = reps[i]
-        for e in s:
-            if e != r:
-                below.add((a_index[r], b_index[e]))
-    return BipartitePoset(len(h0), len(h1), frozenset(below))
+    return BipartitePoset(*_rep_incidence(c, reps))
 
 
 def poset_to_cover(p: BipartitePoset) -> SetCover:
     """One set per height-0 point: the point together with its up-set."""
-    sets = tuple(
-        tuple([a] + sorted(p.n0 + b for b in p.up_set(a))) for a in range(p.n0)
-    )
-    return SetCover(p.n0 + p.n1, sets)
+    return _incidence_cover(p.n0, p.n1, p.below)
 
 
 # ---------------------------------------------------------------------------
@@ -233,29 +242,13 @@ def poset_to_cover(p: BipartitePoset) -> SetCover:
 
 def xy_to_cover(h: XYGraph) -> SetCover:
     """One set per X-vertex: the vertex plus its Y-neighbors."""
-    isolates, _ = xy_isolates_universals(h)
-    if isolates:
-        raise DomainError(f"Y-vertices {sorted(isolates)} are isolates")
-    sets = tuple(
-        tuple([x] + sorted(h.nx + y for y in h.x_neighbors(x))) for x in range(h.nx)
-    )
-    return SetCover(h.nx + h.ny, sets)
+    _check_no_y_isolates(h)
+    return _incidence_cover(h.nx, h.ny, h.edges)
 
 
 def cover_to_xy(c: SetCover, reps: Optional[Sequence[int]] = None) -> XYGraph:
     """Representatives form X; co-membership becomes the bipartite edge set."""
-    reps = _check_reps(c, reps)
-    xs = sorted(reps)
-    ys = sorted(set(range(c.n)) - set(reps))
-    x_index = {v: i for i, v in enumerate(xs)}
-    y_index = {v: j for j, v in enumerate(ys)}
-    edges = set()
-    for i, s in enumerate(c.sets):
-        r = reps[i]
-        for e in s:
-            if e != r:
-                edges.add((x_index[r], y_index[e]))
-    return XYGraph(len(xs), len(ys), frozenset(edges))
+    return XYGraph(*_rep_incidence(c, reps))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +257,7 @@ def cover_to_xy(c: SetCover, reps: Optional[Sequence[int]] = None) -> XYGraph:
 
 def xy_to_poset(h: XYGraph) -> BipartitePoset:
     """X becomes height 0, Y height 1; edges become the order relation."""
-    isolates, _ = xy_isolates_universals(h)
-    if isolates:
-        raise DomainError(f"Y-vertices {sorted(isolates)} are isolates")
+    _check_no_y_isolates(h)
     return BipartitePoset(h.nx, h.ny, frozenset(h.edges))
 
 
