@@ -170,13 +170,11 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     fewest columns in U over all tied states, or, when there is no such R,
     all of U in the states with the largest U.  The placed units are an
     identity block on one cell, which sorts to the same bits in any order
-    inside it; that cell also joins the next cell when every column of it
-    carries a placed unit row with as many copies and every placed row of
-    several ones agrees on both.  Every tied state is kept, except that
-    states with the same remaining rows whose cells agree on everything
-    the remaining rows can still see are merged.  A state whose remaining
-    rows split no cell has a fixed future, and only the least such state
-    is kept.  Among equal results the witness sorts the rows for its
+    inside it, so the orders of a run never branch.  Every tied state is
+    kept, except that states with the same remaining rows whose cells
+    agree on everything the remaining rows can still see are merged.  A
+    state whose remaining rows split no cell has a fixed future, and only
+    the least such state is kept.  Among equal results the witness sorts the rows for its
     column order, so the witness of a canonical matrix is the identity.
 
     About 0.1 ms per call on the stream's matrices with unit rows and
@@ -215,10 +213,8 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
             low = mask & -mask
             col_rows[low.bit_length() - 1] |= 1 << g
             mask ^= low
-    # unit_of[j]: the group that is the unit row (a single 1) on column j;
-    # non_unit: the mask of every other group
-    unit_of = {m.bit_length() - 1: g for g, m in enumerate(masks) if m and not m & (m - 1)}
-    non_unit = (1 << len(masks)) - 1 - sum(1 << g for g in unit_of.values())
+    # several: the groups of several ones
+    several = sum(1 << g for g, m in enumerate(masks) if m & (m - 1))
     # An open state is (placed groups, column cells, remaining groups, their
     # mask); `fixed` is the least state with a fixed future, or None.
     start = ((), ((1 << c) - 1,), tuple(range(len(masks))), (1 << len(masks)) - 1)
@@ -248,7 +244,7 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
             moves = [(state, (g,), masks[g]) for state, cand in tied for g in cand]
             steps = 1
         else:
-            moves, steps = _unit_run(tied, masks, non_unit)
+            moves, steps = _unit_run(tied, masks, several)
         beaten = False
         for t in range(steps):
             if fixed is not None:
@@ -265,20 +261,6 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
             for g in gs:
                 left_mask ^= 1 << g
             split = _split_cells(cells, mask)
-            if not non_unit >> gs[0] & 1:
-                # The run's columns join the next cell when every placed row
-                # of several ones agrees on both and the cell's unit rows
-                # have as many copies.  Some placed row set the cell apart
-                # from the run's cell; if none of several ones did, a placed
-                # unit row did, and then every column of the cell carries a
-                # placed unit row, since only a run grows such a cell.
-                k = split.index(mask) + 1
-                if k < len(split):
-                    a = (mask & -mask).bit_length() - 1
-                    j = (split[k] & -split[k]).bit_length() - 1
-                    agree = not (col_rows[a] ^ col_rows[j]) & non_unit & ~left_mask
-                    if agree and copies[unit_of[j]] == most:
-                        split[k - 1 : k + 1] = [split[k] | mask]
             if len(gs) == 1:
                 i = left.index(gs[0])
                 left = left[:i] + left[i + 1 :]
@@ -308,7 +290,7 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     return MatrixCanonForm(r, c, canonical, row_perm, tuple(col_perm))
 
 
-def _unit_run(tied, masks, non_unit):
+def _unit_run(tied, masks, several):
     """The moves of a run of tied unit rows, and how many unit steps it emits.
 
     ``tied`` lists (state, candidate unit groups), the candidates on the
@@ -325,7 +307,7 @@ def _unit_run(tied, masks, non_unit):
         units = sum(masks[g] for g in cand)
         i = next(k for k, cell in enumerate(cells) if cell & units)
         reach = units | sum(cells[i + 1 :])
-        fits = {masks[h] & units for h in _ones(left_mask & non_unit) if not masks[h] & ~reach}
+        fits = {masks[h] & units for h in _ones(left_mask & several) if not masks[h] & ~reach}
         sites.append((state, cand, units, fits))
     least = min((s.bit_count() for _, _, _, fits in sites for s in fits), default=None)
     if least is None:
