@@ -31,7 +31,7 @@ Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host:
 sub-millisecond for 7x7 and random 12x11 matrices, for 11-vertex split
 graphs and for random split graphs up to 40 vertices (1.3 ms at 62);
 0.35 ms for the incidence of a 7-set cover on 10 elements whose loyal
-elements tie; under 0.5 ms for k x k identities and the incidence of k
+elements tie; under 1 ms for k x k identities and the incidence of k
 disjoint pairs up to k = 64, and for the thin spiders on 20 and 40
 vertices (K_k with a pendant vertex on each clique vertex, whose S-max
 incidence is the identity).  Matrices without unit rows: 50 ms / 0.25 s
@@ -178,10 +178,11 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     column order, so the witness of a canonical matrix is the identity.
 
     About 0.1 ms per call on the stream's matrices with unit rows and
-    0.07 ms on those without; 0.3 / 0.4 ms for the 64x64 identity and the
-    128x64 incidence of 64 disjoint pairs.  Symmetric inputs without unit
-    rows keep more tied states (50 ms for the 10x10 co-identity, 0.75 s
-    for the 35x7 incidence of the 3-subsets of a 7-set).
+    0.07 ms on those without; 0.3-0.4 / 0.4-0.6 ms for the 64x64 identity
+    and the 128x64 incidence of 64 disjoint pairs.  Symmetric inputs
+    without unit rows keep more tied states (50 ms for the 10x10
+    co-identity, 0.75 s for the 35x7 incidence of the 3-subsets of a
+    7-set).
     """
     c = len(matrix[0]) if matrix else 0
     return _canon_rows(tuple(sum(1 << j for j in range(c) if row[j]) for row in matrix), c)
