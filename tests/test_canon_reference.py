@@ -177,9 +177,7 @@ def cover_shaped_matrix(rng, k):
         rows += [[int(i == j) for i in range(k)]] * rng.choice((1, 1, 2))
     p = rng.choice((0.2, 0.5, 0.8))
     rows += [[int(rng.random() < p) for _ in range(k)] for _ in range(rng.randrange(6))]
-    rng.shuffle(rows)
-    cols = rng.sample(range(k), k)
-    return [[row[j] for j in cols] for row in rows]
+    return _shuffled(rng, rows)
 
 
 def identity_block_matrix(rng, k):
