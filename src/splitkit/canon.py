@@ -49,7 +49,6 @@ not split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -61,7 +60,9 @@ from .core import (
     Graph,
     SetCover,
     UsageError,
+    Value,
     XYGraph,
+    _set,
     class_tag_of,
 )
 from .classify import s_max_sides
@@ -121,8 +122,7 @@ def _split_cells(cells: Sequence[int], mask: int) -> list[int]:
 # matrix kernel
 
 
-@dataclass(frozen=True)
-class MatrixCanonForm:
+class MatrixCanonForm(Value):
     """Lex-least row-major matrix over independent row/column permutations.
 
     ``values[i]`` is canonical row i read as a ``col_count``-bit integer,
@@ -130,11 +130,26 @@ class MatrixCanonForm:
     ``canonical[i][j] == original[row_perm[i]][col_perm[j]]``.
     """
 
+    __slots__ = ("row_count", "col_count", "values", "row_perm", "col_perm")
     row_count: int
     col_count: int
     values: tuple[int, ...]
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
+
+    def __init__(
+        self,
+        row_count: int,
+        col_count: int,
+        values: tuple[int, ...],
+        row_perm: tuple[int, ...],
+        col_perm: tuple[int, ...],
+    ):
+        _set(self, "row_count", row_count)
+        _set(self, "col_count", col_count)
+        _set(self, "values", values)
+        _set(self, "row_perm", row_perm)
+        _set(self, "col_perm", col_perm)
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -403,16 +418,20 @@ def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int):
 # graph kernel
 
 
-@dataclass(frozen=True)
-class GraphCanon:
+class GraphCanon(Value):
     """Canonical key plus the witnessing vertex order.
 
     ``order[i]`` is the input vertex placed at canonical position i, so the
     canonical adjacency is ``adj[order[i]] & (1 << order[j])``.
     """
 
+    __slots__ = ("key", "order")
     key: CanonicalKey
     order: tuple[int, ...]
+
+    def __init__(self, key: CanonicalKey, order: tuple[int, ...]):
+        _set(self, "key", key)
+        _set(self, "order", order)
 
 
 def _twin_leaders(g: Graph) -> list[list[int]]:

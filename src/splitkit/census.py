@@ -40,7 +40,6 @@ and merge in a fixed order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -56,43 +55,74 @@ from .core import (
     SetCover,
     SizeLimitError,
     UsageError,
+    Value,
     XYGraph,
+    _set,
 )
 
 MAX_N = 8
 ORACLE_MAX_N = {"split": 5, "cover": 5, "xy": 6, "poset": 6}
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Value):
     """Sorted canonical keys of one class at one size, with balance counts.
 
     For unfiltered XY censuses the objects whose balance is undefined
     (isolates in Y) are tallied as ``out_of_domain``.
     """
 
+    __slots__ = ("class_tag", "n", "keys", "balanced", "unbalanced", "out_of_domain")
     class_tag: str
     n: int
     keys: tuple[CanonicalKey, ...]
     balanced: int
     unbalanced: int
-    out_of_domain: int = 0
+    out_of_domain: int
+
+    def __init__(
+        self,
+        class_tag: str,
+        n: int,
+        keys: tuple[CanonicalKey, ...],
+        balanced: int,
+        unbalanced: int,
+        out_of_domain: int = 0,
+    ):
+        _set(self, "class_tag", class_tag)
+        _set(self, "n", n)
+        _set(self, "keys", keys)
+        _set(self, "balanced", balanced)
+        _set(self, "unbalanced", unbalanced)
+        _set(self, "out_of_domain", out_of_domain)
 
     @property
     def count(self) -> int:
         return len(self.keys)
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(Value):
     """One census object: canonically labeled, with its key and balance.
 
     ``balance`` is None exactly when it is undefined (isolates in Y).
     """
 
+    __slots__ = ("obj", "key", "balance")
     obj: object
     key: CanonicalKey
     balance: Optional[Balance]
+
+    def __init__(self, obj: object, key: CanonicalKey, balance: Optional[Balance]):
+        _set(self, "obj", obj)
+        _set(self, "key", key)
+        _set(self, "balance", balance)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.obj, self.key, self.balance) == (other.obj, other.key, other.balance)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.obj, self.key, self.balance))
 
 
 def _check_bound(n: int):

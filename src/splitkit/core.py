@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -48,19 +47,78 @@ class SizeLimitError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# immutable values
+
+_set = object.__setattr__  # sets one field of a Value in its ``__init__``
+
+
+class Value:
+    """Base of the immutable value classes: fields are ``__slots__``.
+
+    A subclass names its fields in ``__slots__`` and sets each of them in
+    its ``__init__`` with ``_set``.  Instances compare equal and hash by
+    type and fields, so objects of two classes with equal fields never
+    compare equal; the repr names every field; pickling rebuilds through
+    ``__init__``; and assigning or deleting an attribute raises
+    AttributeError.  Defining a subclass generates no code, unlike a
+    dataclass, which keeps importing the package cheap.  The classes whose
+    instances are hashed and compared in bulk spell ``__eq__`` and
+    ``__hash__`` out over their fields, which is about twice as fast.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # graphs
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """Simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the neighbor bitmask of vertex v; symmetry and absence of
     loops are guaranteed when built through :meth:`from_edges`.
     """
 
+    __slots__ = ("n", "adj")
     n: int
     adj: tuple[int, ...]
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "adj", adj)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.adj) == (other.n, other.adj)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -107,17 +165,21 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class KSPartition:
+class KSPartition(Value):
     """Clique / stable-set bipartition of a split graph's vertex set."""
 
+    __slots__ = ("graph", "K", "S")
     graph: Graph
     K: frozenset[int]
     S: frozenset[int]
 
+    def __init__(self, graph: Graph, K: frozenset[int], S: frozenset[int]):
+        _set(self, "graph", graph)
+        _set(self, "K", K)
+        _set(self, "S", S)
 
-@dataclass(frozen=True)
-class SplitAnalysis:
+
+class SplitAnalysis(Value):
     """Clique number, stability number and the partition's trichotomy case.
 
     ``case`` is one of ``balanced``, ``unbalanced_S_max``,
@@ -125,18 +187,24 @@ class SplitAnalysis:
     is the promised swing vertex in the two unbalanced cases.
     """
 
+    __slots__ = ("omega", "alpha", "case", "swing")
     omega: int
     alpha: int
-    case: Optional[str] = None
-    swing: Optional[int] = None
+    case: Optional[str]
+    swing: Optional[int]
+
+    def __init__(self, omega: int, alpha: int, case: Optional[str] = None, swing: Optional[int] = None):
+        _set(self, "omega", omega)
+        _set(self, "alpha", alpha)
+        _set(self, "case", case)
+        _set(self, "swing", swing)
 
 
 # ---------------------------------------------------------------------------
 # set covers, XY-graphs, posets
 
 
-@dataclass(frozen=True)
-class SetCover:
+class SetCover(Value):
     """Family of subsets of 0..n-1.
 
     Stored in normal form: each set sorted ascending, the family sorted
@@ -144,28 +212,49 @@ class SetCover:
     representable so that ``validate`` can report them.
     """
 
+    __slots__ = ("n", "sets")
     n: int
     sets: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        norm = tuple(sorted(tuple(sorted(set(s))) for s in self.sets))
-        object.__setattr__(self, "sets", norm)
+    def __init__(self, n: int, sets: Iterable[Iterable[int]]):
+        sets = tuple(sorted(tuple(sorted(set(s))) for s in sets))
+        _set(self, "n", n)
+        _set(self, "sets", sets)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.sets) == (other.n, other.sets)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.sets))
 
 
-@dataclass(frozen=True)
-class XYGraph:
+class XYGraph(Value):
     """Bipartite graph with ordered blocks; X is the distinguished block.
 
     ``(nx, ny, edges)`` and its transpose are different objects: the blocks
     are never exchanged.
     """
 
+    __slots__ = ("nx", "ny", "edges")
     nx: int
     ny: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
+    def __init__(self, nx: int, ny: int, edges: Iterable[tuple[int, int]]):
+        edges = frozenset(edges)
+        _set(self, "nx", nx)
+        _set(self, "ny", ny)
+        _set(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.nx, self.ny, self.edges) == (other.nx, other.ny, other.edges)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nx, self.ny, self.edges))
 
     def x_neighbors(self, x: int) -> list[int]:
         return sorted(y for (a, y) in self.edges if a == x)
@@ -174,20 +263,31 @@ class XYGraph:
         return sorted(x for (x, b) in self.edges if b == y)
 
 
-@dataclass(frozen=True)
-class BipartitePoset:
+class BipartitePoset(Value):
     """Order of height <= 1, stored as its (height-0 x height-1) relation.
 
     ``below`` holds pairs (a, b) meaning height-0 point a lies below
     height-1 point b.
     """
 
+    __slots__ = ("n0", "n1", "below")
     n0: int
     n1: int
     below: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "below", frozenset(self.below))
+    def __init__(self, n0: int, n1: int, below: Iterable[tuple[int, int]]):
+        below = frozenset(below)
+        _set(self, "n0", n0)
+        _set(self, "n1", n1)
+        _set(self, "below", below)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n0, self.n1, self.below) == (other.n0, other.n1, other.below)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n0, self.n1, self.below))
 
     def down_set(self, b: int) -> frozenset[int]:
         return frozenset(a for (a, bb) in self.below if bb == b)
@@ -196,8 +296,7 @@ class BipartitePoset:
         return frozenset(b for (aa, b) in self.below if aa == a)
 
 
-@dataclass(frozen=True)
-class Balance:
+class Balance(Value):
     """Balanced/unbalanced verdict plus the witnessing structure id.
 
     The witness is a swing vertex, extremal set index, universal X-vertex or
@@ -205,8 +304,21 @@ class Balance:
     the object is unbalanced.
     """
 
+    __slots__ = ("value", "witness")
     value: str
-    witness: Optional[int] = None
+    witness: Optional[int]
+
+    def __init__(self, value: str, witness: Optional[int] = None):
+        _set(self, "value", value)
+        _set(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.witness) == (other.value, other.witness)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.witness))
 
     @property
     def is_balanced(self) -> bool:
@@ -219,20 +331,53 @@ KEY_DIM_BYTES = 2
 MAX_KEY_DIM = (1 << 8 * KEY_DIM_BYTES) - 1
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
+class CanonicalKey(Value):
     """Stable identity of an unlabeled object: tag, dimensions and bits.
 
     Two objects of the same class are isomorphic iff their keys are
-    byte-equal.  ``hex`` is the public rendering.
+    byte-equal.  ``hex`` is the public rendering.  Keys order by tag, then
+    data.
     """
 
+    __slots__ = ("class_tag", "data")
     class_tag: str
     data: bytes
+
+    def __init__(self, class_tag: str, data: bytes):
+        _set(self, "class_tag", class_tag)
+        _set(self, "data", data)
 
     @property
     def hex(self) -> str:
         return self.data.hex()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.class_tag, self.data) == (other.class_tag, other.data)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.class_tag, self.data))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.class_tag, self.data) < (other.class_tag, other.data)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.class_tag, self.data) <= (other.class_tag, other.data)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.class_tag, self.data) > (other.class_tag, other.data)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.class_tag, self.data) >= (other.class_tag, other.data)
+        return NotImplemented
 
 
 ObjectType = Union[Graph, SetCover, XYGraph, BipartitePoset]

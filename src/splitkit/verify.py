@@ -12,12 +12,12 @@ asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from . import biject, census
 from .canon import canon_key
 from .classify import balance_of
-from .core import UsageError, size_of
+from .core import UsageError, Value, size_of
 
 # Reference counts.  Split-graph totals are OEIS A048194 (prepended with the
 # single empty object at n=0); the unbalanced totals are forced from them by
@@ -26,14 +26,27 @@ SPLIT_TOTALS = (1, 1, 2, 4, 9, 21, 56, 164, 557)
 UNBALANCED_SPLIT = (0, 1, 2, 4, 8, 17, 38, 94, 258)
 
 
-@dataclass
-class SuiteResult:
-    """Outcome of one verification suite; empty failures means it passed."""
+class SuiteResult(Value):
+    """Outcome of one verification suite; empty failures means it passed.
 
+    Unlike the other values it is mutable, so it is not hashable, and it
+    compares by its fields as they are now."""
+
+    __slots__ = ("suite", "params", "checked", "failures")
     suite: str
     params: dict
     checked: int
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
+    failures: list[tuple[str, str, str]]
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, params: dict, checked: int, failures: Optional[list] = None):
+        self.suite = suite
+        self.params = params
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -1,11 +1,15 @@
 """Behaviour of the value classes: constructors, equality, hashing,
 immutability, ordering and repr."""
 
+import dataclasses
+import importlib
 import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import splitkit
 from splitkit.biject import MapReport
 from splitkit.canon import GraphCanon, MatrixCanonForm
 from splitkit.census import Census, Record
@@ -216,3 +220,19 @@ def test_defaults():
     assert a.failures == [] and a.failures is not b.failures
     a.failures.append(("k", "e", "o"))
     assert b.failures == [] and SuiteResult("counts", {}, 0).failures == []
+
+
+def test_only_map_spec_is_a_dataclass():
+    # Each dataclass generates and compiles its methods when its module is
+    # imported, about 0.7 ms per class in every splitkit process.  MapSpec
+    # stays one because the benchmark's tracer (perfbench/tracer.py)
+    # rebuilds each biject.MAPS entry with dataclasses.replace.
+    found = []
+    for info in pkgutil.iter_modules(splitkit.__path__):
+        module = importlib.import_module(f"splitkit.{info.name}")
+        found += [
+            f"{info.name}.{value.__qualname__}"
+            for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
+        ]
+    assert found == ["biject.MapSpec"]
