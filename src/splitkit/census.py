@@ -140,12 +140,9 @@ def _row_perm_tables(width: int) -> tuple[tuple[int, ...], ...]:
     tables = []
     for perm in itertools.permutations(range(width)):
         table = [0] * (1 << width)
-        for value in range(1 << width):
-            out = 0
-            for i in range(width):
-                if value >> i & 1:
-                    out |= 1 << perm[i]
-            table[value] = out
+        for value in range(1, 1 << width):
+            low = value & -value  # the image of value without its lowest bit, plus that bit's image
+            table[value] = table[value ^ low] | 1 << perm[low.bit_length() - 1]
         tables.append(tuple(table))
     return tuple(tables)
 

@@ -1,5 +1,7 @@
 """Census counts, oracle agreement, transport cardinality, determinism."""
 
+import itertools
+
 import pytest
 
 from splitkit import census, verify
@@ -90,6 +92,16 @@ def test_enumeration_bound_named():
     with pytest.raises(SizeLimitError) as err:
         enumerate_split(MAX_N + 1)
     assert str(MAX_N) in str(err.value)
+
+
+def test_row_perm_tables_match_a_direct_construction():
+    for width in range(7):
+        perms = list(itertools.permutations(range(width)))
+        direct = tuple(
+            tuple(sum(1 << perm[i] for i in range(width) if value >> i & 1) for value in range(1 << width))
+            for perm in perms
+        )
+        assert census._row_perm_tables(width) == direct
 
 
 def test_transport_does_not_merge_keys(monkeypatch):
