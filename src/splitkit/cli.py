@@ -214,9 +214,10 @@ def cmd_compile(args) -> int:
     if args.direction == "up":
         if args.n is None:
             raise UsageError("compile --direction up needs a target size --n")
-        if not 0 <= args.n <= MAX_KEY_DIM:
+        # the target must exceed the size of the input, which is at least 0
+        if not 1 <= args.n <= MAX_KEY_DIM:
             raise UsageError(
-                f"--n must be between 0 and {MAX_KEY_DIM}, the largest size a key encodes; got {args.n}"
+                f"--n must be between 1 and {MAX_KEY_DIM}, the largest size a key encodes; got {args.n}"
             )
         if args.cls == "split" and args.n > GRAPH6_MAX_N:
             raise UsageError(

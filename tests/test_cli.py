@@ -227,7 +227,7 @@ def test_no_y_isolates_outside_xy_is_a_usage_error(capsys):
 def test_compile_up_rejects_a_size_keys_cannot_hold(monkeypatch, capsys):
     empty_poset = '{"class":"poset","n0":0,"n1":0,"below":[]}\n'
     argv = ["compile", "--class", "poset", "--direction", "up", "--n"]
-    for n in ("100000", "65536", "-1"):
+    for n in ("100000", "65536", "-1", "0"):
         code, out, err = run(argv + [n], empty_poset, monkeypatch, capsys)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "65535" in err and n in err
