@@ -475,7 +475,7 @@ class MapReport(Value):
     output_key: CanonicalKey
     choices: tuple[tuple[str, int], ...]
 
-    def __init__(self, input_key: CanonicalKey, output_key: CanonicalKey, choices: tuple[tuple[str, int], ...]):
+    def __init__(self, input_key, output_key, choices):
         _set(self, "input_key", input_key)
         _set(self, "output_key", output_key)
         _set(self, "choices", choices)

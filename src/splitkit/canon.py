@@ -137,14 +137,7 @@ class MatrixCanonForm(Value):
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
 
-    def __init__(
-        self,
-        row_count: int,
-        col_count: int,
-        values: tuple[int, ...],
-        row_perm: tuple[int, ...],
-        col_perm: tuple[int, ...],
-    ):
+    def __init__(self, row_count, col_count, values, row_perm, col_perm):
         _set(self, "row_count", row_count)
         _set(self, "col_count", col_count)
         _set(self, "values", values)
@@ -429,7 +422,7 @@ class GraphCanon(Value):
     key: CanonicalKey
     order: tuple[int, ...]
 
-    def __init__(self, key: CanonicalKey, order: tuple[int, ...]):
+    def __init__(self, key, order):
         _set(self, "key", key)
         _set(self, "order", order)
 

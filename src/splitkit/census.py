@@ -79,15 +79,7 @@ class Census(Value):
     unbalanced: int
     out_of_domain: int
 
-    def __init__(
-        self,
-        class_tag: str,
-        n: int,
-        keys: tuple[CanonicalKey, ...],
-        balanced: int,
-        unbalanced: int,
-        out_of_domain: int = 0,
-    ):
+    def __init__(self, class_tag, n, keys, balanced, unbalanced, out_of_domain=0):
         _set(self, "class_tag", class_tag)
         _set(self, "n", n)
         _set(self, "keys", keys)
@@ -111,7 +103,7 @@ class Record(Value):
     key: CanonicalKey
     balance: Optional[Balance]
 
-    def __init__(self, obj: object, key: CanonicalKey, balance: Optional[Balance]):
+    def __init__(self, obj, key, balance):
         _set(self, "obj", obj)
         _set(self, "key", key)
         _set(self, "balance", balance)

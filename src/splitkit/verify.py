@@ -12,8 +12,6 @@ asserted.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import biject, census
 from .canon import canon_key
 from .classify import balance_of
@@ -42,7 +40,7 @@ class SuiteResult(Value):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(self, suite: str, params: dict, checked: int, failures: Optional[list] = None):
+    def __init__(self, suite, params, checked, failures=None):
         self.suite = suite
         self.params = params
         self.checked = checked
