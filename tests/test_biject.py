@@ -1,5 +1,6 @@
 """Hand-checked examples for every map, plus report/replay behavior."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -33,6 +34,7 @@ from splitkit.biject import (
     xy_to_unbalanced_split,
 )
 from splitkit.canon import canon_key
+from splitkit.classify import loyal_elements
 from splitkit.core import (
     BipartitePoset,
     DomainError,
@@ -318,3 +320,141 @@ def test_named_map_does_not_enumerate_the_choice_space(monkeypatch):
     monkeypatch.setattr(biject, "itertools", None)
     out, report = apply_named_map("cover_to_split", SetCover(5, ((0, 1), (2, 3, 4))))
     assert [label for label, _ in report.choices] == ["rep[0]", "rep[1]"] and out.n == 5
+
+
+# ---------------------------------------------------------------------------
+# labelled outputs and refusals, pinned byte for byte
+
+
+def _labelled(obj) -> str:
+    """repr of ``obj`` with its sets sorted: two equal frozensets may list
+    their members in different orders."""
+    fields = tuple(sorted(v) if isinstance(v, frozenset) else v for v in obj._fields())
+    return f"{type(obj).__name__}{fields!r}"
+
+
+def _labelled_outputs(name: str) -> str:
+    """sha256 of the labelled output of ``name`` on every census record at
+    n <= 5, under every admissible choice (targets n+1 and n+2 for an up
+    map), one line each; a record the map rejects gives its DomainError
+    text instead."""
+    spec = MAPS[name]
+    lines = []
+    for n in range(6):
+        for rec in census.records(spec.domain, n):
+            space = list(spec.choices(rec.obj)) if spec.choices else []
+            for size in [(n + 1,), (n + 2,)] if spec.needs_n else [()]:
+                for choice in space or [{}]:
+                    try:
+                        out = _labelled(spec.fn(rec.obj, *size, **choice))
+                    except DomainError as exc:
+                        out = f"DomainError: {exc}"
+                    lines.append(f"{rec.key.hex} {size} {choice!r} {out}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+LABELLED_OUTPUTS = {
+    'split_to_cover': '0263e53bf9d3dd7a069f45918f6286609ba7be7f9e3fba1d72e769ce053ad5e0',
+    'cover_to_split': 'cfd307a8f22ce847b5dcbe2b58ed92af64fe82ce9b656ad10700c8bcc6e8146e',
+    'split_to_xy': 'b5646d0502ac61e3be4783c0c25ea5df93f45f03b217041612eeaca3a2d61459',
+    'xy_to_split': '703de3e5dbc725d286c0b757980f4d873dedd705459195cc9cea91e273f0d6b3',
+    'split_to_poset': '6feceac901a649d8e1c588f8d0f87d6c0c7a4466f9e62f4192adf1c76ba07d12',
+    'poset_to_split': '29e8b8bb54c552bf9f0e17aa410fcaf2972deab9df7e0ccd10ab72b4aa2177c8',
+    'cover_to_xy': 'd3578e92a932970ea08fada685ba5b8350a58d1941f9960c6970c74e59661a06',
+    'xy_to_cover': 'c04e5a6f1b42b4da22ce21a374b334f8f714ee5cbffc1a611f031815d9a0565c',
+    'cover_to_poset': 'e8dc80d63ae9009239fcca187dbe638112a6b5c569b23e3fe574b8cea49b19d5',
+    'poset_to_cover': 'ce4723b9ad4f35ceb38c898b50c60b6517a28bc85e341747399c602a067d24db',
+    'xy_to_poset': '89a4fd45e6e780ed9a99486e6247c6540210828a94b2cb888510c36377ef2c97',
+    'poset_to_xy': '6b3dbe843b510f7031c72ed2f7fe62fdff9bb0d7d127d2d9ce8ffb200bbdaa6d',
+    'xy_to_unbalanced_split': '8d7061f584812e90ded5d4e6bb3c5373e2331bb28f124da14d1aa0d0ee85412f',
+    'unbalanced_split_to_xy': 'e31093caf3db42896e0f9d5a29e809a419b6ad672a73d68445d10aff67fc8a90',
+    'compile_split_down': 'e3d674bbfa7b393e6823bc10288a80c504f2eda9ca34e9d696e346ac644e4c02',
+    'compile_split_up': 'ffcb32eb7e9bfb29c79f8cc23e559fa32ba5a13e101af7a8246efc50bc0c1d62',
+    'compile_cover_down': '20085623c3640ed0251f189be981604fbf432b94e207974b180f929ea616f604',
+    'compile_cover_up': '0b8092a8622907a0ed607bede73cfe81e369b44bc5fd234b8fec1217b6ee67fd',
+    'compile_xy_down': 'd3fa03d511ca429ef5e4aae67480c4e8fce99d85c633ed3cac6e83c807de3bbe',
+    'compile_xy_up': 'b99882ed2e5a94f8f1bcfeba28ddbc8fcc1fde2c81f396f8c368510089bb4da6',
+    'compile_poset_down': '3a9eb7c79b18611782fc57ba909b6c1b25fcb898ab3acc947973ce80c3b0ee6f',
+    'compile_poset_up': '7db5d265f25c93b13ad565ce0db8c778487decc7fc3521f205ab38009ac0b7e3',
+}
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_labelled_outputs_are_pinned(name):
+    # the map tests above compare keys; this pins the labels as well
+    assert _labelled_outputs(name) == LABELLED_OUTPUTS[name]
+
+
+# map -> (keyword, refusal of an inadmissible choice, refusal of any choice
+# when there is nothing to choose)
+_REFUSALS = {
+    "unbalanced_split_to_xy": ("swing", "vertex {} is not a swing vertex of the K-max partition", None),
+    "compile_split_down": ("swing", "vertex {} is not a swing vertex of the S-max partition", None),
+    "compile_cover_down": ("extremal_set", "set {} does not have the extremal size", None),
+    "compile_xy_down": ("universal", "X-vertex {} is not universal", None),
+    "compile_poset_down": (
+        "demote",
+        "height-1 point {} is not comparable to exactly the full support points",
+        "no height-1 point needs demoting for this poset",
+    ),
+    "compile_poset_up": (
+        "promote",
+        "height-0 point {} is not a full support point",
+        "no full support point to promote in this poset",
+    ),
+}
+
+
+def _refusal(fn, *args, **kwargs) -> str:
+    with pytest.raises(UsageError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+def test_choice_maps_are_all_listed():
+    rep_maps = {name for name, spec in MAPS.items() if spec.choices is biject._rep_choices}
+    assert set(_REFUSALS) | rep_maps == {name for name, spec in MAPS.items() if spec.choices}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_inadmissible_choice_is_refused_and_none_is_the_first(name):
+    spec = MAPS[name]
+    keyword, refusal, nothing = _REFUSALS[name]
+    seen = set()
+    for n in range(5):
+        for rec in census.records(spec.domain, n, spec.domain == "xy"):
+            size = (n + 1,) if spec.needs_n else ()
+            space = list(spec.choices(rec.obj))
+            if space == [{}]:
+                assert _refusal(spec.fn, rec.obj, *size, **{keyword: 0}) == nothing
+                seen.add("nothing")
+            elif space:
+                first = spec.fn(rec.obj, *size, **space[0])
+                assert spec.fn(rec.obj, *size, **{keyword: None}) == first
+                admissible = {choice[keyword] for choice in space}
+                bad = min(set(range(n + 2)) - admissible)
+                assert _refusal(spec.fn, rec.obj, *size, **{keyword: bad}) == refusal.format(bad)
+                seen.add("refusal")
+    assert seen == ({"refusal", "nothing"} if nothing else {"refusal"})
+
+
+@pytest.mark.parametrize("name", sorted(n for n, s in MAPS.items() if s.choices is biject._rep_choices))
+def test_inadmissible_reps_are_refused_and_none_is_the_least(name):
+    spec = MAPS[name]
+    refused = 0
+    for n in range(1, 5):
+        for rec in census.records("cover", n):
+            c, size = rec.obj, (n + 1,) if spec.needs_n else ()
+            first = next(spec.choices(c))
+            assert spec.fn(c, *size, reps=None) == spec.fn(c, *size, **first)
+            reps = first["reps"]
+            got = _refusal(spec.fn, c, *size, reps=reps[:-1])
+            assert got == f"need one representative per set ({len(c.sets)}), got {len(reps) - 1}"
+            for i, s in enumerate(c.sets):
+                shared = [e for e in s if e not in loyal_elements(c)[i]]
+                if shared:
+                    bad = reps[:i] + (shared[0],) + reps[i + 1 :]
+                    assert _refusal(spec.fn, c, *size, reps=bad) == f"element {shared[0]} is not loyal to set {i}"
+                    refused += 1
+                    break
+    assert refused

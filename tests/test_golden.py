@@ -46,6 +46,23 @@ _MAP_PIPES = (
         ("cover", ["map", "--from", "split", "--to", "cover", "--inverse"]),
     ]
 )
+# one stdin with a good line, a comment, an empty line, a graph6 and a JSON
+# parse error, a non-split graph, an XY-graph with and without a Y-isolate
+# and a non-minimal cover,
+# through every per-line command
+_MIXED = (
+    "CF\n# a comment\n\nC\n{\"class\":\nCr\n"
+    '{"class":"xy","nx":1,"ny":1,"edges":[[0,0]]}\n'
+    '{"class":"xy","nx":1,"ny":2,"edges":[[0,0]]}\n'
+    '{"class":"cover","n":2,"sets":[[0,1],[1]]}\n'
+)
+_MIXED_PIPES = (
+    ["classify"],
+    ["classify", "--class", "split"],
+    ["map", "--from", "split", "--to", "cover"],
+    ["compile", "--class", "split", "--direction", "down"],
+    ["compile", "--class", "split", "--direction", "up", "--n", "6"],
+)
 _CHOICE_LABELS = {"rep[0]", "swing", "extremal_set", "universal", "demote", "promote"}
 
 
@@ -72,6 +89,11 @@ def _runs():
     for cls, argv in _MAP_PIPES:
         stdin = _capture("", ["enumerate", "--class", cls, "--n", "4"])[1]
         runs.append((f"{cls} census n=4 | {' '.join(argv)}", stdin, argv))
+    for cls in _CLASSES[1:]:  # the split census is classified above
+        stdin = _capture("", ["enumerate", "--class", cls, "--n", "4"])[1]
+        runs.append((f"{cls} census n=4 | classify", stdin, ["classify"]))
+    for argv in _MIXED_PIPES:
+        runs.append((f"mixed lines | {' '.join(argv)}", _MIXED, argv))
     runs.append(("verify --suite all --max-n 5", "", ["verify", "--suite", "all", "--max-n", "5"]))
     return runs
 
@@ -275,6 +297,14 @@ GOLDEN = {
     'cover census n=4 | map --from cover --to split': '0 83c2210b5b97926adfd6eb40186469f6f1b8ecc90e4c7ce5f3102737b53136d5',
     'split census n=4 | map --from split --to xy-shift': '3 75c054a3b4b7edf43491526b5ff453f7a04711581dc2731b6a14b747bc5263bd',
     'cover census n=4 | map --from split --to cover --inverse': '0 83c2210b5b97926adfd6eb40186469f6f1b8ecc90e4c7ce5f3102737b53136d5',
+    'cover census n=4 | classify': '0 02917e7d677d16e7fb3257d4fbf48eee5d5dbf4da51703c0c3f25eafb200ca1c',
+    'xy census n=4 | classify': '3 802351bf32430b21324f74057d476bccc52fef8cb2b8fb2944e2af16dbb41841',
+    'poset census n=4 | classify': '0 a031b66f179765e3e09b8edff9b567b0efd1bc2784270c528f1536eaa79b61d1',
+    'mixed lines | classify': '3 09944ede725cce1d57129e52adb7827d814dce214cefd2c475ff78b081f452f3',
+    'mixed lines | classify --class split': '3 1e322da0472e0255c2dee564cfc0104d76235d4fcb9385e2c7299bbf5c9532b7',
+    'mixed lines | map --from split --to cover': '3 45a0ca6516b0f79513eeadc85633463639ba49f6387533e5ae20ce215ed0ac2d',
+    'mixed lines | compile --class split --direction down': '3 c7cafaca4366bb5bc6365c309bd27872f0e227d6a695e242f71c38e0bdd84bdf',
+    'mixed lines | compile --class split --direction up --n 6': '3 99fb3f9bd6479b59520fd269745170dec5f31d786db13dad21af66610e27dec7',
     'verify --suite all --max-n 5': '0 d3e3e9f6f881e390578be429fd6910964295e6a6676238964d3c4583e41f4a2a',
 }
 
