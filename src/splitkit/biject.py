@@ -83,6 +83,25 @@ def _check_reps(c: SetCover, reps: Optional[Sequence[int]]) -> tuple[int, ...]:
     return tuple(reps)
 
 
+def _pick(choice, admissible: Sequence[int], refusal: str) -> int:
+    """``choice``, or the first admissible choice when it is None; a choice
+    that is not admissible is refused with ``refusal.format(choice)``."""
+    if choice is None:
+        return admissible[0]
+    if choice not in admissible:
+        raise UsageError(refusal.format(choice))
+    return choice
+
+
+def _renumber(pairs, rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """(|rows|, |cols|, the pairs (a, b) with a in rows and b in cols), each
+    side renumbered by its place in the sequence given."""
+    row_index = {v: i for i, v in enumerate(rows)}
+    col_index = {v: j for j, v in enumerate(cols)}
+    kept = frozenset((row_index[a], col_index[b]) for a, b in pairs if a in row_index and b in col_index)
+    return len(rows), len(cols), kept
+
+
 # ---------------------------------------------------------------------------
 # split graphs <-> minimal set covers
 
@@ -124,10 +143,7 @@ def _s_max_incidence(g: Graph) -> tuple[int, int, frozenset[tuple[int, int]]]:
     if sides is None:
         raise DomainError("not a split graph")
     xs, ys = sides
-    pairs = frozenset(
-        (i, j) for i, u in enumerate(xs) for j, v in enumerate(ys) if g.adj[u] >> v & 1
-    )
-    return len(xs), len(ys), pairs
+    return _renumber(((u, v) for u in xs for v in g.neighbors(u)), xs, ys)
 
 
 def split_to_xy(g: Graph) -> XYGraph:
@@ -135,10 +151,12 @@ def split_to_xy(g: Graph) -> XYGraph:
     return XYGraph(*_s_max_incidence(g))
 
 
-def _check_no_y_isolates(h: XYGraph) -> None:
-    isolates, _ = xy_isolates_universals(h)
+def _check_no_y_isolates(h: XYGraph) -> frozenset[int]:
+    """The universal X-vertices of ``h``, which must have no isolates in Y."""
+    isolates, universals = xy_isolates_universals(h)
     if isolates:
         raise DomainError(f"Y-vertices {sorted(isolates)} are isolates")
+    return universals
 
 
 def _incidence_split(rows: int, cols: int, pairs) -> Graph:
@@ -186,17 +204,10 @@ def unbalanced_split_to_xy(g: Graph, swing: Optional[int] = None) -> XYGraph:
     swings = k_swings(g, p.S, p.K)
     if not swings:
         raise DomainError("balanced split graph: no swing vertex to remove")
-    if swing is None:
-        swing = swings[0]
-    elif swing not in swings:
-        raise UsageError(f"vertex {swing} is not a swing vertex of the K-max partition")
+    swing = _pick(swing, swings, "vertex {} is not a swing vertex of the K-max partition")
     xs = sorted(p.S)
-    ys = sorted(p.K - {swing})
-    y_index = {v: j for j, v in enumerate(ys)}
-    edges = frozenset(
-        (i, y_index[v]) for i, u in enumerate(xs) for v in g.neighbors(u) if v in y_index
-    )
-    return XYGraph(len(xs), len(ys), edges)
+    pairs = ((u, v) for u in xs for v in g.neighbors(u))
+    return XYGraph(*_renumber(pairs, xs, sorted(p.K - {swing})))
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +221,8 @@ def _rep_incidence(
     rows, the other elements the columns, and each set pairs its
     representative with its other members."""
     reps = _check_reps(c, reps)
-    rows = sorted(reps)
-    cols = sorted(set(range(c.n)) - set(reps))
-    row_index = {v: i for i, v in enumerate(rows)}
-    col_index = {v: j for j, v in enumerate(cols)}
-    pairs = frozenset(
-        (row_index[r], col_index[e]) for r, s in zip(reps, c.sets) for e in s if e != r
-    )
-    return len(rows), len(cols), pairs
+    pairs = ((r, e) for r, s in zip(reps, c.sets) for e in s)
+    return _renumber(pairs, sorted(reps), sorted(set(range(c.n)) - set(reps)))
 
 
 def _incidence_cover(rows: int, cols: int, pairs) -> SetCover:
@@ -279,17 +284,11 @@ def compile_split_down(g: Graph, swing: Optional[int] = None) -> Graph:
     swings = s_swings(g, p.S, p.K)
     if not swings:
         raise DomainError("balanced split graph: no swing vertex (no balance witness)")
-    if swing is None:
-        swing = swings[0]
-    elif swing not in swings:
-        raise UsageError(f"vertex {swing} is not a swing vertex of the S-max partition")
+    swing = _pick(swing, swings, "vertex {} is not a swing vertex of the S-max partition")
     s_rest = p.S - {swing}
     keep = sorted(s_rest | (p.K - set(k_swings(g, s_rest, p.K))))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v]) for u in keep for v in g.neighbors(u) if v in index and u < v
-    ]
-    return Graph.from_edges(len(keep), edges)
+    n, _, edges = _renumber(g.edges(), keep, keep)
+    return Graph.from_edges(n, edges)
 
 
 def compile_split_up(h: Graph, n: int) -> Graph:
@@ -324,10 +323,7 @@ def compile_cover_down(c: SetCover, extremal_set: Optional[int] = None) -> SetCo
     candidates = extremal_sets(c)
     if not candidates:
         raise DomainError("balanced cover: no set of size |V|-|C|+1 (no balance witness)")
-    if extremal_set is None:
-        extremal_set = candidates[0]
-    elif extremal_set not in candidates:
-        raise UsageError(f"set {extremal_set} does not have the extremal size")
+    extremal_set = _pick(extremal_set, candidates, "set {} does not have the extremal size")
     membership = [0] * c.n
     for s in c.sets:
         for e in s:
@@ -357,31 +353,18 @@ def compile_cover_up(c: SetCover, n: int, reps: Optional[Sequence[int]] = None) 
 
 def compile_xy_down(h: XYGraph, universal: Optional[int] = None) -> XYGraph:
     """Drop a universal X-vertex and the Y-vertices left without a neighbor."""
-    isolates, universals = xy_isolates_universals(h)
-    if isolates:
-        raise DomainError(f"Y-vertices {sorted(isolates)} are isolates")
+    universals = _check_no_y_isolates(h)
     if not universals:
         raise DomainError("balanced XY-graph: no universal X-vertex (no balance witness)")
-    if universal is None:
-        universal = min(universals)
-    elif universal not in universals:
-        raise UsageError(f"X-vertex {universal} is not universal")
+    universal = _pick(universal, sorted(universals), "X-vertex {} is not universal")
     xs = [x for x in range(h.nx) if x != universal]
-    covered = {y for x, y in h.edges if x != universal}
-    ys = sorted(covered)
-    x_index = {v: i for i, v in enumerate(xs)}
-    y_index = {v: j for j, v in enumerate(ys)}
-    edges = frozenset(
-        (x_index[x], y_index[y]) for x, y in h.edges if x != universal
-    )
-    return XYGraph(len(xs), len(ys), edges)
+    ys = sorted({y for x, y in h.edges if x != universal})
+    return XYGraph(*_renumber(h.edges, xs, ys))
 
 
 def compile_xy_up(h: XYGraph, n: int) -> XYGraph:
     """Pad Y with fresh vertices, then attach a universal X-vertex."""
-    isolates, _ = xy_isolates_universals(h)
-    if isolates:
-        raise DomainError(f"Y-vertices {sorted(isolates)} are isolates")
+    _check_no_y_isolates(h)
     t = h.nx + h.ny
     if t > n - 1:
         raise DomainError(f"input has {t} vertices; need at most {n - 1}")
@@ -415,22 +398,10 @@ def compile_poset_down(p: BipartitePoset, demote: Optional[int] = None) -> Bipar
     if not candidates:
         if demote is not None:
             raise UsageError("no height-1 point needs demoting for this poset")
-        h0 = sorted(partial)
-        a_index = {v: i for i, v in enumerate(h0)}
-        below = frozenset((a_index[a], b) for a, b in p.below if a in partial)
-        return BipartitePoset(len(h0), p.n1, below)
-    if demote is None:
-        demote = candidates[0]
-    elif demote not in candidates:
-        raise UsageError(f"height-1 point {demote} is not comparable to exactly the full support points")
-    h0 = sorted(partial)
-    a_index = {v: i for i, v in enumerate(h0)}
-    u_new = len(h0)
-    h1 = [b for b in range(p.n1) if b != demote]
-    b_index = {v: j for j, v in enumerate(h1)}
-    below = {(a_index[a], b_index[b]) for a, b in p.below if a in partial and b != demote}
-    below |= {(u_new, j) for j in range(len(h1))}
-    return BipartitePoset(len(h0) + 1, len(h1), frozenset(below))
+        return BipartitePoset(*_renumber(p.below, sorted(partial), range(p.n1)))
+    demote = _pick(demote, candidates, "height-1 point {} is not comparable to exactly the full support points")
+    n0, n1, below = _renumber(p.below, sorted(partial), [b for b in range(p.n1) if b != demote])
+    return BipartitePoset(n0 + 1, n1, below | {(n0, j) for j in range(n1)})
 
 
 def compile_poset_up(q: BipartitePoset, n: int, promote: Optional[int] = None) -> BipartitePoset:
@@ -446,17 +417,12 @@ def compile_poset_up(q: BipartitePoset, n: int, promote: Optional[int] = None) -
         below = set(q.below)
         below |= {(q.n0 + i, b) for i in range(fresh) for b in range(q.n1)}
         return BipartitePoset(q.n0 + fresh, q.n1, frozenset(below))
-    if promote is None:
-        promote = min(full)
-    elif promote not in full:
-        raise UsageError(f"height-0 point {promote} is not a full support point")
+    promote = _pick(promote, sorted(full), "height-0 point {} is not a full support point")
     # The promoted point joins height 1 with the last id (q.n1) and keeps
     # only its comparabilities to the fresh points.
-    h0 = [a for a in range(q.n0) if a != promote]
-    a_index = {v: i for i, v in enumerate(h0)}
-    below = {(a_index[a], b) for a, b in q.below if a != promote}
-    below |= {(len(h0) + i, b) for i in range(fresh) for b in range(q.n1 + 1)}
-    return BipartitePoset(len(h0) + fresh, q.n1 + 1, frozenset(below))
+    n0, _, below = _renumber(q.below, [a for a in range(q.n0) if a != promote], range(q.n1))
+    below |= {(n0 + i, b) for i in range(fresh) for b in range(q.n1 + 1)}
+    return BipartitePoset(n0 + fresh, q.n1 + 1, below)
 
 
 # ---------------------------------------------------------------------------
