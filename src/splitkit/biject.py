@@ -29,7 +29,7 @@ objects of the class on at most n-1 points:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import canonical_object
@@ -496,30 +496,31 @@ def _promote_choices(q: BipartitePoset) -> Iterator[dict]:
         yield {"promote": a}
 
 
-# The one dataclass of the package: the benchmark's tracer rebuilds each
-# entry of MAPS with dataclasses.replace.
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(tuple):
     """A map ``fn(obj)``, or ``fn(obj, n)`` when ``needs_n``, from the
     ``domain`` class to the ``codomain`` class; ``inverse`` names the map
-    that undoes it.  ``choices(obj)`` lazily yields the keyword arguments of
-    every admissible choice on ``obj``, the default first, and nothing when
-    the map has no choice to make on ``obj``."""
+    that undoes it.  ``choices(obj)``, when not None, lazily yields the
+    keyword arguments of every admissible choice on ``obj``, the default
+    first, and nothing when the map has no choice to make on ``obj``.
 
-    fn: Callable
-    domain: str
-    codomain: str
-    inverse: Optional[str] = None
-    needs_n: bool = False
-    choices: Optional[Callable[[object], Iterator[dict]]] = None
+    Built from one iterable of these six fields in this order, so a copy
+    with a field replaced is ``MapSpec(fields)``."""
+
+    __slots__ = ()
+    fn = property(itemgetter(0))
+    domain = property(itemgetter(1))
+    codomain = property(itemgetter(2))
+    inverse = property(itemgetter(3))
+    needs_n = property(itemgetter(4))
+    choices = property(itemgetter(5))
 
 
 def _pair(domain: str, codomain: str, fwd: Callable, inv: Callable, fwd_choices=None, inv_choices=None):
     """Entries of ``fwd`` and its inverse ``inv``, each naming the other; in
     a compilation pair ``inv`` is the up map, which takes a target size."""
     return {
-        fwd.__name__: MapSpec(fwd, domain, codomain, inv.__name__, False, fwd_choices),
-        inv.__name__: MapSpec(inv, codomain, domain, fwd.__name__, domain == codomain, inv_choices),
+        fwd.__name__: MapSpec((fwd, domain, codomain, inv.__name__, False, fwd_choices)),
+        inv.__name__: MapSpec((inv, codomain, domain, fwd.__name__, domain == codomain, inv_choices)),
     }
 
 

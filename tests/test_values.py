@@ -6,11 +6,13 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import splitkit
-from splitkit.biject import MapReport
+from splitkit.biject import MAPS, MapReport, MapSpec, compile_cover_up
 from splitkit.canon import GraphCanon, MatrixCanonForm
 from splitkit.census import Census, Record
 from splitkit.core import (
@@ -222,11 +224,10 @@ def test_defaults():
     assert b.failures == [] and SuiteResult("counts", {}, 0).failures == []
 
 
-def test_only_map_spec_is_a_dataclass():
+def test_no_class_is_a_dataclass_and_the_cli_imports_neither_dataclasses_nor_inspect():
     # Each dataclass generates and compiles its methods when its module is
-    # imported, about 0.7 ms per class in every splitkit process.  MapSpec
-    # stays one because the benchmark's tracer (perfbench/tracer.py)
-    # rebuilds each biject.MAPS entry with dataclasses.replace.
+    # imported, about 0.7 ms per class, and ``import dataclasses`` (with
+    # ``inspect``) costs about 10 ms more in every splitkit process.
     found = []
     for info in pkgutil.iter_modules(splitkit.__path__):
         module = importlib.import_module(f"splitkit.{info.name}")
@@ -235,4 +236,16 @@ def test_only_map_spec_is_a_dataclass():
             for value in vars(module).values()
             if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
         ]
-    assert found == ["biject.MapSpec"]
+    assert found == []
+    code = "import sys, splitkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_map_spec_is_a_tuple_rebuilt_from_one_iterable():
+    spec = MAPS["compile_cover_up"]
+    fields = (spec.fn, spec.domain, spec.codomain, spec.inverse, spec.needs_n, spec.choices)
+    assert fields == (compile_cover_up, "cover", "cover", "compile_cover_down", True, spec[5])
+    assert tuple(spec) == fields and MapSpec(fields) == spec and type(spec) is MapSpec
+    with pytest.raises(AttributeError):
+        spec.fn = None
