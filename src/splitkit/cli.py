@@ -20,15 +20,7 @@ import sys
 
 from . import biject, census, verify
 from .canon import canon_key, canonical_object
-from .classify import (
-    balance_cover,
-    balance_poset,
-    balance_split,
-    balance_xy,
-    is_minimal,
-    is_split,
-    omega_alpha,
-)
+from .classify import balance_of, is_minimal, omega_alpha
 from .core import (
     GRAPH6_MAX_N,
     MAX_KEY_DIM,
@@ -39,7 +31,6 @@ from .core import (
     SizeLimitError,
     UsageError,
     ValidationError,
-    XYGraph,
     class_tag_of,
     parse_graph6,
     parse_object,
@@ -59,12 +50,22 @@ def _parse_line(line: str):
     return parse_graph6(line.strip())
 
 
-def _input_lines(stream):
-    for line in stream:
+def _each_line(record_of) -> int:
+    """Print the JSON record ``record_of(obj)`` of each object read from
+    stdin, one line each; blank lines and ``#`` comments are skipped.  A
+    line that fails gives an error record naming it, and then exit code 3."""
+    errors = 0
+    for line in sys.stdin:
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
             continue
-        yield line
+        try:
+            record = record_of(_parse_line(line))
+        except (ParseError, ValidationError, DomainError, UsageError, SizeLimitError) as exc:
+            record = {"error": str(exc), "line": line}
+            errors += 1
+        print(json.dumps(record, separators=(",", ":")))
+    return 3 if errors else 0
 
 
 # ---------------------------------------------------------------------------
@@ -114,60 +115,30 @@ def cmd_enumerate(args) -> int:
 
 
 def _classify_record(obj) -> dict:
-    if isinstance(obj, Graph):
-        if not is_split(obj):
-            raise DomainError("not a split graph")
-        analysis = omega_alpha(obj)
-        balance = balance_split(obj)
-        return {
-            "class": "split",
-            "key": canon_key(obj).hex,
-            "balance": balance.value,
-            "witness": balance.witness,
-            "omega": analysis.omega,
-            "alpha": analysis.alpha,
-        }
-    if isinstance(obj, SetCover):
-        if not is_minimal(obj):
-            raise DomainError("not a minimal set cover")
-        balance = balance_cover(obj)
-        return {
-            "class": "cover",
-            "key": canon_key(obj).hex,
-            "balance": balance.value,
-            "witness": balance.witness,
-            "n_sets": len(obj.sets),
-        }
-    if isinstance(obj, XYGraph):
-        balance = balance_xy(obj)
-        return {
-            "class": "xy",
-            "key": canon_key(obj).hex,
-            "balance": balance.value,
-            "witness": balance.witness,
-        }
-    balance = balance_poset(obj)
-    return {
-        "class": "poset",
+    if isinstance(obj, SetCover) and not is_minimal(obj):
+        raise DomainError("not a minimal set cover")  # balance_of words this differently
+    balance = balance_of(obj)  # rejects a graph that is not split
+    record = {
+        "class": class_tag_of(obj),
         "key": canon_key(obj).hex,
         "balance": balance.value,
         "witness": balance.witness,
     }
+    if isinstance(obj, Graph):
+        analysis = omega_alpha(obj)
+        record.update(omega=analysis.omega, alpha=analysis.alpha)
+    elif isinstance(obj, SetCover):
+        record["n_sets"] = len(obj.sets)
+    return record
 
 
 def cmd_classify(args) -> int:
-    errors = 0
-    for line in _input_lines(sys.stdin):
-        try:
-            obj = _parse_line(line)
-            if args.cls and args.cls != "auto" and class_tag_of(obj) != args.cls:
-                raise UsageError(f"expected a {args.cls} object")
-            record = _classify_record(obj)
-        except (ParseError, ValidationError, DomainError, UsageError, SizeLimitError) as exc:
-            record = {"error": str(exc), "line": line}
-            errors += 1
-        print(json.dumps(record, separators=(",", ":")))
-    return 3 if errors else 0
+    def record_of(obj):
+        if args.cls != "auto" and class_tag_of(obj) != args.cls:
+            raise UsageError(f"expected a {args.cls} object")
+        return _classify_record(obj)
+
+    return _each_line(record_of)
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +166,7 @@ def cmd_map(args) -> int:
         raise UsageError(f"no map from {args.src!r} to {args.dst!r}; known: {known}")
     if args.inverse:
         name = biject.MAPS[name].inverse
-    errors = 0
-    for line in _input_lines(sys.stdin):
-        try:
-            obj = _parse_line(line)
-            record = _emit_map(name, obj)
-        except (ParseError, ValidationError, DomainError, UsageError, SizeLimitError) as exc:
-            record = {"error": str(exc), "line": line}
-            errors += 1
-        print(json.dumps(record, separators=(",", ":")))
-    return 3 if errors else 0
+    return _each_line(lambda obj: _emit_map(name, obj))
 
 
 def cmd_compile(args) -> int:
@@ -223,16 +185,7 @@ def cmd_compile(args) -> int:
             raise UsageError(
                 f"--n must be at most {GRAPH6_MAX_N} for --class split, the largest graph6 size; got {args.n}"
             )
-    errors = 0
-    for line in _input_lines(sys.stdin):
-        try:
-            obj = _parse_line(line)
-            record = _emit_map(name, obj, args.n)
-        except (ParseError, ValidationError, DomainError, UsageError, SizeLimitError) as exc:
-            record = {"error": str(exc), "line": line}
-            errors += 1
-        print(json.dumps(record, separators=(",", ":")))
-    return 3 if errors else 0
+    return _each_line(lambda obj: _emit_map(name, obj, args.n))
 
 
 # ---------------------------------------------------------------------------
