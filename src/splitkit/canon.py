@@ -62,6 +62,7 @@ from .core import (
     UsageError,
     Value,
     XYGraph,
+    _bits,
     _set,
     class_tag_of,
 )
@@ -84,14 +85,6 @@ def _make_key(kind: str, dims: Sequence[int], rows: Sequence[int], width: int) -
     dim_bytes = b"".join(d.to_bytes(KEY_DIM_BYTES, "big") for d in dims)
     data = _TAG_BYTES[kind] + dim_bytes + (packed << pad).to_bytes((size + pad) // 8, "big")
     return CanonicalKey("split" if kind == "graph" else kind, data)
-
-
-def _ones(mask: int):
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,7 @@ def _unit_run(tied, masks, several):
         units = sum(masks[g] for g in cand)
         i = next(k for k, cell in enumerate(cells) if cell & units)
         reach = units | sum(cells[i + 1 :])
-        fits = {masks[h] & units for h in _ones(left_mask & several) if not masks[h] & ~reach}
+        fits = {masks[h] & units for h in _bits(left_mask & several) if not masks[h] & ~reach}
         sites.append((state, cand, units, fits))
     least = min((s.bit_count() for _, _, _, fits in sites for s in fits), default=None)
     if least is None:
@@ -623,7 +616,7 @@ def _canonical_ones(key: CanonicalKey, cols: int) -> list[tuple[int, int]]:
     key packs after its tag and two dimensions, in row-major order."""
     packed = key.data[1 + 2 * KEY_DIM_BYTES :]
     last = 8 * len(packed) - 1
-    ones = [divmod(last - p, cols) for p in _ones(int.from_bytes(packed, "big"))]
+    ones = [divmod(last - p, cols) for p in _bits(int.from_bytes(packed, "big"))]
     ones.reverse()
     return ones
 

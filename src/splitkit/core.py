@@ -154,13 +154,12 @@ class Graph(Value):
 
 
 def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -262,12 +261,6 @@ class XYGraph(Value):
     def __hash__(self):
         return hash((self.nx, self.ny, self.edges))
 
-    def x_neighbors(self, x: int) -> list[int]:
-        return sorted(y for (a, y) in self.edges if a == x)
-
-    def y_neighbors(self, y: int) -> list[int]:
-        return sorted(x for (x, b) in self.edges if b == y)
-
 
 class BipartitePoset(Value):
     """Order of height <= 1, stored as its (height-0 x height-1) relation.
@@ -297,9 +290,6 @@ class BipartitePoset(Value):
 
     def down_set(self, b: int) -> frozenset[int]:
         return frozenset(a for (a, bb) in self.below if bb == b)
-
-    def up_set(self, a: int) -> frozenset[int]:
-        return frozenset(b for (aa, b) in self.below if aa == a)
 
 
 class Balance(Value):

@@ -298,10 +298,6 @@ def run_suite(name: str, max_n: int) -> list[SuiteResult]:
 ASSERTING_SUITES = ("roundtrip", "balance", "compilation", "choice", "counts")
 
 
-def run_all(max_n: int, include_triangle: bool = True) -> list[SuiteResult]:
-    results = []
-    for name in ASSERTING_SUITES:
-        results.extend(run_suite(name, max_n))
-    if include_triangle:
-        results.extend(run_suite("triangle", max_n))
-    return results
+def run_all(max_n: int) -> list[SuiteResult]:
+    """Every asserting suite, then the triangle report."""
+    return [result for name in ASSERTING_SUITES + ("triangle",) for result in run_suite(name, max_n)]
