@@ -13,7 +13,7 @@ import random
 from functools import lru_cache
 
 from splitkit import canon
-from splitkit.canon import _canon_adjacency, canon_matrix, canon_xy, relabel_graph
+from splitkit.canon import _canon_adjacency, canon_graph, canon_matrix, canon_xy, relabel_graph
 from splitkit.core import Graph, XYGraph
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,33 @@ def test_identity_blocks_agree_with_the_permutation_sweep():
         _check_matrix(identity_block_matrix(rng, 7))
 
 
+def _single_row_shapes(rng):
+    """One distinct row (zero, full or mixed) with 1-4 copies, one row or
+    one column of random bits, and matrices with no columns."""
+    for c in range(1, 8):
+        mixed = rng.sample(range(c), rng.randrange(1, c)) if c > 1 else []
+        for row in ([0] * c, [1] * c, [int(j in mixed) for j in range(c)]):
+            for copies in range(1, 5):
+                yield [list(row) for _ in range(copies)]
+    for side in range(1, 9):
+        yield [[int(rng.random() < 0.5) for _ in range(side)]]
+        yield [[int(rng.random() < 0.5)] for _ in range(side)]
+        yield [[] for _ in range(side)]
+
+
+def test_single_row_shapes_agree_with_the_permutation_sweep():
+    # witnesses included: for these shapes the kernel's witness is the
+    # sweep's least order
+    for m in _single_row_shapes(random.Random(1217)):
+        mcf = canon_matrix(m)
+        assert (mcf.bits, mcf.row_perm, mcf.col_perm) == ref_canon_matrix(m), m
+        assert mcf.row_count == len(m) and mcf.col_count == len(m[0])
+    for c in range(9):
+        mcf = canon._canon_rows((), c)
+        assert (mcf.row_count, mcf.col_count, mcf.values) == (0, c, ())
+        assert (mcf.row_perm, mcf.col_perm) == ((), tuple(range(c)))
+
+
 def test_interchangeable_unit_rows_do_not_multiply_tied_states(monkeypatch):
     # the slowest stream matrix: a 10x7 cover, column j is character j.
     # Placing its unit rows one order at a time grew to 1,632 tied states,
@@ -332,3 +359,17 @@ def test_kernel_bytes_are_pinned():
         count += 1
     assert count == 9000
     assert digest.hexdigest() == "b236bcec32c17b0742764494f654c29430bfea25d1e7bf2a96379d90609f9b4c"
+
+
+def test_kernel_witnesses_are_pinned():
+    # sha256 over the values, row_perm and col_perm of every pinned matrix,
+    # then over the canon_graph vertex order of stream-shaped split graphs,
+    # which is built from the kernel's witness
+    digest = hashlib.sha256()
+    for m in pinned_matrices(random.Random(2017)):
+        mcf = canon_matrix(m)
+        digest.update(repr((mcf.values, mcf.row_perm, mcf.col_perm)).encode())
+    rng = random.Random(2015)
+    for _ in range(1000):
+        digest.update(repr(canon_graph(stream_split_graph(rng, rng.randrange(9, 12))).order).encode())
+    assert digest.hexdigest() == "e3114d2658933fb5ab740fae6d79d02c83929fc5134fa10637c79843d5961e3b"

@@ -285,7 +285,6 @@ GOLDEN = {
     '{"class":"xy","nx":1,"ny":1,"edges":[[0,0]]} | map --from xy --to split-shift': '0 b734b86551d8f157402b79fcfd8b82fd6e522b8f03adb0dc29a0841f4a0085bb',
     'CF | compile --class split --direction down': '0 90d0d07c30f9b25a1f724bf13a4326c91de3cdfc89d0571a9aa72a455f5b7523',
     '{"class":"poset","n0":0,"n1":0,"below":[]} | compile --class poset --direction up --n 2': '0 76af2fe66d0e8b9fee33117e8d697ebb32257c0b730fb5d3ff51a80ceafe2eee',
-    'split census n=4 | classify': '0 09fcc51ce7ca7026544ef3fd86f40d6320bb6d15ca2ef59818771e6c433610c7',
     'split census n=4 | compile --class split --direction down': '3 70080035af12bd4f54307d51563b4b6deea70e3c62c023e55015646b644d293f',
     'cover census n=4 | compile --class cover --direction down': '3 a88b50cca41dc1f12ca0d05f8638a4be35827281ffd520a46712f3be0b951fbb',
     'xy census n=4 | compile --class xy --direction down': '3 51d8faf60c2b05df42f82de348a72fb2ec524cc39c0043b829c400193aec145d',
@@ -320,6 +319,12 @@ GOLDEN_KEYS_8 = {
 @pytest.mark.parametrize("name,stdin,argv", _runs(), ids=[r[0] for r in _runs()])
 def test_golden_transcript(name, stdin, argv):
     assert _run(stdin, argv) == GOLDEN[name]
+
+
+def test_every_run_has_one_pin():
+    # a name spelled twice in GOLDEN would keep only its last value
+    assert set(GOLDEN) == {name for name, _, _ in _runs()}
+    assert len(GOLDEN) == len(_runs())
 
 
 def test_map_pins_print_every_choice_label():
