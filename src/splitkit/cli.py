@@ -53,7 +53,9 @@ def _parse_line(line: str):
 def _each_line(record_of) -> int:
     """Print the JSON record ``record_of(obj)`` of each object read from
     stdin, one line each; blank lines and ``#`` comments are skipped.  A
-    line that fails gives an error record naming it, and then exit code 3."""
+    line that fails gives an error record naming it, and then exit code 3.
+    Each record is one ``write`` (``print`` makes two, which an unbuffered
+    stdout sends as two writes)."""
     errors = 0
     for line in sys.stdin:
         line = line.rstrip("\n")
@@ -64,7 +66,7 @@ def _each_line(record_of) -> int:
         except (ParseError, ValidationError, DomainError, UsageError, SizeLimitError) as exc:
             record = {"error": str(exc), "line": line}
             errors += 1
-        print(json.dumps(record, separators=(",", ":")))
+        sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
     return 3 if errors else 0
 
 

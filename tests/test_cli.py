@@ -255,6 +255,32 @@ def test_classify_skips_headers_and_blanks(monkeypatch, capsys):
     assert len(out.strip().split("\n")) == 1
 
 
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["map", "--from", "split", "--to", "cover"], ["compile", "--class", "split", "--direction", "down"]],
+)
+def test_each_record_is_one_write(monkeypatch, argv):
+    # the stream runs its children unbuffered, where every write is a
+    # system call; good and error records alike are one write each
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bg\n# note\nCF\nC\nCr\n"))
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    main(argv)
+    assert len(out.writes) == 4
+    assert all(text.endswith("\n") and text.count("\n") == 1 for text in out.writes)
+    assert "".join(out.writes) == out.getvalue()
+
+
 def test_map_pipeline(monkeypatch, capsys):
     code, out, _ = run(["map", "--from", "split", "--to", "cover"], "Bg\n", monkeypatch, capsys)
     assert code == 0
