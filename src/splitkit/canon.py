@@ -201,95 +201,133 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     r = len(rows)
     if r == 0 or c == 0:
         return MatrixCanonForm(r, c, (0,) * r, tuple(range(r)), tuple(range(c)))
-    groups: dict[int, list[int]] = {}
-    for i, mask in enumerate(rows):
-        groups.setdefault(mask, []).append(i)
     # Distinct rows, numbered by first occurrence.
-    masks = list(groups)
-    members = list(groups.values())
-    copies = [len(rows_of) for rows_of in members]
-    # col_rows[j]: the groups that are 1 in column j
+    masks = list(dict.fromkeys(rows))
+    if len(masks) == 1:
+        # One distinct row: its zero columns, then its ones, in the identity
+        # row order; nothing is left to search.
+        mask = rows[0]
+        col_perm = [j for j in range(c) if not mask >> j & 1] + [j for j in range(c) if mask >> j & 1]
+        return MatrixCanonForm(r, c, ((1 << mask.bit_count()) - 1,) * r, tuple(range(r)), tuple(col_perm))
+    copies = list(map(rows.count, masks))
+    # col_rows[j]: the groups that are 1 in column j; several: the groups
+    # of several ones
     col_rows = [0] * c
+    several = 0
     for g, mask in enumerate(masks):
+        if mask & (mask - 1):
+            several |= 1 << g
         while mask:
             low = mask & -mask
             col_rows[low.bit_length() - 1] |= 1 << g
             mask ^= low
-    # several: the groups of several ones
-    several = sum(1 << g for g, m in enumerate(masks) if m & (m - 1))
     # An open state is (placed groups, column cells, remaining groups, their
     # mask); `fixed` is the least state with a fixed future, or None.
     start = ((), ((1 << c) - 1,), tuple(range(len(masks))), (1 << len(masks)) - 1)
-    open_states, fixed = _settle([start], None, col_rows, copies)
+    open_states, fixed = _settle([start], None, masks, col_rows, copies)
     while open_states:
-        best = None
+        value = most = None
         tied = []
         for state in open_states:
             cells, cand = state[1], state[2]
             # Reading zeros first in every cell, the least row has the
             # fewest ones in the first cell, then in the second, ...
+            low = 0
             for cell in cells:
-                counts = [(masks[g] & cell).bit_count() for g in cand]
-                low = min(counts)
-                cand = [g for g, k in zip(cand, counts) if k == low]
-                if len(cand) == 1:
-                    break
-            most = max(copies[g] for g in cand)
-            rank = (_reading(masks[cand[0]], cells), -most)
-            if best is None or rank < best:
-                best, tied = rank, []
-            if rank == best:
-                tied.append((state, [g for g in cand if copies[g] == most]))
-        value, most = best[0], -best[1]
+                if len(cand) > 1:
+                    least = None
+                    for g in cand:
+                        k = (masks[g] & cell).bit_count()
+                        if least is None or k < least:
+                            least, kept = k, [g]
+                        elif k == least:
+                            kept.append(g)
+                    cand = kept
+                else:
+                    least = (masks[cand[0]] & cell).bit_count()
+                low = low << cell.bit_count() | (1 << least) - 1
+            top = 0
+            for g in cand:
+                if copies[g] > top:
+                    top, kept = copies[g], [g]
+                elif copies[g] == top:
+                    kept.append(g)
+            if value is None or low < value or low == value and top > most:
+                value, most, tied = low, top, []
+            if low == value and top == most:
+                tied.append((state, kept))
         if value & (value - 1) or not value:
             # a row of several ones or the zero row: one row per tied state
-            moves = [(state, (g,), masks[g]) for state, cand in tied for g in cand]
+            moves = []
+            for state, cand in tied:
+                for g in cand:
+                    moves.append((state, (g,), masks[g]))
             steps = 1
         else:
             moves, steps = _unit_run(tied, masks, several)
-        beaten = False
-        for t in range(steps):
-            if fixed is not None:
-                future, order, cells = fixed
-                ahead = (future[0][0], -copies[future[0][1]])
-                if ahead < (value << t, -most):
-                    beaten = True  # the fixed state beats every open one
-                    break
-                fixed = None if ahead > (value << t, -most) else (future[1:], order, cells)
-        if beaten:
-            break
+        if fixed is not None:
+            # The fixed state's next rows against the open states' rows by
+            # (reading, more copies first), one unit step at a time.
+            future = fixed[0]
+            beaten = False
+            for t in range(steps):
+                ahead, g = future[t]
+                if ahead != value << t:
+                    beaten = ahead < value << t
+                elif copies[g] != most:
+                    beaten = copies[g] > most
+                else:
+                    continue
+                if not beaten:
+                    fixed = None
+                break
+            else:
+                fixed = (future[steps:], fixed[1], fixed[2])
+            if beaten:
+                break  # the fixed state beats every open one
         grown = []
         for (placed, cells, left, left_mask), gs, mask in moves:
-            for g in gs:
-                left_mask ^= 1 << g
-            split = _split_cells(cells, mask)
+            split = []
+            for cell in cells:
+                ones = cell & mask
+                if ones and ones != cell:
+                    split.append(cell ^ ones)
+                    split.append(ones)
+                else:
+                    split.append(cell)
             if len(gs) == 1:
+                left_mask ^= 1 << gs[0]
                 i = left.index(gs[0])
                 left = left[:i] + left[i + 1 :]
             else:
+                for g in gs:
+                    left_mask ^= 1 << g
                 left = tuple(g for g in left if left_mask >> g & 1)
             grown.append((placed + tuple(gs), tuple(split), left, left_mask))
-        open_states, fixed = _settle(grown, fixed, col_rows, copies)
+        open_states, fixed = _settle(grown, fixed, masks, col_rows, copies)
     # Every order inside a cell of the least state reads the same bits once
     # its rows are sorted; the witness takes the columns of each cell in
     # ascending order and the least row order that sorts the rows.
     col_perm = []
     values = [0] * len(masks)
+    weight = 1 << c
     for cell in fixed[2]:
         while cell:
-            j = (cell & -cell).bit_length() - 1
-            cell ^= 1 << j
-            weight = 1 << (c - 1 - len(col_perm))
+            low = cell & -cell
+            cell ^= low
+            j = low.bit_length() - 1
+            weight >>= 1
             col_perm.append(j)
             on = col_rows[j]
             while on:
                 low = on & -on
                 values[low.bit_length() - 1] |= weight
                 on ^= low
-    order = sorted(range(len(masks)), key=values.__getitem__)
-    row_perm = tuple(i for g in order for i in members[g])
-    canonical = tuple(values[g] for g in order for _ in members[g])
-    return MatrixCanonForm(r, c, canonical, row_perm, tuple(col_perm))
+    value_of = dict(zip(masks, values))
+    row_values = list(map(value_of.__getitem__, rows))
+    row_perm = sorted(range(r), key=row_values.__getitem__)
+    row_values.sort()
+    return MatrixCanonForm(r, c, tuple(row_values), tuple(row_perm), tuple(col_perm))
 
 
 def _unit_run(tied, masks, several):
@@ -304,28 +342,39 @@ def _unit_run(tied, masks, several):
     of it.  A move is (state, groups in ascending order, their columns).
     """
     sites = []
+    least = None
     for state, cand in tied:
-        cells, left_mask = state[1], state[3]
-        units = sum(masks[g] for g in cand)
-        i = next(k for k, cell in enumerate(cells) if cell & units)
-        reach = units | sum(cells[i + 1 :])
-        fits = {masks[h] & units for h in _bits(left_mask & several) if not masks[h] & ~reach}
+        units = 0
+        for g in cand:
+            units |= masks[g]
+        reach = units
+        for cell in reversed(state[1]):
+            if cell & units:
+                break
+            reach |= cell
+        fits = set()
+        for h in state[2]:
+            if several >> h & 1 and not masks[h] & ~reach:
+                fit = masks[h] & units
+                fits.add(fit)
+                if least is None or fit.bit_count() < least:
+                    least = fit.bit_count()
         sites.append((state, cand, units, fits))
-    least = min((s.bit_count() for _, _, _, fits in sites for s in fits), default=None)
+    moves = []
     if least is None:
         widest = max(units.bit_count() for _, _, units, _ in sites)
-        moves = [(state, cand, units) for state, cand, units, _ in sites if units.bit_count() == widest]
+        for state, cand, units, _ in sites:
+            if units.bit_count() == widest:
+                moves.append((state, cand, units))
         return moves, widest
-    moves = [
-        (state, [g for g in cand if masks[g] & s], s)
-        for state, cand, _, fits in sites
-        for s in sorted(fits)
-        if s.bit_count() == least
-    ]
+    for state, cand, _, fits in sites:
+        for fit in sorted(fits):
+            if fit.bit_count() == least:
+                moves.append((state, [g for g in cand if masks[g] & fit], fit))
     return moves, least
 
 
-def _settle(states, fixed, col_rows, copies):
+def _settle(states, fixed, masks, col_rows, copies):
     """Merge equivalent open states and set aside those with a fixed future.
 
     Open states with the same remaining rows and the same cell signature
@@ -337,67 +386,77 @@ def _settle(states, fixed, col_rows, copies):
     merged: dict = {}
     for state in states:
         placed, cells, _, left_mask = state
-        key = _cell_signature(cells, col_rows, left_mask)
-        if key is None:
-            future = _fixed_future(cells, col_rows, left_mask)
-            order = placed + tuple(g for _, g in future)
-            if fixed is None or _future_rank(future, order, copies) < _future_rank(*fixed[:2], copies):
-                fixed = (future, order, cells)
-        elif (left_mask, key) not in merged or placed < merged[left_mask, key][0]:
-            merged[left_mask, key] = state
+        if not _splits(cells, col_rows, left_mask):
+            fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
+        elif len(states) == 1:
+            return states, fixed
+        else:
+            key = (left_mask, _cell_signature(cells, col_rows, left_mask))
+            if key not in merged or placed < merged[key][0]:
+                merged[key] = state
     return list(merged.values()), fixed
+
+
+def _least_fixed(fixed, placed, cells, masks, left, copies):
+    """The least of ``fixed`` and the state (placed, cells) whose remaining
+    rows ``left`` split no cell; its future is the (reading, group) pairs of
+    those rows in ascending order."""
+    future = []
+    for g in _bits(left):
+        future.append((_reading(masks[g], cells), g))
+    future.sort()
+    order = placed
+    for _, g in future:
+        order += (g,)
+    if fixed is None or _future_rank(future, order, copies) < _future_rank(*fixed[:2], copies):
+        return future, order, cells
+    return fixed
+
+
+def _splits(cells: Sequence[int], col_rows: Sequence[int], left: int) -> bool:
+    """Whether some remaining row of ``left`` splits one of ``cells``."""
+    if not left:
+        return False
+    for cell in cells:
+        if cell & (cell - 1):
+            low = cell & -cell
+            ones = col_rows[low.bit_length() - 1] & left
+            cell ^= low
+            while cell:
+                low = cell & -cell
+                if col_rows[low.bit_length() - 1] & left != ones:
+                    return True
+                cell ^= low
+    return False
 
 
 def _future_rank(future, order, copies):
     """Fixed futures compare by their rows, then by the witness row order."""
-    return [value for value, g in future for _ in range(copies[g])], order
+    rows = []
+    for value, g in future:
+        rows += [value] * copies[g]
+    return rows, order
 
 
-def _fixed_future(cells: Sequence[int], col_rows: Sequence[int], left: int) -> list[tuple[int, int]]:
-    """(reading, group) of the remaining rows in ascending order, for cells
-    that no remaining row splits: each cell sends the rows that are 0 on it
-    ahead of the rows that are 1 on it."""
-    blocks = [(left, 0)]
-    for cell in cells:
-        size = cell.bit_count()
-        ones = col_rows[(cell & -cell).bit_length() - 1]
-        full = (1 << size) - 1
-        nxt = []
-        for rows, value in blocks:
-            if rows & ~ones:
-                nxt.append((rows & ~ones, value << size))
-            if rows & ones:
-                nxt.append((rows & ones, value << size | full))
-        blocks = nxt
-    return [(value, rows.bit_length() - 1) for rows, value in blocks]
-
-
-def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int):
+def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int) -> tuple:
     """What the remaining rows ``left`` can still tell apart in ``cells``.
 
     A cell that some remaining row splits counts as its exact column set.
     A cell no remaining row splits counts only through its size and the
-    remaining rows that are 1 on it.  Returns None when no cell is split.
+    remaining rows that are 1 on it.
     """
     key = []
-    fixed = True
     for cell in cells:
-        ones = None
-        rest = cell
+        low = cell & -cell
+        ones = col_rows[low.bit_length() - 1] & left
+        rest = cell ^ low
         while rest:
             low = rest & -rest
-            rows = col_rows[low.bit_length() - 1] & left
-            if ones is None:
-                ones = rows
-            elif rows != ones:
+            if col_rows[low.bit_length() - 1] & left != ones:
                 break
             rest ^= low
-        if rest:
-            key.append(cell)
-            fixed = False
-        else:
-            key.append((cell.bit_count(), ones))
-    return None if fixed else tuple(key)
+        key.append(cell if rest else (cell.bit_count(), ones))
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
