@@ -201,15 +201,18 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     r = len(rows)
     if r == 0 or c == 0:
         return MatrixCanonForm(r, c, (0,) * r, tuple(range(r)), tuple(range(c)))
-    # Distinct rows, numbered by first occurrence.
-    masks = list(dict.fromkeys(rows))
-    if len(masks) == 1:
+    # Distinct rows, numbered by first occurrence, and their copies.
+    groups: dict[int, int] = {}
+    for mask in rows:
+        groups[mask] = groups.get(mask, 0) + 1
+    if len(groups) == 1:
         # One distinct row: its zero columns, then its ones, in the identity
         # row order; nothing is left to search.
         mask = rows[0]
         col_perm = [j for j in range(c) if not mask >> j & 1] + [j for j in range(c) if mask >> j & 1]
         return MatrixCanonForm(r, c, ((1 << mask.bit_count()) - 1,) * r, tuple(range(r)), tuple(col_perm))
-    copies = list(map(rows.count, masks))
+    masks = list(groups)
+    copies = list(groups.values())
     # col_rows[j]: the groups that are 1 in column j; several: the groups
     # of several ones
     col_rows = [0] * c
@@ -381,19 +384,22 @@ def _settle(states, fixed, masks, col_rows, copies):
     have the same future; the one with the least placed order stays.  A
     state whose cells no remaining row splits has a fixed future, the
     remaining rows in ascending order, and only the least such state is
-    kept, as (future (reading, group) pairs, full group order, cells).
+    kept, as (future (reading, group) pairs, full group order, cells); the
+    last state of a search is kept without its future, which nothing reads.
     """
     merged: dict = {}
     for state in states:
         placed, cells, _, left_mask = state
-        if not _splits(cells, col_rows, left_mask):
-            fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
-        elif len(states) == 1:
-            return states, fixed
-        else:
+        if _splits(cells, col_rows, left_mask):
+            if len(states) == 1:
+                return states, fixed
             key = (left_mask, _cell_signature(cells, col_rows, left_mask))
             if key not in merged or placed < merged[key][0]:
                 merged[key] = state
+        elif fixed is None and len(states) == 1:
+            return [], (None, placed, cells)
+        else:
+            fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
     return list(merged.values()), fixed
 
 
@@ -432,10 +438,7 @@ def _splits(cells: Sequence[int], col_rows: Sequence[int], left: int) -> bool:
 
 def _future_rank(future, order, copies):
     """Fixed futures compare by their rows, then by the witness row order."""
-    rows = []
-    for value, g in future:
-        rows += [value] * copies[g]
-    return rows, order
+    return [value for value, g in future for _ in range(copies[g])], order
 
 
 def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int) -> tuple:
