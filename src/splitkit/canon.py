@@ -27,17 +27,18 @@ multiply on highly symmetric inputs without unit rows: apart from
 interchangeable twin vertices and unit rows, automorphisms are not
 pruned.
 
-Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host:
-sub-millisecond for 7x7 and random 12x11 matrices, for 11-vertex split
-graphs and for random split graphs up to 40 vertices (1.3 ms at 62);
-0.35 ms for the incidence of a 7-set cover on 10 elements whose loyal
-elements tie; under 1 ms for k x k identities and the incidence of k
-disjoint pairs up to k = 64, and for the thin spiders on 20 and 40
-vertices (K_k with a pendant vertex on each clique vertex, whose S-max
-incidence is the identity).  Matrices without unit rows: 50 ms / 0.25 s
-for the 10x10 / 12x12 co-identity, 0.75 s for the 35x7 incidence of the
-3-subsets of a 7-set and 5 s for the 28x8 incidence of K8.  The adjacency
-search takes 35 ms on the 16-cycle.
+Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host,
+uncached: 0.09 / 0.16 ms for random 7x7 / 12x11 matrices; 0.09 ms for
+the 9- to 11-vertex split graphs of the stream benchmark and 0.25 /
+0.65 ms for random split graphs on 40 / 62 vertices; 0.24 ms for the
+incidence of a 7-set cover on 10 elements whose loyal elements tie;
+0.04-0.16 ms for k x k identities and 0.05-0.22 ms for the incidence of
+k disjoint pairs (k = 16 to 64), and 0.11 / 0.17 ms for the thin spiders
+on 20 and 40 vertices (K_k with a pendant vertex on each clique vertex,
+whose S-max incidence is the identity).  Matrices without unit rows:
+38 ms / 0.23 s for the 10x10 / 12x12 co-identity, 0.64 s for the 35x7
+incidence of the 3-subsets of a 7-set and 3.5 s for the 28x8 incidence
+of K8.  The adjacency search takes 35 ms on the 16-cycle.
 
 The row and column groups of the matrix kernel act independently, which
 is exactly what keeps X distinguished, keeps a cover's elements and sets
@@ -104,10 +105,12 @@ def _split_cells(cells: Sequence[int], mask: int) -> list[int]:
     """Each cell split into its zeros, then its ones, of ``mask``."""
     split = []
     for cell in cells:
-        if cell & ~mask:
-            split.append(cell & ~mask)
-        if cell & mask:
-            split.append(cell & mask)
+        ones = cell & mask
+        if ones and ones != cell:
+            split.append(cell ^ ones)
+            split.append(ones)
+        else:
+            split.append(cell)
     return split
 
 
@@ -175,15 +178,18 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     kept, except that states with the same remaining rows whose cells
     agree on everything the remaining rows can still see are merged.  A
     state whose remaining rows split no cell has a fixed future, and only
-    the least such state is kept.  Among equal results the witness sorts the rows for its
-    column order, so the witness of a canonical matrix is the identity.
+    the least such state is kept.  A matrix of one distinct row needs no
+    search: its zero columns, then its ones.  Among equal results the
+    witness sorts the rows for its column order, so the witness of a
+    canonical matrix is the identity.
 
-    About 0.1 ms per call on the stream's matrices with unit rows and
-    0.07 ms on those without; 0.3-0.4 / 0.4-0.6 ms for the 64x64 identity
-    and the 128x64 incidence of 64 disjoint pairs.  Symmetric inputs
-    without unit rows keep more tied states (50 ms for the 10x10
-    co-identity, 0.75 s for the 35x7 incidence of the 3-subsets of a
-    7-set).
+    About 0.06 ms per uncached call on the stream's matrices with unit
+    rows and 0.03 ms on those without (``tools/kernel_percall.py`` gives
+    0.035 / 0.032 / 0.056 ms on the census, certify and stream inputs);
+    0.16 / 0.22 ms for the 64x64 identity and the 128x64 incidence of 64
+    disjoint pairs.  Symmetric inputs without unit rows keep more tied
+    states (38 ms for the 10x10 co-identity, 0.64 s for the 35x7
+    incidence of the 3-subsets of a 7-set).
     """
     c = len(matrix[0]) if matrix else 0
     return _canon_rows(tuple(sum(1 << j for j in range(c) if row[j]) for row in matrix), c)
@@ -237,17 +243,14 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
             # fewest ones in the first cell, then in the second, ...
             low = 0
             for cell in cells:
-                if len(cand) > 1:
-                    least = None
-                    for g in cand:
-                        k = (masks[g] & cell).bit_count()
-                        if least is None or k < least:
-                            least, kept = k, [g]
-                        elif k == least:
-                            kept.append(g)
-                    cand = kept
-                else:
-                    least = (masks[cand[0]] & cell).bit_count()
+                least = None
+                for g in cand:
+                    k = (masks[g] & cell).bit_count()
+                    if least is None or k < least:
+                        least, kept = k, [g]
+                    elif k == least:
+                        kept.append(g)
+                cand = kept
                 low = low << cell.bit_count() | (1 << least) - 1
             top = 0
             for g in cand:
@@ -272,32 +275,18 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
             # The fixed state's next rows against the open states' rows by
             # (reading, more copies first), one unit step at a time.
             future = fixed[0]
-            beaten = False
-            for t in range(steps):
-                ahead, g = future[t]
-                if ahead != value << t:
-                    beaten = ahead < value << t
-                elif copies[g] != most:
-                    beaten = copies[g] > most
-                else:
-                    continue
-                if not beaten:
-                    fixed = None
-                break
-            else:
+            t = 0
+            while t < steps and future[t][0] == value << t and copies[future[t][1]] == most:
+                t += 1
+            if t == steps:
                 fixed = (future[steps:], fixed[1], fixed[2])
-            if beaten:
+            elif (future[t][0], most) < (value << t, copies[future[t][1]]):
                 break  # the fixed state beats every open one
+            else:
+                fixed = None
         grown = []
         for (placed, cells, left, left_mask), gs, mask in moves:
-            split = []
-            for cell in cells:
-                ones = cell & mask
-                if ones and ones != cell:
-                    split.append(cell ^ ones)
-                    split.append(ones)
-                else:
-                    split.append(cell)
+            split = _split_cells(cells, mask)
             if len(gs) == 1:
                 left_mask ^= 1 << gs[0]
                 i = left.index(gs[0])
@@ -526,8 +515,8 @@ def canon_graph(g: Graph) -> GraphCanon:
     Every other graph keeps the adjacency objective (``_canon_adjacency``).
 
     On split graphs the cost is that of the matrix kernel on an |S| x |K|
-    matrix: about 0.2 ms for 9- to 11-vertex split graphs, 0.7 / 1.3 ms
-    for random split graphs on 40 / 62 vertices, and 0.15 / 0.25 ms for
+    matrix: about 0.09 ms for 9- to 11-vertex split graphs, 0.25 / 0.65 ms
+    for random split graphs on 40 / 62 vertices, and 0.11 / 0.17 ms for
     the thin spider (a k x k identity) on 20 / 40 vertices.
     """
     sides = s_max_sides(g)

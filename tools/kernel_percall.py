@@ -10,7 +10,7 @@ in-process through ``splitkit.cli.main`` with empty census stores:
 Then times the uncached kernel (``_canon_rows.__wrapped__``) on each set,
 best of ``--repeat`` sweeps, and prints microseconds per call.
 
-    PYTHONPATH=src python tools/kernel_percall.py [--repeat 7]
+    python tools/kernel_percall.py [--repeat 7]
 """
 
 import argparse
