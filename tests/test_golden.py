@@ -10,11 +10,13 @@ documented output change, run
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -322,9 +324,17 @@ def test_golden_transcript(name, stdin, argv):
 
 
 def test_every_run_has_one_pin():
-    # a name spelled twice in GOLDEN would keep only its last value
-    assert set(GOLDEN) == {name for name, _, _ in _runs()}
-    assert len(GOLDEN) == len(_runs())
+    # every pin names a run and every run has a pin; a name spelled twice
+    # in the GOLDEN literal would silently keep only its last value
+    names = [name for name, _, _ in _runs()]
+    assert set(GOLDEN) == set(names) and len(set(names)) == len(names)
+    literal = next(
+        node.value
+        for node in ast.parse(Path(__file__).read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "GOLDEN"
+    )
+    keys = [key.value for key in literal.keys]
+    assert len(set(keys)) == len(keys)
 
 
 def test_map_pins_print_every_choice_label():
