@@ -28,16 +28,16 @@ interchangeable twin vertices and unit rows, automorphisms are not
 pruned.
 
 Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host,
-uncached: 0.09 / 0.16 ms for random 7x7 / 12x11 matrices; 0.09 ms for
-the 9- to 11-vertex split graphs of the stream benchmark and 0.25 /
-0.65 ms for random split graphs on 40 / 62 vertices; 0.24 ms for the
+uncached: 0.08 / 0.15 ms for random 7x7 / 12x11 matrices; 0.07 ms for
+the 9- to 11-vertex split graphs of the stream benchmark and 0.30 /
+0.62 ms for random split graphs on 40 / 62 vertices; 0.22 ms for the
 incidence of a 7-set cover on 10 elements whose loyal elements tie;
-0.04-0.16 ms for k x k identities and 0.05-0.22 ms for the incidence of
-k disjoint pairs (k = 16 to 64), and 0.11 / 0.17 ms for the thin spiders
+0.04-0.15 ms for k x k identities and 0.05-0.19 ms for the incidence of
+k disjoint pairs (k = 16 to 64), and 0.07 / 0.14 ms for the thin spiders
 on 20 and 40 vertices (K_k with a pendant vertex on each clique vertex,
 whose S-max incidence is the identity).  Matrices without unit rows:
-38 ms / 0.23 s for the 10x10 / 12x12 co-identity, 0.64 s for the 35x7
-incidence of the 3-subsets of a 7-set and 3.5 s for the 28x8 incidence
+25 ms / 0.16 s for the 10x10 / 12x12 co-identity, 0.59 s for the 35x7
+incidence of the 3-subsets of a 7-set and 3.1 s for the 28x8 incidence
 of K8.  The adjacency search takes 35 ms on the 16-cycle.
 
 The row and column groups of the matrix kernel act independently, which
@@ -178,17 +178,16 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     kept, except that states with the same remaining rows whose cells
     agree on everything the remaining rows can still see are merged.  A
     state whose remaining rows split no cell has a fixed future, and only
-    the least such state is kept.  A matrix of one distinct row needs no
-    search: its zero columns, then its ones.  Among equal results the
+    the least such state is kept.  Among equal results the
     witness sorts the rows for its column order, so the witness of a
     canonical matrix is the identity.
 
     About 0.06 ms per uncached call on the stream's matrices with unit
     rows and 0.03 ms on those without (``tools/kernel_percall.py`` gives
-    0.035 / 0.032 / 0.056 ms on the census, certify and stream inputs);
-    0.16 / 0.22 ms for the 64x64 identity and the 128x64 incidence of 64
+    0.022 / 0.024 / 0.041 ms on the census, certify and stream inputs);
+    0.15 / 0.19 ms for the 64x64 identity and the 128x64 incidence of 64
     disjoint pairs.  Symmetric inputs without unit rows keep more tied
-    states (38 ms for the 10x10 co-identity, 0.64 s for the 35x7
+    states (25 ms for the 10x10 co-identity, 0.59 s for the 35x7
     incidence of the 3-subsets of a 7-set).
     """
     c = len(matrix[0]) if matrix else 0
@@ -211,12 +210,6 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     groups: dict[int, int] = {}
     for mask in rows:
         groups[mask] = groups.get(mask, 0) + 1
-    if len(groups) == 1:
-        # One distinct row: its zero columns, then its ones, in the identity
-        # row order; nothing is left to search.
-        mask = rows[0]
-        col_perm = [j for j in range(c) if not mask >> j & 1] + [j for j in range(c) if mask >> j & 1]
-        return MatrixCanonForm(r, c, ((1 << mask.bit_count()) - 1,) * r, tuple(range(r)), tuple(col_perm))
     masks = list(groups)
     copies = list(groups.values())
     # col_rows[j]: the groups that are 1 in column j; several: the groups
@@ -375,20 +368,24 @@ def _settle(states, fixed, masks, col_rows, copies):
     remaining rows in ascending order, and only the least such state is
     kept, as (future (reading, group) pairs, full group order, cells); the
     last state of a search is kept without its future, which nothing reads.
+    A lone state merges with nothing, so it is only asked whether some
+    remaining row splits a cell.
     """
+    if len(states) == 1:
+        placed, cells, _, left_mask = states[0]
+        if _splits(cells, col_rows, left_mask):
+            return states, fixed
+        if fixed is None:
+            return [], (None, placed, cells)
+        return [], _least_fixed(fixed, placed, cells, masks, left_mask, copies)
     merged: dict = {}
     for state in states:
         placed, cells, _, left_mask = state
-        if _splits(cells, col_rows, left_mask):
-            if len(states) == 1:
-                return states, fixed
-            key = (left_mask, _cell_signature(cells, col_rows, left_mask))
-            if key not in merged or placed < merged[key][0]:
-                merged[key] = state
-        elif fixed is None and len(states) == 1:
-            return [], (None, placed, cells)
-        else:
+        key = _cell_signature(cells, col_rows, left_mask)
+        if key is None:
             fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
+        elif (left_mask, key) not in merged or placed < merged[left_mask, key][0]:
+            merged[left_mask, key] = state
     return list(merged.values()), fixed
 
 
@@ -430,14 +427,15 @@ def _future_rank(future, order, copies):
     return [value for value, g in future for _ in range(copies[g])], order
 
 
-def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int) -> tuple:
+def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int):
     """What the remaining rows ``left`` can still tell apart in ``cells``.
 
     A cell that some remaining row splits counts as its exact column set.
     A cell no remaining row splits counts only through its size and the
-    remaining rows that are 1 on it.
+    remaining rows that are 1 on it.  Returns None when no cell is split.
     """
     key = []
+    split = False
     for cell in cells:
         low = cell & -cell
         ones = col_rows[low.bit_length() - 1] & left
@@ -447,8 +445,12 @@ def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int) ->
             if col_rows[low.bit_length() - 1] & left != ones:
                 break
             rest ^= low
-        key.append(cell if rest else (cell.bit_count(), ones))
-    return tuple(key)
+        if rest:
+            key.append(cell)
+            split = True
+        else:
+            key.append((cell.bit_count(), ones))
+    return tuple(key) if split else None
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +517,8 @@ def canon_graph(g: Graph) -> GraphCanon:
     Every other graph keeps the adjacency objective (``_canon_adjacency``).
 
     On split graphs the cost is that of the matrix kernel on an |S| x |K|
-    matrix: about 0.09 ms for 9- to 11-vertex split graphs, 0.25 / 0.65 ms
-    for random split graphs on 40 / 62 vertices, and 0.11 / 0.17 ms for
+    matrix: about 0.07 ms for 9- to 11-vertex split graphs, 0.30 / 0.62 ms
+    for random split graphs on 40 / 62 vertices, and 0.07 / 0.14 ms for
     the thin spider (a k x k identity) on 20 / 40 vertices.
     """
     sides = s_max_sides(g)

@@ -8,12 +8,11 @@ in-process through ``splitkit.cli.main`` with empty census stores:
 * stream: the items of round 0 of seeds 1-3 (``perfbench/streamgen``).
 
 Then times the uncached kernel (``_canon_rows.__wrapped__``) on each set,
-best of ``--repeat`` sweeps, and prints microseconds per call.
+best of ``REPEAT`` sweeps, and prints microseconds per call.
 
-    python tools/kernel_percall.py [--repeat 7]
+    python tools/kernel_percall.py
 """
 
-import argparse
 import contextlib
 import io
 import os
@@ -27,6 +26,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import streamgen  # noqa: E402
 from splitkit import canon, census, cli  # noqa: E402
 
+REPEAT = 7  # timed sweeps per set; the best counts
 SETS = {
     "census": [(["enumerate", "--class", cls, "--n", "7"], "") for cls in ("split", "cover", "xy", "poset")],
     "certify": [(["verify", "--suite", "all", "--max-n", "6"], "")],
@@ -61,10 +61,10 @@ def record(commands) -> list:
     return list(seen)
 
 
-def per_call_us(inputs, repeat: int) -> float:
+def per_call_us(inputs) -> float:
     kernel = canon._canon_rows.__wrapped__
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         for rows, c in inputs:
             kernel(rows, c)
@@ -72,14 +72,11 @@ def per_call_us(inputs, repeat: int) -> float:
     return best / len(inputs) * 1e6
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--repeat", type=int, default=7, help="timed sweeps per set; the best counts")
-    args = parser.parse_args(argv)
+def main() -> int:
     print("set      inputs  us/call")
     for name, commands in SETS.items():
         inputs = record(commands)
-        print(f"{name:<8} {len(inputs):>6}  {per_call_us(inputs, args.repeat):7.1f}")
+        print(f"{name:<8} {len(inputs):>6}  {per_call_us(inputs):7.1f}")
     return 0
 
 
