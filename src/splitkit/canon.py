@@ -178,9 +178,8 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     kept, except that states with the same remaining rows whose cells
     agree on everything the remaining rows can still see are merged.  A
     state whose remaining rows split no cell has a fixed future, and only
-    the least such state is kept.  Among equal results the
-    witness sorts the rows for its column order, so the witness of a
-    canonical matrix is the identity.
+    the least such state is kept.  Among equal results the witness sorts the rows for its
+    column order, so the witness of a canonical matrix is the identity.
 
     About 0.06 ms per uncached call on the stream's matrices with unit
     rows and 0.03 ms on those without (``tools/kernel_percall.py`` gives
@@ -435,7 +434,7 @@ def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int):
     remaining rows that are 1 on it.  Returns None when no cell is split.
     """
     key = []
-    split = False
+    fixed = True
     for cell in cells:
         low = cell & -cell
         ones = col_rows[low.bit_length() - 1] & left
@@ -447,10 +446,10 @@ def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int):
             rest ^= low
         if rest:
             key.append(cell)
-            split = True
+            fixed = False
         else:
             key.append((cell.bit_count(), ones))
-    return tuple(key) if split else None
+    return None if fixed else tuple(key)
 
 
 # ---------------------------------------------------------------------------
