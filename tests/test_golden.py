@@ -3,9 +3,10 @@
 CLI stdout and canonical keys are the behaviour contract, so any change to
 the kernels, the census or the maps must leave every hash below unchanged.
 The runs go through ``splitkit.cli.main`` in-process, each with empty
-census stores (generation output and records) as in a fresh process; the
-census key lists at n = 8 are pinned by one sha256 per class.  To print the tables for a deliberate,
-documented output change, run
+census stores (generation output and records) as in a fresh process.  The
+sorted ``enumerate`` output at n = 8 is pinned like any other run, and the
+census key lists at n = 8 by one sha256 per class.  To print the tables
+for a deliberate, documented output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -78,10 +79,11 @@ def _runs():
             for extra in (["--balance", "balanced"], ["--balance", "unbalanced"], ["--stream"], ["--count-only"]):
                 argv = base + extra
                 runs.append((" ".join(argv), "", argv))
-    for cls in _CLASSES:
-        argv = ["enumerate", "--class", cls, "--n", "7"]
-        runs.append((" ".join(argv), "", argv))
-    for n in range(7):
+    for n in (7, 8):
+        for cls in _CLASSES:
+            argv = ["enumerate", "--class", cls, "--n", str(n)]
+            runs.append((" ".join(argv), "", argv))
+    for n in range(8):
         argv = ["enumerate", "--class", "xy", "--n", str(n), "--no-y-isolates"]
         runs.append((" ".join(argv), "", argv))
     runs.append(("gallery --n 5", "", ["gallery", "--n", "5"]))
@@ -274,6 +276,10 @@ GOLDEN = {
     'enumerate --class cover --n 7': '0 41764f7922e36d905b6f516d09bca1a1ad76a8c753c04c34c348180e99a7341e',
     'enumerate --class xy --n 7': '0 256c47a7c343c20392eab03aa59fee2db4bb1c4a67c71f53f39185527fd8d92a',
     'enumerate --class poset --n 7': '0 667fd5d830559bf2ce6f9b347953cbcaabb23f792c05abd56add2c9852d333a0',
+    'enumerate --class split --n 8': '0 da2e2dd5fc05cb39c2430d8f13dd73620fa3d3cd008abe1a70eb3131517a01c5',
+    'enumerate --class cover --n 8': '0 c7a6684a82acd34b7c22bca9bb296f14c55eeddbbcd61251d3155bcc7cf128bc',
+    'enumerate --class xy --n 8': '0 ed5ffe8112775f3a2171e71f938e0685c4f1b47fd3de6f5c555db8d46f15e23f',
+    'enumerate --class poset --n 8': '0 c76568289bc2f6858ead667aba6c503641a5571326270818ee7b8c3a07d0be95',
     'enumerate --class xy --n 0 --no-y-isolates': '0 24f2aeb04ae8ae91df6c80c5af83f5feb5138e4e0c32ae573e1be4058cccd1db',
     'enumerate --class xy --n 1 --no-y-isolates': '0 675414cef2355c9659483b37ab72049f02ae47810caf962e82283805400ad253',
     'enumerate --class xy --n 2 --no-y-isolates': '0 8b98939024a0d625f66922927d4f70ff2dfdf00c3431425693fc6d31ebee0915',
@@ -281,6 +287,7 @@ GOLDEN = {
     'enumerate --class xy --n 4 --no-y-isolates': '0 a815b3082a805eb0623dea77468e6e71480d15892e33c3f774a22d29825e1bdb',
     'enumerate --class xy --n 5 --no-y-isolates': '0 fab0081f1f99f9abc490da74aef61d9186883149714ab76ca59c244b2f95409b',
     'enumerate --class xy --n 6 --no-y-isolates': '0 139c3d2a48972201d34e0e14bd481a320790df0d24825e2602d84e6f3ca4b06b',
+    'enumerate --class xy --n 7 --no-y-isolates': '0 4813924c44ff2f39c21b6d723b69b56e668e4a5a5282b5e78aa6030366e2929d',
     'gallery --n 5': '0 4e7e3c0eda2ecea7c7e1afdb861f089c1648905dedaaa5b12a2cbc5b29ae248b',
     'split census n=4 | classify': '0 09fcc51ce7ca7026544ef3fd86f40d6320bb6d15ca2ef59818771e6c433610c7',
     'Bg | map --from split --to cover': '0 37c0e1198ba69dbeb2790366bc87ad94e6ad2cb4107636f1fd88ebc234ee6390',
