@@ -1,56 +1,63 @@
 """Exhaustive census of each class at a given size, built once per process.
 
-The master enumeration runs over XY incidence matrices: Y-columns (as
-bitmasks over the X-rows) are appended one at a time in non-decreasing
-order, and a partial matrix survives only while it is canonical, meaning no
-permutation of the X-rows yields a smaller sorted column sequence.  Every
-canonical sequence has a canonical prefix chain, so the search visits each
-unlabeled XY-graph exactly once.  Split graphs, covers and posets are
-transported straight from the generated XY-graphs without isolates in Y
-(``xy_to_split``, then ``split_to_cover`` or ``split_to_poset``); a naive
-oracle (generate every labeled object, canonicalize, deduplicate) provides
-the independent cross-check and shares nothing with the master path except
-the canonical forms.
+Every census is read off one store of incidence matrices generated by
+column augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  ``_levels[nx][m]`` holds the nx x m 0/1 matrices
+with no zero column, one per unlabeled object, as the canonical row values
+of the matrix kernel (``canon._canon_rows``); rows are X and columns Y of
+an XY-graph without isolates in Y.  Level m + 1 extends each matrix of
+level m by one column.  Equal rows are interchangeable, so the new column
+is chosen only up to them: one column per vector of counts of ones over
+the groups of equal rows, with at least as many ones as the heaviest
+column already there.  The rule is complete: deleting a heaviest column of
+any matrix of level m + 1 leaves a matrix of level m, and the column put
+back has one of the counted vectors.  Children are deduplicated by their
+canonical values and kept in order of first appearance.
 
-Per-process stores keep what is built.  The orderly-generation output
-(the XY-graphs as generated, not yet canonicalized) is stored per shard of
-the search, the first time any census needs that shard, so no shard runs
-twice in a process.  Records are stored per census that a caller asks
-for: a tuple in generation order, one per unlabeled object, holding the
+The XY census without isolates in Y reads level n - nx for nx = n down to
+0.  Split graphs, covers and posets are transported straight from those
+XY-graphs (``xy_to_split``, then ``split_to_cover`` or ``split_to_poset``).
+By the paper's counting fact, the XY-graphs on n points with isolates in Y
+are the ones without isolates on fewer points, with isolates added: for
+each nx, the unrestricted XY census reads the levels m < n - nx with
+n - nx - m isolates added, most isolates first, then the records of the
+census without isolates at that nx, which it shares.
+
+Deduplication rests on the kernel, so two checks share nothing with the
+generation but the canonical forms: the naive oracle (generate every
+labeled object, canonicalize, deduplicate) compares whole censuses at
+small n, and the paper's counts (OEIS A048194 for split graphs, their
+partial sums for XY-graphs) check up to n = 10 that the kernel neither
+merges nor splits classes.
+
+Per-process stores keep what is built: the levels, the first time any
+census needs them, and per census that a caller asks for, its records, a
+tuple in generation order, one per unlabeled object, holding the
 canonically labeled object, its canonical key and its balance (``None``
 for an XY-graph with isolates in Y, whose balance is undefined).  The
-first full pass of an ``iter_*`` generator over a (class, n, no-Y-isolates)
-census stores its records; ``records`` and ``enumerate_*`` run that pass
-when nothing is stored yet, and every later pass replays the stored
-records.  XY records are also kept per shard: the XY census without
-isolates in Y is the unrestricted one without the shards whose first
-column is empty, that is, its records with a balance, in the same order,
-and each XY-graph is canonicalized once whichever of the two is built
-first.  A transported census canonicalizes and classifies only its own
-objects, so a one-shot ``enumerate`` builds no XY or split census it does
-not print, while a caller that asks for every census (``verify``)
-canonicalizes each unlabeled object of each class once.  A pass that
-stops early stores no census records.  A building pass checks that no two
-of its objects share a key.
-
-The search tree shards by the content of the first column; shards run
-and merge in a fixed order.
+first full pass of an ``iter_*`` generator over a (class, n,
+no-Y-isolates) census stores its records; ``records`` and ``enumerate_*``
+run that pass when nothing is stored yet, and every later pass replays the
+stored records.  A transported census canonicalizes and classifies only
+its own objects, so a one-shot ``enumerate`` builds no XY or split census
+it does not print, while a caller that asks for every census (``verify``)
+canonicalizes each unlabeled object of each class once.  A pass that stops
+early stores no census records.  A building pass checks that no two of its
+objects share a key.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from . import biject
-from .canon import canon_key, canonical_object
+from .canon import _canon_rows, canon_key, canonical_object
 from .classify import balance_of, xy_isolates_universals
 from .core import (
     Balance,
     BipartitePoset,
     CanonicalKey,
-    DomainError,
     Graph,
     SetCover,
     SizeLimitError,
@@ -123,125 +130,52 @@ def _check_bound(n: int):
 
 
 # ---------------------------------------------------------------------------
-# orderly generation of canonical column sequences
+# generation by column augmentation, and census records
 
 
-@lru_cache(maxsize=None)
-def _row_perm_tables(width: int) -> tuple[tuple[int, ...], ...]:
-    """Bit-permutation tables for every permutation of ``width`` rows."""
-    tables = []
-    for perm in itertools.permutations(range(width)):
-        table = [0] * (1 << width)
-        for value in range(1, 1 << width):
-            low = value & -value  # the image of value without its lowest bit, plus that bit's image
-            table[value] = table[value ^ low] | 1 << perm[low.bit_length() - 1]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-def _is_canonical_colseq(nx: int, cols: tuple[int, ...]) -> bool:
-    """No row permutation may produce a smaller sorted column sequence."""
-    if len(cols) <= 1:
-        if not cols:
-            return True
-        # A single column is canonical iff its bits sit at the low rows.
-        return cols[0] == (1 << bin(cols[0]).count("1")) - 1
-    ref = list(cols)
-    for table in _row_perm_tables(nx):
-        if sorted(table[c] for c in cols) < ref:
-            return False
-    return True
-
-
-def _gen_colseqs(nx: int, ny: int, min_col: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if len(prefix) == ny:
-        yield prefix
-        return
-    start = prefix[-1] if prefix else min_col
-    for col in range(start, 1 << nx):
-        cand = prefix + (col,)
-        if _is_canonical_colseq(nx, cand):
-            yield from _gen_colseqs(nx, ny, min_col, cand)
-
-
-# A shard of the search: (nx, ny, content of the first column), or
-# (nx, 0, None) for the single XY-graph with an empty Y.
-Task = tuple[int, int, Optional[int]]
-
-
-def _shard_tasks(n: int, require_no_y_isolates: bool) -> list[Task]:
-    """Shards in a fixed deterministic order.  Without isolates in Y, the
-    shards whose first column is empty are left out: the first column is
-    the least, so those shards hold exactly the XY-graphs with an isolate."""
-    tasks: list[Task] = []
-    for nx in range(n, -1, -1):
-        ny = n - nx
-        if ny == 0:
-            tasks.append((nx, 0, None))
-            continue
-        min_col = 1 if require_no_y_isolates else 0
-        for first in range(min_col, 1 << nx):
-            tasks.append((nx, ny, first))
-    return tasks
-
-
-def _run_shard(task: Task) -> list[XYGraph]:
-    nx, ny, first = task
-    if first is None:
-        return [XYGraph(nx, 0, frozenset())]
-    if not _is_canonical_colseq(nx, (first,)):
-        return []
-    out = []
-    for cols in _gen_colseqs(nx, ny, first, (first,)):
-        edges = frozenset(
-            (x, j) for j, col in enumerate(cols) for x in range(nx) if col >> x & 1
-        )
-        out.append(XYGraph(nx, ny, edges))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# census records: built on the first full pass, replayed after
-
-
-_generated: dict[Task, tuple[XYGraph, ...]] = {}
-_xy_shard_records: dict[Task, tuple[Record, ...]] = {}
+_levels: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
 _records: dict[tuple[str, int, bool], tuple[Record, ...]] = {}
 
 
-def _xy_balance(h: XYGraph) -> Optional[Balance]:
-    try:
-        return balance_of(h)
-    except DomainError:
-        return None  # isolates in Y
+def _level(nx: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical row values of the nx x m incidences with no zero column,
+    one per unlabeled object, each level built once per process."""
+    levels = _levels.setdefault(nx, [((0,) * nx,)])
+    while len(levels) <= m:
+        levels.append(_augment(levels[-1], len(levels) - 1))
+    return levels[m]
 
 
-def _generation(n: int, require_no_y_isolates: bool) -> list[tuple[Task, tuple[XYGraph, ...]]]:
-    """(task, output) of every shard at size n in order; each shard task
-    runs once per process, whichever census asks for it first."""
-    tasks = _shard_tasks(n, require_no_y_isolates)
-    for task in tasks:
-        if task not in _generated:
-            _generated[task] = tuple(_run_shard(task))
-    return [(task, _generated[task]) for task in tasks]
+def _augment(parents: tuple[tuple[int, ...], ...], m: int) -> tuple[tuple[int, ...], ...]:
+    """Level m + 1 from level m: each parent with a new column in bit 0,
+    one per vector of counts of ones over its groups of equal rows, at
+    least as heavy as its heaviest column (and not empty)."""
+    children: dict[tuple[int, ...], None] = {}
+    for values in parents:
+        groups: dict[int, int] = {}
+        for v in values:
+            groups[v] = groups.get(v, 0) + 1
+        heaviest = max([sum(v >> j & 1 for v in values) for j in range(m)] + [1])
+        for counts in itertools.product(*(range(k + 1) for k in groups.values())):
+            if sum(counts) >= heaviest:
+                rows: list[int] = []
+                for (v, k), ones in zip(groups.items(), counts):
+                    rows += [v << 1 | 1] * ones + [v << 1] * (k - ones)
+                # bit j read as column j reverses the columns, which leaves
+                # the canonical form as it is
+                children.setdefault(_canon_rows(tuple(rows), m + 1).values, None)
+    return tuple(children)
 
 
-def _xy_record(h: XYGraph) -> Record:
-    h, key = canonical_object(h)
-    return Record(h, key, _xy_balance(h))
+def _xy_graph(nx: int, ny: int, values: tuple[int, ...]) -> XYGraph:
+    """The XY-graph with X-vertex x on the Y-vertices set in ``values[x]``;
+    the Y-vertices past the columns of ``values`` are isolates."""
+    return XYGraph(nx, ny, frozenset((x, y) for x, v in enumerate(values) for y in range(ny) if v >> y & 1))
 
 
-def _xy_records(n: int, require_no_y_isolates: bool) -> Iterator[Record]:
-    # per shard, so that the two XY censuses at n share their records
-    for task, graphs in _generation(n, require_no_y_isolates):
-        shard = _xy_shard_records.get(task)
-        if shard is None:
-            shard = _xy_shard_records[task] = tuple(map(_xy_record, graphs))
-        yield from shard
-
-
-# class -> maps taking a generated XY-graph without isolates in Y to it
+# class -> maps taking an XY-graph without isolates in Y to it
 _TRANSPORT = {
+    "xy": (),
     "split": (biject.xy_to_split,),
     "cover": (biject.xy_to_split, biject.split_to_cover),
     "poset": (biject.xy_to_split, biject.split_to_poset),
@@ -249,12 +183,33 @@ _TRANSPORT = {
 
 
 def _transported(class_tag: str, n: int) -> Iterator[Record]:
+    """Records of a census read off the XY-graphs without isolates in Y."""
     maps = _TRANSPORT[class_tag]
-    for obj in itertools.chain.from_iterable(graphs for _, graphs in _generation(n, True)):
-        for to_class in maps:
-            obj = to_class(obj)
-        obj, key = canonical_object(obj)
-        yield Record(obj, key, balance_of(obj))
+    for nx in range(n, -1, -1):
+        for values in _level(nx, n - nx):
+            obj = _xy_graph(nx, n - nx, values)
+            for to_class in maps:
+                obj = to_class(obj)
+            obj, key = canonical_object(obj)
+            yield Record(obj, key, balance_of(obj))
+
+
+def _xy_with_isolates(n: int) -> Iterator[Record]:
+    """The unrestricted XY census: for each nx, the levels m < n - nx with
+    n - nx - m isolates added in Y, most isolates first, then the records
+    of the census without isolates at that nx."""
+    shared = _pass("xy", n, True)
+    record = next(shared, None)
+    for nx in range(n, -1, -1):
+        ny = n - nx
+        for m in range(ny):
+            for values in _level(nx, m):
+                h, key = canonical_object(_xy_graph(nx, ny, values))
+                yield Record(h, key, None)
+        while record is not None and record.obj.nx == nx:
+            yield record
+            # resumed past its last record, the shared pass stores them
+            record = next(shared, None)
 
 
 def _pass(class_tag: str, n: int, no_isolates: bool) -> Iterator[Record]:
@@ -266,8 +221,8 @@ def _pass(class_tag: str, n: int, no_isolates: bool) -> Iterator[Record]:
     if stored is not None:
         yield from stored
         return
-    if class_tag == "xy":
-        build = _xy_records(n, no_isolates)
+    if class_tag == "xy" and not no_isolates:
+        build = _xy_with_isolates(n)
     else:
         build = _transported(class_tag, n)
     built = []

@@ -1,6 +1,6 @@
 """Census counts, oracle agreement, transport cardinality, determinism."""
 
-import itertools
+import os
 
 import pytest
 
@@ -22,6 +22,10 @@ from splitkit.core import Graph, SizeLimitError
 
 UNBALANCED = [0, 1, 2, 4, 8, 17, 38, 94, 258]  # splits, n = 0..8
 TOTALS = [1, 1, 2, 4, 9, 21, 56, 164]  # splits, n = 0..7
+# (split graphs, XY-graphs) on n points past MAX_N: OEIS A048194 and its
+# partial sums
+PAST_THE_BOUND = {9: (2223, 3038), 10: (10766, 13804)}
+LONG = os.environ.get("SPLITKIT_LONG") == "1"
 
 
 def test_xy_counts():
@@ -94,14 +98,16 @@ def test_enumeration_bound_named():
     assert str(MAX_N) in str(err.value)
 
 
-def test_row_perm_tables_match_a_direct_construction():
-    for width in range(7):
-        perms = list(itertools.permutations(range(width)))
-        direct = tuple(
-            tuple(sum(1 << perm[i] for i in range(width) if value >> i & 1) for value in range(1 << width))
-            for perm in perms
-        )
-        assert census._row_perm_tables(width) == direct
+@pytest.mark.parametrize(
+    "n", [9, pytest.param(10, marks=pytest.mark.skipif(not LONG, reason="set SPLITKIT_LONG=1 for n=10"))]
+)
+def test_levels_past_the_bound_count_oeis_a048194(monkeypatch, n):
+    # the levels are deduplicated by the kernel; the paper's counts show
+    # that it neither merges nor splits classes
+    monkeypatch.setattr(census, "_levels", {})
+    split = sum(len(census._level(nx, n - nx)) for nx in range(n + 1))
+    xy = sum(len(census._level(nx, m)) for nx in range(n + 1) for m in range(n - nx + 1))
+    assert (split, xy) == PAST_THE_BOUND[n]
 
 
 def test_transport_does_not_merge_keys(monkeypatch):
@@ -135,8 +141,10 @@ def test_replay_matches_the_first_pass(monkeypatch):
                 assert r.balance is None
             else:
                 assert r.balance == balance_of(r.obj)
-    # split graphs come straight from the generation, which stores no XY records
-    assert set(census._records) == {(t, 5, False) for t in ("split", "cover", "xy", "poset")}
+    # split graphs come straight from the generation, which stores no XY
+    # records; the unrestricted XY census shares the records of the one
+    # without isolates in Y
+    assert set(census._records) == {(t, 5, False) for t in ("split", "cover", "xy", "poset")} | {("xy", 5, True)}
 
 
 def test_a_pass_that_stops_early_stores_nothing(monkeypatch):
@@ -151,62 +159,71 @@ def test_a_pass_that_stops_early_stores_nothing(monkeypatch):
 
 def _count_work(monkeypatch):
     """Empty census stores, and lists that collect the key of every
-    canonicalization and the task of every shard run by the census."""
+    canonicalization and the level of every augmentation by the census."""
     monkeypatch.setattr(census, "_records", {})
-    monkeypatch.setattr(census, "_generated", {})
-    monkeypatch.setattr(census, "_xy_shard_records", {})
-    canonicalized, shards = [], []
-    real_canon, real_shard = census.canonical_object, census._run_shard
+    monkeypatch.setattr(census, "_levels", {})
+    canonicalized, augmented = [], []
+    real_canon, real_augment = census.canonical_object, census._augment
 
     def counting_canon(obj):
         out = real_canon(obj)
         canonicalized.append(out[1])
         return out
 
-    def counting_shard(task):
-        shards.append(task)
-        return real_shard(task)
+    def counting_augment(parents, m):
+        augmented.append(m + 1)
+        return real_augment(parents, m)
 
     monkeypatch.setattr(census, "canonical_object", counting_canon)
-    monkeypatch.setattr(census, "_run_shard", counting_shard)
-    return canonicalized, shards
+    monkeypatch.setattr(census, "_augment", counting_augment)
+    return canonicalized, augmented
+
+
+def _built_once(augmented, n):
+    """Whether the stored levels are those that the censuses at n read or
+    build on (nx + m <= n), each level past 0 built by one augmentation."""
+    wanted = [(nx, m) for nx in range(n + 1) for m in range(n - nx + 1)]
+    stored = [(nx, m) for nx, levels in census._levels.items() for m in range(len(levels))]
+    return sorted(stored) == wanted and sorted(augmented) == sorted(m for _, m in wanted if m)
 
 
 def test_verify_canonicalizes_each_census_object_once(monkeypatch):
     """One census pass per process: verify replays the stored records."""
-    canonicalized, shards = _count_work(monkeypatch)
+    canonicalized, augmented = _count_work(monkeypatch)
     results = verify.run_all(5)
     assert all(r.passed for r in results if r.suite != "triangle")
-    # the XY census without isolates in Y reuses the unrestricted records
+    # the unrestricted XY census shares the records without isolates in Y
     stored = [r.key for (_, _, no_isolates), records in census._records.items() if not no_isolates for r in records]
     censuses = [census.enumerate_class(tag, n) for tag in ("split", "cover", "poset") for n in range(6)]
     censuses += [enumerate_xy(n, False) for n in range(6)]
     census_keys = [k for c in censuses for k in c.keys]
     assert sorted(canonicalized) == sorted(stored) == sorted(census_keys)
-    # one orderly-generation run per shard of the unrestricted XY censuses
-    assert sorted(shards) == sorted(t for n in range(6) for t in census._shard_tasks(n, False))
+    # one augmentation per level that the censuses at n <= 5 read
+    assert _built_once(augmented, 5)
 
 
 @pytest.mark.parametrize("first_without_isolates", [True, False])
 def test_xy_census_without_isolates_is_the_unrestricted_one_with_a_balance(monkeypatch, first_without_isolates):
-    canonicalized, shards = _count_work(monkeypatch)
+    canonicalized, augmented = _count_work(monkeypatch)
     census.records("xy", 6, first_without_isolates)
-    # a one-shot census does only its own work
+    # a one-shot census does only its own work; the unrestricted one
+    # stores the records without isolates in Y that it shares
     assert len(canonicalized) == len(census.records("xy", 6, first_without_isolates))
-    assert shards == census._shard_tasks(6, first_without_isolates)
+    assert _built_once(augmented, 6)
+    assert ("xy", 6, True) in census._records
     census.records("xy", 6, not first_without_isolates)
     unrestricted = census.records("xy", 6, False)
     assert census.records("xy", 6, True) == tuple(r for r in unrestricted if r.balance is not None)
     assert len(canonicalized) == len(unrestricted)
-    assert sorted(shards) == sorted(census._shard_tasks(6, False))
+    assert _built_once(augmented, 6)
 
 
 def test_a_transported_census_builds_only_itself(monkeypatch):
     """A cover census canonicalizes its covers and nothing it passes through."""
-    canonicalized, shards = _count_work(monkeypatch)
+    canonicalized, augmented = _count_work(monkeypatch)
     assert len(census.records("cover", 6)) == 56
     assert len(canonicalized) == 56 and {key.class_tag for key in canonicalized} == {"cover"}
-    assert shards == census._shard_tasks(6, True)
+    assert _built_once(augmented, 6)
     assert set(census._records) == {("cover", 6, False)}
 
 

@@ -3,7 +3,7 @@
 CLI stdout and canonical keys are the behaviour contract, so any change to
 the kernels, the census or the maps must leave every hash below unchanged.
 The runs go through ``splitkit.cli.main`` in-process, each with empty
-census stores (generation output and records) as in a fresh process.  The
+census stores (generated levels and records) as in a fresh process.  The
 sorted ``enumerate`` output at n = 8 is pinned like any other run, and the
 census key lists at n = 8 by one sha256 per class.  To print the tables
 for a deliberate, documented output change, run
@@ -111,8 +111,7 @@ def _capture(stdin: str, argv) -> tuple[int, str]:
         with (
             contextlib.redirect_stdout(out),
             mock.patch.dict(census._records, clear=True),
-            mock.patch.dict(census._generated, clear=True),
-            mock.patch.dict(census._xy_shard_records, clear=True),
+            mock.patch.dict(census._levels, clear=True),
         ):
             code = main(argv)
     finally:

@@ -1,7 +1,8 @@
 """Per-call cost of the matrix kernel on the inputs the benchmark gives it.
 
 Records the distinct ``canon._canon_rows`` inputs of three workloads, run
-in-process through ``splitkit.cli.main`` with empty census stores:
+in-process through ``splitkit.cli.main`` with empty census stores, so the
+census and certify sets hold the census generation's inputs too:
 
 * census: ``enumerate --class {split,cover,xy,poset} --n 7``;
 * certify: ``verify --suite all --max-n 6``;
@@ -51,11 +52,11 @@ def record(commands) -> list:
         kernel.cache_clear()
         with (
             mock.patch.object(canon, "_canon_rows", recording),
+            mock.patch.object(census, "_canon_rows", recording),
             mock.patch.object(sys, "stdin", io.StringIO(stdin)),
             contextlib.redirect_stdout(io.StringIO()),
             mock.patch.dict(census._records, clear=True),
-            mock.patch.dict(census._generated, clear=True),
-            mock.patch.dict(census._xy_shard_records, clear=True),
+            mock.patch.dict(census._levels, clear=True),
         ):
             cli.main(argv)
     return list(seen)
