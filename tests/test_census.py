@@ -142,8 +142,8 @@ def test_replay_matches_the_first_pass(monkeypatch):
             else:
                 assert r.balance == balance_of(r.obj)
     # split graphs come straight from the generation, which stores no XY
-    # records; the unrestricted XY census shares the records of the one
-    # without isolates in Y
+    # records; the unrestricted XY census stores the records without
+    # isolates in Y that it shares
     assert set(census._records) == {(t, 5, False) for t in ("split", "cover", "xy", "poset")} | {("xy", 5, True)}
 
 
