@@ -46,6 +46,7 @@ from .core import (
     class_tag_of,
 )
 from .classify import (
+    _require_cover,
     extremal_sets,
     is_minimal,
     is_split,
@@ -70,9 +71,10 @@ def default_reps(c: SetCover) -> tuple[int, ...]:
 
 
 def _check_reps(c: SetCover, reps: Optional[Sequence[int]]) -> tuple[int, ...]:
-    if not is_minimal(c):  # also rejects families that fail to cover
-        raise DomainError("cover is not minimal: some set has no loyal element")
+    _require_cover(c)
     loyal = loyal_elements(c)
+    if not all(loyal):
+        raise DomainError("cover is not minimal: some set has no loyal element")
     if reps is None:
         return tuple(min(l) for l in loyal)
     if len(reps) != len(c.sets):
@@ -324,11 +326,7 @@ def compile_cover_down(c: SetCover, extremal_set: Optional[int] = None) -> SetCo
     if not candidates:
         raise DomainError("balanced cover: no set of size |V|-|C|+1 (no balance witness)")
     extremal_set = _pick(extremal_set, candidates, "set {} does not have the extremal size")
-    membership = [0] * c.n
-    for s in c.sets:
-        for e in s:
-            membership[e] += 1
-    dropped = {e for e in c.sets[extremal_set] if membership[e] == 1}
+    dropped = set(loyal_elements(c)[extremal_set])
     keep = sorted(set(range(c.n)) - dropped)
     index = {e: i for i, e in enumerate(keep)}
     sets = tuple(

@@ -41,12 +41,12 @@ def _degree_split_data(g: Graph):
     the vertices by descending degree, ties by index.
     """
     degree = [row.bit_count() for row in g.adj]
-    order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+    order = sorted(range(g.n), key=degree.__getitem__, reverse=True)
     degs = [degree[v] for v in order]
+    # d_i - (i - 1) falls by at least 1 per step, so the first failure is final
     m = 0
-    for i in range(1, g.n + 1):
-        if degs[i - 1] >= i - 1:
-            m = i
+    while m < g.n and degs[m] >= m:
+        m += 1
     head = sum(degs[:m])
     tail = sum(degs[m:])
     return head == m * (m - 1) + tail, m, order
@@ -244,11 +244,10 @@ def is_minimal(c: SetCover) -> bool:
     Equivalent to no set being contained in the union of the others.
     """
     _require_cover(c)
-    return all(loyal for loyal in loyal_elements(c)) if c.sets else True
+    return all(loyal_elements(c))
 
 
 def _require_minimal(c: SetCover):
-    _require_cover(c)
     if not is_minimal(c):
         raise DomainError("cover is not minimal: some set has no loyal element")
 

@@ -7,6 +7,7 @@ import pytest
 
 from splitkit.census import iter_cover, iter_split, naive_oracle
 from splitkit.classify import (
+    _degree_split_data,
     balance_cover,
     balance_poset,
     balance_split,
@@ -115,6 +116,35 @@ def test_degree_criterion_matches_brute_force():
     for n in range(7):
         for g in all_graphs(n):
             assert is_split(g) == bool(valid_k_masks(g)), g.edges()
+
+
+def _degree_split_data_by_definition(g):
+    """(is_split, m, order) spelled out: m is the largest i with
+    d_i >= i - 1 over all i, ties in degree ordered by index."""
+    degree = [row.bit_count() for row in g.adj]
+    order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+    degs = [degree[v] for v in order]
+    m = 0
+    for i in range(1, g.n + 1):
+        if degs[i - 1] >= i - 1:
+            m = i
+    return sum(degs[:m]) == m * (m - 1) + sum(degs[m:]), m, order
+
+
+def test_degree_split_data_matches_its_definition():
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(2016)
+    for i in range(200):
+        n, p = rng.randrange(21), rng.random()
+        pairs = itertools.combinations(range(n), 2)
+        if i % 2:  # a clique on 0..k-1 and a stable set on the rest
+            k = rng.randrange(n + 1)
+            edges = [(u, v) for u, v in pairs if v < k or (u < k and rng.random() < p)]
+        else:
+            edges = [e for e in pairs if rng.random() < p]
+        graphs.append(graph(n, edges))
+    for g in graphs:
+        assert _degree_split_data(g) == _degree_split_data_by_definition(g), g.edges()
 
 
 def test_omega_alpha_examples():

@@ -104,6 +104,29 @@ def test_classify_pipeline(monkeypatch, capsys):
     assert "minimal" in json.loads(out)["error"]
 
 
+_NOT_MINIMAL = '{"class":"cover","n":3,"sets":[[0],[0,1],[2]]}'
+_NOT_COVERING = '{"class":"cover","n":3,"sets":[[0,1],[1]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--from", "cover", "--to", "split"],
+        ["map", "--from", "cover", "--to", "xy"],
+        ["map", "--from", "cover", "--to", "poset"],
+        ["compile", "--class", "cover", "--direction", "down"],
+        ["compile", "--class", "cover", "--direction", "up", "--n", "6"],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_cover_maps_refuse_with_one_pinned_line(argv, monkeypatch, capsys):
+    not_minimal = "cover is not minimal" + ("" if "down" in argv else ": some set has no loyal element")
+    for line, error in ((_NOT_MINIMAL, not_minimal), (_NOT_COVERING, "union ≠ ground set: element 2 uncovered")):
+        code, out, _ = run(argv, line + "\n", monkeypatch, capsys)
+        assert code == 3
+        assert out == json.dumps({"error": error, "line": line}, separators=(",", ":")) + "\n"
+
+
 def _rejected_line(line, monkeypatch, capsys):
     """classify gives ``line`` a per-line error record and exits with 3."""
     code, out, _ = run(["classify"], line + "\n", monkeypatch, capsys)
@@ -321,7 +344,8 @@ def test_map_rejects_a_non_split_graph_before_canonicalizing(monkeypatch, capsys
         (splitkit.canon, "canon_matrix"),
     ):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    cycle16 = "OhCGGC@?G?_@?@??_?K?@"  # the 16-cycle, not a split graph
+    splitkit.canon._key_of.cache_clear()  # a remembered key would skip the counted calls
+    cycle16 ="OhCGGC@?G?_@?@??_?K?@"  # the 16-cycle, not a split graph
     for target in ("cover", "xy", "poset", "xy-shift"):
         code, out, _ = run(["map", "--from", "split", "--to", target], cycle16 + "\n", monkeypatch, capsys)
         assert code == 3

@@ -9,7 +9,11 @@ census and certify sets hold the census generation's inputs too:
 * stream: the items of round 0 of seeds 1-3 (``perfbench/streamgen``).
 
 Then times the uncached kernel (``_canon_rows.__wrapped__``) on each set,
-best of ``REPEAT`` sweeps, and prints microseconds per call.
+best of ``REPEAT`` sweeps, and prints microseconds per call, raw and
+scaled for host speed the way the benchmark scales its times
+(``perfbench/workloads.Speed``): each sweep is bracketed by timings of
+the fixed ``reference_kernel`` and scaled by its nominal time over their
+mean, so drift of a shared host between runs cancels in part.
 
     python tools/kernel_percall.py
 """
@@ -25,6 +29,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import streamgen  # noqa: E402
+import workloads  # noqa: E402
 from splitkit import canon, census, cli  # noqa: E402
 
 REPEAT = 7  # timed sweeps per set; the best counts
@@ -50,6 +55,7 @@ def record(commands) -> list:
 
     for argv, stdin in commands:
         kernel.cache_clear()
+        canon._key_of.cache_clear()
         with (
             mock.patch.object(canon, "_canon_rows", recording),
             mock.patch.object(census, "_canon_rows", recording),
@@ -62,22 +68,28 @@ def record(commands) -> list:
     return list(seen)
 
 
-def per_call_us(inputs) -> float:
+def per_call_us(inputs) -> tuple[float, float]:
+    """(raw, scaled) microseconds per call, each the best of the sweeps."""
     kernel = canon._canon_rows.__wrapped__
-    best = float("inf")
+    speed = workloads.Speed()
+    speed.start()
+    raw = scaled = float("inf")
     for _ in range(REPEAT):
         start = time.perf_counter()
         for rows, c in inputs:
             kernel(rows, c)
-        best = min(best, time.perf_counter() - start)
-    return best / len(inputs) * 1e6
+        elapsed = time.perf_counter() - start
+        raw = min(raw, elapsed)
+        scaled = min(scaled, elapsed * speed.factor())
+    return raw / len(inputs) * 1e6, scaled / len(inputs) * 1e6
 
 
 def main() -> int:
-    print("set      inputs  us/call")
+    print("set      inputs   raw us  scaled us")
     for name, commands in SETS.items():
         inputs = record(commands)
-        print(f"{name:<8} {len(inputs):>6}  {per_call_us(inputs):7.1f}")
+        raw, scaled = per_call_us(inputs)
+        print(f"{name:<8} {len(inputs):>6}  {raw:7.1f}  {scaled:9.1f}")
     return 0
 
 
