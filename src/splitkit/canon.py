@@ -46,15 +46,6 @@ apart and keeps a split graph's stable side apart from its clique.  Keys
 embed a tag byte and the dimensions before the bits, so objects of
 different shapes never collide, nor do split graphs and graphs that are
 not split.
-
-Two bounded memos keep recent results: ``_canon_rows`` by row masks,
-which XY-graphs, posets and covers share, and ``canon_key`` by the
-labeled object itself (the last 1,024), which is exact because objects
-are immutable and equal only with the same class and fields.  The verify
-suites key the same objects again and again: the key memo answers 64% of
-the ``canon_key`` calls of ``verify --suite all --max-n 6`` (65% repeat an
-object), and 26% at max-n 8, where a larger memo costs about 1 KB per
-entry and saved no time.
 """
 
 from __future__ import annotations
@@ -661,23 +652,15 @@ def canon_poset(p: BipartitePoset) -> CanonicalKey:
 
 
 def canon_key(obj) -> CanonicalKey:
-    """The key of a split graph, cover, XY-graph or poset.  The last 1,024
-    objects keyed are remembered with their keys, which is exact: they are
-    immutable, and equal only with the same class and fields."""
-    if not isinstance(obj, (Graph, SetCover, XYGraph, BipartitePoset)):
-        raise UsageError(f"cannot canonicalize {type(obj).__name__}")
-    return _key_of(obj)
-
-
-@lru_cache(maxsize=1024)
-def _key_of(obj) -> CanonicalKey:
     if isinstance(obj, Graph):
         return canon_graph(obj).key
     if isinstance(obj, SetCover):
         return canon_cover(obj)
     if isinstance(obj, XYGraph):
         return canon_xy(obj)
-    return canon_poset(obj)
+    if isinstance(obj, BipartitePoset):
+        return canon_poset(obj)
+    raise UsageError(f"cannot canonicalize {type(obj).__name__}")
 
 
 def _canonical_ones(key: CanonicalKey, cols: int) -> list[tuple[int, int]]:

@@ -12,10 +12,12 @@ asserted.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import biject, census
 from .canon import canon_key
 from .classify import balance_of
-from .core import UsageError, Value, size_of
+from .core import CanonicalKey, UsageError, Value, size_of
 
 # Reference counts.  Split-graph totals are OEIS A048194 (prepended with the
 # single empty object at n=0); the unbalanced totals are forced from them by
@@ -89,9 +91,23 @@ def _iter(tag: str, n: int):
     return census.records(tag, n, require_no_y_isolates=(tag == "xy"))
 
 
+@lru_cache(maxsize=1024)
+def _key(obj) -> CanonicalKey:
+    """``canon_key`` of a map's output, remembered for the last 1,024 objects.
+
+    The suites key the same labeled objects again and again (64% of the
+    key calls of ``run_all(6)`` repeat a recent one).  The memo is exact:
+    objects are immutable, and equal only with the same class and fields.
+    Census keys never enter it, so re-keying an object the census keyed
+    still checks the map.  The CLI's per-line commands repeat few objects
+    and key through ``canon_key`` itself.
+    """
+    return canon_key(obj)
+
+
 def _check_key(result: SuiteResult, key, back):
     """Record a failure unless ``back`` has the census key ``key``."""
-    back_key = canon_key(back)
+    back_key = _key(back)
     if back_key != key:
         result.failures.append((key.hex, key.hex, back_key.hex))
 
@@ -159,7 +175,7 @@ def verify_compilation(class_tag: str, n: int) -> SuiteResult:
         result.checked += 1
         key = rec.key
         small = down(rec.obj)
-        small_key = canon_key(small)
+        small_key = _key(small)
         if small_key in image:
             result.failures.append((key.hex, "injective image", f"collides with {image[small_key].hex}"))
         image[small_key] = key
@@ -209,7 +225,7 @@ def verify_choice_independence(map_name: str, max_n: int) -> SuiteResult:
                     out = (
                         spec.fn(obj, target, **kwargs) if target is not None else spec.fn(obj, **kwargs)
                     )
-                    key = canon_key(out)
+                    key = _key(out)
                     if reference is None:
                         reference = key
                     elif key != reference:
@@ -255,8 +271,8 @@ def verify_triangle(max_n: int) -> SuiteResult:
         for rec in _iter("split", n):
             g = rec.obj
             total += 1
-            direct = canon_key(biject.split_to_poset(g))
-            composed = canon_key(biject.cover_to_poset(biject.split_to_cover(g)))
+            direct = _key(biject.split_to_poset(g))
+            composed = _key(biject.cover_to_poset(biject.split_to_cover(g)))
             if direct == composed:
                 agree += 1
     params = {

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from splitkit import canon, census
+from splitkit import census
 from splitkit.biject import cover_to_split, split_to_xy
 from splitkit.canon import (
     _canon_adjacency,
@@ -448,64 +448,8 @@ def test_canonical_split_graph_lists_s_first_with_identity_witness():
 
 
 
-# ---------------------------------------------------------------------------
-# the key memo
-
-
-def _relabeled(obj, rng):
-    """``obj`` with its points renumbered at random (its sets reordered)."""
-    def perm(k):
-        p = list(range(k))
-        rng.shuffle(p)
-        return p
-
-    if isinstance(obj, Graph):
-        return relabel(obj, perm(obj.n))
-    if isinstance(obj, SetCover):
-        p = perm(obj.n)
-        sets = [[p[e] for e in s] for s in obj.sets]
-        rng.shuffle(sets)
-        return SetCover(obj.n, sets)
-    if isinstance(obj, XYGraph):
-        px, py = perm(obj.nx), perm(obj.ny)
-        return XYGraph(obj.nx, obj.ny, {(px[x], py[y]) for x, y in obj.edges})
-    p0, p1 = perm(obj.n0), perm(obj.n1)
-    return BipartitePoset(obj.n0, obj.n1, {(p0[a], p1[b]) for a, b in obj.below})
-
-
-def test_memo_keys_are_the_uncached_keys():
-    rng = random.Random(16)
-    uncached = canon._key_of.__wrapped__
-    canon._key_of.cache_clear()
-    checked = 0
-    for tag in ("split", "cover", "xy", "poset"):
-        for n in range(7):
-            for r in census.records(tag, n):
-                objects = [r.obj] + [_relabeled(r.obj, rng) for _ in range(3)]
-                for obj in objects + objects:  # the second pass reads the memo
-                    assert canon_key(obj) == uncached(obj) == r.key
-                    checked += 1
-    assert checked > 2000 and canon._key_of.cache_info().hits > 0
-
-
-def test_memo_tells_classes_with_equal_fields_apart():
-    edges = frozenset({(0, 0), (0, 1), (1, 1)})
-    xy, poset = XYGraph(2, 2, edges), BipartitePoset(2, 2, edges)
-    assert hash(xy) == hash(poset) and xy != poset
-    canon._key_of.cache_clear()
-    for first, second in ((xy, poset), (poset, xy)):
-        canon_key(first)
-        assert canon_key(xy).data[:1] == b"x" and canon_key(poset).data[:1] == b"p"
-        assert canon_key(second) == canon._key_of.__wrapped__(second)
-        canon._key_of.cache_clear()
-
 
 @pytest.mark.parametrize("value", [[[1]], None, {"class": "cover"}], ids=["list", "none", "dict"])
 def test_key_of_a_value_outside_the_domain_is_a_usage_error(value):
     with pytest.raises(UsageError, match="cannot canonicalize"):
         canon_key(value)
-
-
-def test_memo_is_bounded():
-    maxsize = canon._key_of.cache_info().maxsize
-    assert isinstance(maxsize, int) and 0 < maxsize < 1 << 16

@@ -344,8 +344,7 @@ def test_map_rejects_a_non_split_graph_before_canonicalizing(monkeypatch, capsys
         (splitkit.canon, "canon_matrix"),
     ):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    splitkit.canon._key_of.cache_clear()  # a remembered key would skip the counted calls
-    cycle16 ="OhCGGC@?G?_@?@??_?K?@"  # the 16-cycle, not a split graph
+    cycle16 = "OhCGGC@?G?_@?@??_?K?@"  # the 16-cycle, not a split graph
     for target in ("cover", "xy", "poset", "xy-shift"):
         code, out, _ = run(["map", "--from", "split", "--to", target], cycle16 + "\n", monkeypatch, capsys)
         assert code == 3

@@ -2,10 +2,12 @@
 and every public operation of classify and biject is exercised somewhere."""
 
 import os
+import random
 
 import pytest
 
-from splitkit import biject, classify, verify
+from splitkit import biject, census, classify, verify
+from splitkit.canon import canon_key, relabel_graph
 from splitkit.core import BipartitePoset, Graph, SetCover, UsageError, XYGraph
 
 LONG = os.environ.get("SPLITKIT_LONG") == "1"
@@ -147,3 +149,55 @@ def test_every_operation_is_touched():
     biject.compile_xy_up(xy, 5)
     biject.compile_poset_down(poset)
     biject.compile_poset_up(poset, 5)
+
+
+# ---------------------------------------------------------------------------
+# the key memo
+
+
+def _relabeled(obj, rng):
+    """``obj`` with its points renumbered at random (a cover's sets reordered)."""
+
+    def perm(k):
+        return rng.sample(range(k), k)
+
+    if isinstance(obj, Graph):
+        return relabel_graph(obj, perm(obj.n))
+    if isinstance(obj, SetCover):
+        p = perm(obj.n)
+        return SetCover(obj.n, rng.sample([[p[e] for e in s] for s in obj.sets], len(obj.sets)))
+    if isinstance(obj, XYGraph):
+        px, py = perm(obj.nx), perm(obj.ny)
+        return XYGraph(obj.nx, obj.ny, {(px[x], py[y]) for x, y in obj.edges})
+    p0, p1 = perm(obj.n0), perm(obj.n1)
+    return BipartitePoset(obj.n0, obj.n1, {(p0[a], p1[b]) for a, b in obj.below})
+
+
+def test_memo_keys_are_the_uncached_keys():
+    rng = random.Random(16)
+    verify._key.cache_clear()
+    checked = 0
+    for tag in ("split", "cover", "xy", "poset"):
+        for n in range(7):
+            for r in census.records(tag, n):
+                objects = [r.obj] + [_relabeled(r.obj, rng) for _ in range(3)]
+                for obj in objects + objects:  # the second pass reads the memo
+                    assert verify._key(obj) == canon_key(obj) == r.key
+                    checked += 1
+    assert checked > 2000 and verify._key.cache_info().hits > 0
+
+
+def test_memo_tells_classes_with_equal_fields_apart():
+    edges = frozenset({(0, 0), (0, 1), (1, 1)})
+    xy, poset = XYGraph(2, 2, edges), BipartitePoset(2, 2, edges)
+    assert hash(xy) == hash(poset) and xy != poset
+    for first, second in ((xy, poset), (poset, xy)):
+        verify._key.cache_clear()
+        verify._key(first)
+        assert verify._key(second) == canon_key(second)
+        assert verify._key(xy).data[:1] == b"x" and verify._key(poset).data[:1] == b"p"
+
+
+def test_memo_is_bounded():
+    maxsize = verify._key.cache_info().maxsize
+    assert isinstance(maxsize, int) and 0 < maxsize < 1 << 16

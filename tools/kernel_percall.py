@@ -55,7 +55,6 @@ def record(commands) -> list:
 
     for argv, stdin in commands:
         kernel.cache_clear()
-        canon._key_of.cache_clear()
         with (
             mock.patch.object(canon, "_canon_rows", recording),
             mock.patch.object(census, "_canon_rows", recording),
