@@ -48,7 +48,6 @@ from .core import (
 from .classify import (
     _require_cover,
     extremal_sets,
-    is_minimal,
     is_split,
     k_max_partition,
     k_swings,
@@ -320,13 +319,15 @@ def compile_split_up(h: Graph, n: int) -> Graph:
 
 def compile_cover_down(c: SetCover, extremal_set: Optional[int] = None) -> SetCover:
     """Drop an extremal set together with the elements only it covered."""
-    if not is_minimal(c):
+    _require_cover(c)
+    loyal = loyal_elements(c)
+    if not all(loyal):
         raise DomainError("cover is not minimal")
     candidates = extremal_sets(c)
     if not candidates:
         raise DomainError("balanced cover: no set of size |V|-|C|+1 (no balance witness)")
     extremal_set = _pick(extremal_set, candidates, "set {} does not have the extremal size")
-    dropped = set(loyal_elements(c)[extremal_set])
+    dropped = set(loyal[extremal_set])
     keep = sorted(set(range(c.n)) - dropped)
     index = {e: i for i, e in enumerate(keep)}
     sets = tuple(

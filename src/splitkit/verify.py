@@ -95,8 +95,8 @@ def _iter(tag: str, n: int):
 def _key(obj) -> CanonicalKey:
     """``canon_key`` of a map's output, remembered for the last 1,024 objects.
 
-    The suites key the same labeled objects again and again (64% of the
-    key calls of ``run_all(6)`` repeat a recent one).  The memo is exact:
+    The suites key the same labeled objects again and again: the memo
+    answers 65% of the key calls of ``run_all(6)``.  It is exact:
     objects are immutable, and equal only with the same class and fields.
     Census keys never enter it, so re-keying an object the census keyed
     still checks the map.  The CLI's per-line commands repeat few objects
