@@ -447,8 +447,6 @@ def test_canonical_split_graph_lists_s_first_with_identity_witness():
         assert again.key == gc.key and again.order == tuple(range(g.n))
 
 
-
-
 @pytest.mark.parametrize("value", [[[1]], None, {"class": "cover"}], ids=["list", "none", "dict"])
 def test_key_of_a_value_outside_the_domain_is_a_usage_error(value):
     with pytest.raises(UsageError, match="cannot canonicalize"):

@@ -12,8 +12,9 @@ Then times the uncached kernel (``_canon_rows.__wrapped__``) on each set,
 best of ``REPEAT`` sweeps, and prints microseconds per call, raw and
 scaled for host speed the way the benchmark scales its times
 (``perfbench/workloads.Speed``): each sweep is bracketed by timings of
-the fixed ``reference_kernel`` and scaled by its nominal time over their
-mean, so drift of a shared host between runs cancels in part.
+the fixed ``reference_kernel``, and the best sweep is scaled by the
+median over the sweeps of its nominal time over their mean, since one
+sample of the reference kernel carries noise of its own.
 
     python tools/kernel_percall.py
 """
@@ -21,6 +22,7 @@ mean, so drift of a shared host between runs cancels in part.
 import contextlib
 import io
 import os
+import statistics
 import sys
 import time
 from unittest import mock
@@ -68,19 +70,20 @@ def record(commands) -> list:
 
 
 def per_call_us(inputs) -> tuple[float, float]:
-    """(raw, scaled) microseconds per call, each the best of the sweeps."""
+    """(raw, scaled) microseconds per call: the best sweep, then the same
+    scaled by the median of the sweeps' speed factors."""
     kernel = canon._canon_rows.__wrapped__
     speed = workloads.Speed()
     speed.start()
-    raw = scaled = float("inf")
+    best, factors = float("inf"), []
     for _ in range(REPEAT):
         start = time.perf_counter()
         for rows, c in inputs:
             kernel(rows, c)
-        elapsed = time.perf_counter() - start
-        raw = min(raw, elapsed)
-        scaled = min(scaled, elapsed * speed.factor())
-    return raw / len(inputs) * 1e6, scaled / len(inputs) * 1e6
+        best = min(best, time.perf_counter() - start)
+        factors.append(speed.factor())
+    raw = best / len(inputs) * 1e6
+    return raw, raw * statistics.median(factors)
 
 
 def main() -> int:
