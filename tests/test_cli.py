@@ -1,5 +1,7 @@
 """CLI behavior: pipelines, exit codes, determinism across worker counts."""
 
+import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -476,3 +478,45 @@ def test_console_entry_point():
     proc = _cli("enumerate", "--class", "poset", "--n", "2", "--count-only")
     assert proc.returncode == 0
     assert "count=2" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# argparse output, pinned byte for byte (sha256 of exit code, stdout and
+# stderr at an 80-column terminal); ``build_parser`` builds only the
+# subcommand a command line names, and these must not notice
+
+
+def _parser_output(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+
+
+PARSER_OUTPUTS = {
+    "--help": "4a5455a29e160f65dda2d6189b7a255f8100ab86eea9661033fa301e1dc1e7d1",
+    "": "267897bf7aab586141b35db0d18c866595296b825041d40cc57cbc1c84299c58",
+    "-h map": "4a5455a29e160f65dda2d6189b7a255f8100ab86eea9661033fa301e1dc1e7d1",
+    "enumerate --help": "c70cde4eeca33358a76418e634a768805355ffd955e00b48591ff45f1f3f7bc0",
+    "classify --help": "1c580c2be11619be093ada5436962dabd398d285f886674efd740c5b05dfc71a",
+    "map --help": "20fce2adf39780aca3e14e5f5327b682e61d203c7563b27492ec164f385e1a4a",
+    "compile --help": "3f0e71a246365ea95d1ce60b9de90db64cb62764acf9822185f4b3337565d684",
+    "verify --help": "35a4261c9b3404ab960d0e3f8739157f7d8ad51192e6aace4489dc9270f72258",
+    "gallery --help": "e392be1060c87f664add950a1cbaa042eefd2153b9bba66ff9bd083be11a06ab",
+    # a missing argument, an unknown command, an extra argument (the error
+    # names the top-level usage) and a bad choice
+    "map --from split": "200181c88c7890c56a069ca94d5f195d8887ba47c8576055782bdb3b320e5922",
+    "frobnicate": "8baf2a02836d5bbf00851a03c5efe17e2f4dd26d53868ee4e104dbbf877580cd",
+    "classify extra": "18e3c1560bc51e3f78190b9c489719576eb87ffce2da8a31819ef82f063fedcb",
+    "enumerate --class split --n 3 --balance odd": "2e7b087b1fe81bcf0fc9e0bee34753393af33ff58f02f6a727d401a6e46fb8f8",
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_OUTPUTS), ids=lambda a: a or "(no arguments)")
+def test_parser_output_is_pinned(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256(_parser_output(argv.split()).encode()).hexdigest()
+    assert digest == PARSER_OUTPUTS[argv]

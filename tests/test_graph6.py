@@ -142,3 +142,168 @@ def test_nonzero_padding_rejected():
     assert good == "A_"
     with pytest.raises(ParseError):
         parse_graph6("A" + chr(63 + 0b111111))
+
+
+# ---------------------------------------------------------------------------
+# the codec against a reference copy of the per-bit list code it replaced,
+# on every output and every error
+
+
+def ref_serialize_graph6(g):
+    if g.n > 62:
+        raise SizeLimitError(f"graph6 output supports n <= 62, got n={g.n}")
+    chars = [chr(63 + g.n)]
+    bits = []
+    for j in range(1, g.n):
+        for i in range(j):
+            bits.append(1 if g.has_edge(i, j) else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    for k in range(0, len(bits), 6):
+        group = 0
+        for b in bits[k : k + 6]:
+            group = group << 1 | b
+        chars.append(chr(63 + group))
+    return "".join(chars)
+
+
+def ref_parse_graph6(text):
+    line = text.rstrip("\n")
+    if not line:
+        raise ParseError("empty graph6 string (offset 0)")
+    header = ord(line[0])
+    if header == 126:
+        raise SizeLimitError("graph6 input supports n <= 62 (long-form header at offset 0)")
+    if not 63 <= header <= 125:
+        raise ParseError(f"header byte {line[0]!r} out of range at offset 0")
+    n = header - 63
+    need_bits = n * (n - 1) // 2
+    need_bytes = (need_bits + 5) // 6
+    data = line[1:]
+    if len(data) < need_bytes:
+        raise ParseError(f"truncated bit field: need {need_bytes} data bytes, got {len(data)} (offset {len(line)})")
+    if len(data) > need_bytes:
+        raise ParseError(f"trailing data at offset {1 + need_bytes}")
+    bits = []
+    for off, ch in enumerate(data):
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise ParseError(f"data byte {ch!r} out of range at offset {off + 1}")
+        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    for extra in bits[need_bits:]:
+        if extra:
+            raise ParseError(f"nonzero padding bit (offset {len(line) - 1})")
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return Graph.from_edges(n, edges)
+
+
+def _outcome(fn, arg):
+    """The value of ``fn(arg)``, or the type and text of the error it raised."""
+    try:
+        return fn(arg)
+    except (ParseError, SizeLimitError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _graphs_by_mask(n):
+    """Every graph on n vertices, built from adjacency masks."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for code in range(1 << len(pairs)):
+        adj = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if code >> k & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield Graph(n, tuple(adj))
+
+
+def _random_graph(rng, n):
+    """A seeded graph on n vertices with edge density 1/8, 1/4, 1/2 or 3/4."""
+    draw = rng.choice(
+        [
+            lambda j: rng.getrandbits(j) & rng.getrandbits(j) & rng.getrandbits(j),
+            lambda j: rng.getrandbits(j) & rng.getrandbits(j),
+            lambda j: rng.getrandbits(j),
+            lambda j: rng.getrandbits(j) | rng.getrandbits(j),
+        ]
+    )
+    adj = [0] * n
+    for j in range(1, n):
+        column = draw(j)
+        adj[j] |= column
+        for i in range(j):
+            if column >> i & 1:
+                adj[i] |= 1 << j
+    return Graph(n, tuple(adj))
+
+
+def test_codec_matches_the_reference_on_every_graph_up_to_six_vertices():
+    for n in range(7):
+        for g in _graphs_by_mask(n):
+            line = serialize_graph6(g)
+            assert line == ref_serialize_graph6(g)
+            assert parse_graph6(line) == g
+
+
+def test_codec_matches_the_reference_on_seeded_graphs_up_to_62_vertices():
+    rng = random.Random(170)
+    for _ in range(2000):
+        g = _random_graph(rng, rng.randrange(7, 63))
+        line = serialize_graph6(g)
+        assert line == ref_serialize_graph6(g)
+        assert parse_graph6(line) == ref_parse_graph6(line) == g
+        assert parse_graph6(line + "\n") == g
+
+
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        ("", ("ParseError", "empty graph6 string (offset 0)")),
+        ("\n", ("ParseError", "empty graph6 string (offset 0)")),
+        (" C~", ("ParseError", "header byte ' ' out of range at offset 0")),
+        ("\x7f", ("ParseError", "header byte '\\x7f' out of range at offset 0")),
+        ("~??" + "?" * 100, ("SizeLimitError", "graph6 input supports n <= 62 (long-form header at offset 0)")),
+        ("C", ("ParseError", "truncated bit field: need 1 data bytes, got 0 (offset 1)")),
+        ("J???", ("ParseError", "truncated bit field: need 10 data bytes, got 3 (offset 4)")),
+        ("C~~", ("ParseError", "trailing data at offset 2")),
+        ("A_?", ("ParseError", "trailing data at offset 2")),
+        ("C\x1f", ("ParseError", "data byte '\\x1f' out of range at offset 1")),
+        ("E?\x7f?", ("ParseError", "data byte '\\x7f' out of range at offset 2")),
+        ("E??é", ("ParseError", "data byte 'é' out of range at offset 3")),
+        ("A" + chr(63 + 0b111111), ("ParseError", "nonzero padding bit (offset 1)")),
+        ("A" + chr(63 + 0b000001), ("ParseError", "nonzero padding bit (offset 1)")),
+        ("E??@", ("ParseError", "nonzero padding bit (offset 3)")),
+    ],
+)
+def test_every_parse_error_text_and_offset_is_pinned(line, error):
+    assert _outcome(ref_parse_graph6, line) == error
+    assert _outcome(parse_graph6, line) == error
+
+
+def test_parse_errors_match_the_reference_on_seeded_damaged_lines():
+    rng = random.Random(171)
+    alphabet = [chr(c) for c in range(0, 130)] + ["é", "\n"]
+    for _ in range(2000):
+        line = serialize_graph6(_random_graph(rng, rng.randrange(0, 20)))
+        damage = rng.randrange(4)
+        if damage == 0 and line:
+            at = rng.randrange(len(line))
+            line = line[:at] + rng.choice(alphabet) + line[at + 1 :]
+        elif damage == 1:
+            line = line[: rng.randrange(len(line) + 1)]
+        elif damage == 2:
+            line += "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 3)))
+        elif len(line) > 1:
+            line = line[:-1] + chr(ord(line[-1]) | rng.randrange(1, 64))
+        assert _outcome(parse_graph6, line) == _outcome(ref_parse_graph6, line), repr(line)
+
+
+def test_serialize_matches_the_reference_beyond_the_size_bound():
+    g = Graph(63, (0,) * 63)
+    assert _outcome(serialize_graph6, g) == _outcome(ref_serialize_graph6, g)
