@@ -46,7 +46,7 @@ from .core import (
     class_tag_of,
 )
 from .classify import (
-    _require_cover,
+    _minimal_loyal,
     extremal_sets,
     is_split,
     k_max_partition,
@@ -70,10 +70,7 @@ def default_reps(c: SetCover) -> tuple[int, ...]:
 
 
 def _check_reps(c: SetCover, reps: Optional[Sequence[int]]) -> tuple[int, ...]:
-    _require_cover(c)
-    loyal = loyal_elements(c)
-    if not all(loyal):
-        raise DomainError("cover is not minimal: some set has no loyal element")
+    loyal = _minimal_loyal(c)
     if reps is None:
         return tuple(min(l) for l in loyal)
     if len(reps) != len(c.sets):
@@ -319,10 +316,7 @@ def compile_split_up(h: Graph, n: int) -> Graph:
 
 def compile_cover_down(c: SetCover, extremal_set: Optional[int] = None) -> SetCover:
     """Drop an extremal set together with the elements only it covered."""
-    _require_cover(c)
-    loyal = loyal_elements(c)
-    if not all(loyal):
-        raise DomainError("cover is not minimal")
+    loyal = _minimal_loyal(c)
     candidates = extremal_sets(c)
     if not candidates:
         raise DomainError("balanced cover: no set of size |V|-|C|+1 (no balance witness)")

@@ -247,9 +247,22 @@ def is_minimal(c: SetCover) -> bool:
     return all(loyal_elements(c))
 
 
+_NOT_MINIMAL = "cover is not minimal: some set has no loyal element"
+
+
 def _require_minimal(c: SetCover):
     if not is_minimal(c):
-        raise DomainError("cover is not minimal: some set has no loyal element")
+        raise DomainError(_NOT_MINIMAL)
+
+
+def _minimal_loyal(c: SetCover) -> tuple[tuple[int, ...], ...]:
+    """``loyal_elements`` of a minimal cover; any other value is refused as
+    :func:`_require_minimal` refuses it."""
+    _require_cover(c)
+    loyal = loyal_elements(c)
+    if not all(loyal):
+        raise DomainError(_NOT_MINIMAL)
+    return loyal
 
 
 def extremal_sets(c: SetCover) -> list[int]:

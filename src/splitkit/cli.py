@@ -20,7 +20,7 @@ import sys
 
 from . import biject, census, verify
 from .canon import canon_key, canonical_object
-from .classify import balance_of, is_minimal, omega_alpha
+from .classify import balance_of, omega_alpha
 from .core import (
     GRAPH6_MAX_N,
     MAX_KEY_DIM,
@@ -117,9 +117,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _classify_record(obj) -> dict:
-    if isinstance(obj, SetCover) and not is_minimal(obj):
-        raise DomainError("not a minimal set cover")  # balance_of words this differently
-    balance = balance_of(obj)  # rejects a graph that is not split
+    balance = balance_of(obj)  # rejects a graph that is not split or a cover that is not minimal
     record = {
         "class": class_tag_of(obj),
         "key": canon_key(obj).hex,

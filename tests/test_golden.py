@@ -307,7 +307,7 @@ GOLDEN = {
     'cover census n=4 | classify': '0 02917e7d677d16e7fb3257d4fbf48eee5d5dbf4da51703c0c3f25eafb200ca1c',
     'xy census n=4 | classify': '3 802351bf32430b21324f74057d476bccc52fef8cb2b8fb2944e2af16dbb41841',
     'poset census n=4 | classify': '0 a031b66f179765e3e09b8edff9b567b0efd1bc2784270c528f1536eaa79b61d1',
-    'mixed lines | classify': '3 09944ede725cce1d57129e52adb7827d814dce214cefd2c475ff78b081f452f3',
+    'mixed lines | classify': '3 0e468bcfe2ee01bdef4c4b028cca4ceafe1f83367ff9135372e3da0128f518e8',
     'mixed lines | classify --class split': '3 1e322da0472e0255c2dee564cfc0104d76235d4fcb9385e2c7299bbf5c9532b7',
     'mixed lines | map --from split --to cover': '3 45a0ca6516b0f79513eeadc85633463639ba49f6387533e5ae20ce215ed0ac2d',
     'mixed lines | compile --class split --direction down': '3 c7cafaca4366bb5bc6365c309bd27872f0e227d6a695e242f71c38e0bdd84bdf',
