@@ -42,6 +42,7 @@ from .core import (
     UsageError,
     Value,
     XYGraph,
+    _mask,
     _set,
     class_tag_of,
 )
@@ -116,18 +117,15 @@ def split_to_cover(g: Graph) -> SetCover:
 def cover_to_split(c: SetCover, reps: Optional[Sequence[int]] = None) -> Graph:
     """Representatives become the stable set; co-membership and K-pairs become edges."""
     reps = _check_reps(c, reps)
-    s_side = frozenset(reps)
-    k_side = frozenset(range(c.n)) - s_side
-    edges = set()
+    s_side = _mask(reps)
+    k_side = (1 << c.n) - 1 ^ s_side
+    adj = [0 if s_side >> e & 1 else k_side for e in range(c.n)]
     for s in c.sets:
-        for i, u in enumerate(s):
-            for v in s[i + 1 :]:
-                edges.add((u, v))
-    ks = sorted(k_side)
-    for i, u in enumerate(ks):
-        for v in ks[i + 1 :]:
-            edges.add((u, v))
-    return Graph.from_edges(c.n, edges)
+        members = _mask(s)
+        for e in s:
+            adj[e] |= members
+    # every element lies in a set, so each row holds its own bit once
+    return Graph(c.n, tuple(row ^ 1 << e for e, row in enumerate(adj)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +158,17 @@ def _check_no_y_isolates(h: XYGraph) -> frozenset[int]:
 def _incidence_split(rows: int, cols: int, pairs) -> Graph:
     """Rows 0..rows-1 become the stable side and the columns, numbered after
     them, a clique; each (row, column) pair becomes an edge."""
-    edges = [(a, rows + b) for a, b in pairs]
-    edges += [(rows + a, rows + b) for b in range(cols) for a in range(b)]
-    return Graph.from_edges(rows + cols, edges)
+    n = rows + cols
+    clique = (1 << n) - (1 << rows)
+    adj = [0] * rows + [clique ^ 1 << v for v in range(rows, n)]
+    for a, b in pairs:
+        v = rows + b
+        if not (0 <= a < rows and 0 <= b < cols):
+            # a pair of an unvalidated object: refused as the edge (a, v) is
+            Graph.from_edges(n, [(a, v)])
+        adj[a] |= 1 << v
+        adj[v] |= 1 << a
+    return Graph(n, tuple(adj))
 
 
 def xy_to_split(h: XYGraph) -> Graph:

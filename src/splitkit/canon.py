@@ -189,8 +189,13 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     states (25 ms for the 10x10 co-identity, 0.59 s for the 35x7
     incidence of the 3-subsets of a 7-set).
     """
-    c = len(matrix[0]) if matrix else 0
-    return _canon_rows(tuple(sum(1 << j for j in range(c) if row[j]) for row in matrix), c)
+    rows = []
+    for row in matrix:
+        mask = 0
+        for bit in reversed(row):  # column j becomes bit j
+            mask = mask + mask + bit
+        rows.append(mask)
+    return _canon_rows(tuple(rows), len(matrix[0]) if matrix else 0)
 
 
 @lru_cache(maxsize=4096)
@@ -524,7 +529,7 @@ def canon_graph(g: Graph) -> GraphCanon:
     if sides is None:
         return _canon_adjacency(g)
     s_side, k_side = sides
-    mcf = canon_matrix([[g.adj[u] >> v & 1 for v in k_side] for u in s_side])
+    mcf = canon_matrix([[row >> v & 1 for v in k_side] for row in [g.adj[u] for u in s_side]])
     order = tuple(s_side[i] for i in mcf.row_perm) + tuple(k_side[j] for j in mcf.col_perm)
     return GraphCanon(_make_key("split", (len(s_side), len(k_side)), mcf.values, len(k_side)), order)
 
@@ -598,14 +603,17 @@ def _canon_adjacency(g: Graph) -> GraphCanon:
 
 def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
     """Graph whose position-i vertex is input vertex ``order[i]``."""
-    pos = {v: i for i, v in enumerate(order)}
+    bit = [0] * g.n  # bit[v]: the bit of v's position
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
     rows = []
-    for i in range(g.n):
+    for v in order:
+        src = g.adj[v]
         row = 0
-        src = g.adj[order[i]]
-        for v in range(g.n):
-            if src >> v & 1:
-                row |= 1 << pos[v]
+        while src:
+            low = src & -src
+            row |= bit[low.bit_length() - 1]
+            src ^= low
         rows.append(row)
     return Graph(g.n, tuple(rows))
 
@@ -668,8 +676,12 @@ def _canonical_ones(key: CanonicalKey, cols: int) -> list[tuple[int, int]]:
     key packs after its tag and two dimensions, in row-major order."""
     packed = key.data[1 + 2 * KEY_DIM_BYTES :]
     last = 8 * len(packed) - 1
-    ones = [divmod(last - p, cols) for p in _bits(int.from_bytes(packed, "big"))]
-    ones.reverse()
+    value = int.from_bytes(packed, "big")
+    ones = []
+    while value:
+        top = value.bit_length() - 1
+        ones.append(divmod(last - top, cols))
+        value ^= 1 << top
     return ones
 
 

@@ -398,22 +398,26 @@ def size_of(obj) -> int:
 GRAPH6_MAX_N = 62  # the short form: one header byte holds n
 
 
+# The bit stream holds the upper triangle column by column, vertex j
+# against vertices 0..j-1, and each 6-bit group reads it most significant
+# bit first.  Stream bit k is bit k of the integer whose 6-bit groups,
+# least significant first, are the data bytes' groups reversed.
+_REVERSED = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+_GROUP_CHARS = tuple(chr(63 + v) for v in _REVERSED)
+
+
 def serialize_graph6(g: Graph) -> str:
     """Encode a graph as a standard graph6 line (n <= 62)."""
     if g.n > GRAPH6_MAX_N:
         raise SizeLimitError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
+    stream = size = 0
+    for j, row in enumerate(g.adj):
+        stream |= (row & (1 << j) - 1) << size
+        size += j
     chars = [chr(63 + g.n)]
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k : k + 6]:
-            group = group << 1 | b
-        chars.append(chr(63 + group))
+    for _ in range((size + 5) // 6):
+        chars.append(_GROUP_CHARS[stream & 63])
+        stream >>= 6
     return "".join(chars)
 
 
@@ -437,23 +441,25 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) > need_bytes:
         raise ParseError(f"trailing data at offset {1 + need_bytes}")
-    bits = []
-    for off, ch in enumerate(data):
+    stream = shift = 0
+    for ch in data:
         val = ord(ch) - 63
         if not 0 <= val <= 63:
-            raise ParseError(f"data byte {ch!r} out of range at offset {off + 1}")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    for extra in bits[need_bits:]:
-        if extra:
-            raise ParseError(f"nonzero padding bit (offset {len(line) - 1})")
-    edges = []
-    k = 0
+            raise ParseError(f"data byte {ch!r} out of range at offset {shift // 6 + 1}")
+        stream |= _REVERSED[val] << shift
+        shift += 6
+    if stream >> need_bits:
+        raise ParseError(f"nonzero padding bit (offset {len(line) - 1})")
+    adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph.from_edges(n, edges)
+        column = stream & (1 << j) - 1  # the neighbors of j below j
+        stream >>= j
+        adj[j] = column
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= 1 << j
+            column ^= low
+    return Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
