@@ -23,6 +23,7 @@ from .core import (
     SetCover,
     SplitAnalysis,
     XYGraph,
+    _bits,
     _mask,
     validate,
 )
@@ -224,12 +225,23 @@ def loyal_vertices_split(g: Graph) -> frozenset[int]:
 
 
 def loyal_elements(c: SetCover) -> tuple[tuple[int, ...], ...]:
-    """Per-set tuples of loyal elements (elements lying in that set only)."""
-    membership = [0] * c.n
+    """Per-set tuples of loyal elements (elements lying in that set only).
+
+    An element outside 0..n-1 raises IndexError."""
+    n = c.n
+    once = twice = 0  # the elements in at least one set, in at least two
+    masks = []
     for s in c.sets:
+        if s and (s[0] < 0 or s[-1] >= n):  # each set is sorted
+            raise IndexError(f"element outside 0..{n - 1} in set {list(s)}")
+        members = 0
         for e in s:
-            membership[e] += 1
-    return tuple(tuple(e for e in s if membership[e] == 1) for s in c.sets)
+            members |= 1 << e
+        masks.append(members)
+        twice |= once & members
+        once |= members
+    loyal = once ^ twice
+    return tuple([tuple(_bits(members & loyal)) for members in masks])
 
 
 def _require_cover(c: SetCover):

@@ -610,16 +610,19 @@ def _validate_partition(p: KSPartition) -> list[str]:
     overlap = sorted(p.K & p.S)
     if overlap:
         out.append(f"K ∩ S nonempty: {overlap}")
+    # the pairs (u, v) with u < v, from the bits of adj[u] above u
     ks = sorted(p.K & all_v)
-    for i, u in enumerate(ks):
-        for v in ks[i + 1 :]:
-            if not g.has_edge(u, v):
-                out.append(f"K not a clique: ({u},{v})")
+    kmask = _mask(ks)
+    for u in ks:
+        missing = kmask & ~g.adj[u] & -2 << u
+        if missing:
+            out += [f"K not a clique: ({u},{v})" for v in _bits(missing)]
     ss = sorted(p.S & all_v)
-    for i, u in enumerate(ss):
-        for v in ss[i + 1 :]:
-            if g.has_edge(u, v):
-                out.append(f"S not stable: ({u},{v})")
+    smask = _mask(ss)
+    for u in ss:
+        present = smask & g.adj[u] & -2 << u
+        if present:
+            out += [f"S not stable: ({u},{v})" for v in _bits(present)]
     return out
 
 
@@ -637,21 +640,35 @@ def _named_first(items: list[int]) -> tuple[list[int], int]:
     return items[:_LISTED], len(items) - _LISTED
 
 
+def _named_bits(mask: int) -> tuple[list[int], int]:
+    """``_named_first`` of the set bits of ``mask`` in ascending order,
+    finding only the bits it names."""
+    count = mask.bit_count()
+    named = []
+    for _ in range(count if count <= _LISTED + 1 else _LISTED):
+        low = mask & -mask
+        named.append(low.bit_length() - 1)
+        mask ^= low
+    return named, count - len(named)
+
+
 def _validate_cover(c: SetCover) -> list[str]:
     out = []
-    if c.n < 0:
-        return [f"ground size {c.n} negative"]
-    covered = set()
+    n = c.n
+    if n < 0:
+        return [f"ground size {n} negative"]
+    covered = 0
     for i, s in enumerate(c.sets):
+        if s and (s[0] < 0 or s[-1] >= n):  # each set is sorted
+            out += [f"set {i} contains out-of-range element {e}" for e in s if not 0 <= e < n]
+            s = [e for e in s if 0 <= e < n]
         for e in s:
-            if not 0 <= e < c.n:
-                out.append(f"set {i} contains out-of-range element {e}")
-            else:
-                covered.add(e)
+            covered |= 1 << e
     for i in range(len(c.sets) - 1):
         if c.sets[i] == c.sets[i + 1]:
             out.append(f"duplicate set at indices {i},{i + 1}")
-    named, more = _named_first([e for e in range(c.n) if e not in covered])
+    uncovered = (1 << n) - 1 ^ covered
+    named, more = _named_bits(uncovered)
     out += [f"union ≠ ground set: element {e} uncovered" for e in named]
     if more:
         out.append(f"union ≠ ground set: and {more} more elements uncovered")
