@@ -159,13 +159,11 @@ def _incidence_split(rows: int, cols: int, pairs) -> Graph:
     """Rows 0..rows-1 become the stable side and the columns, numbered after
     them, a clique; each (row, column) pair becomes an edge."""
     n = rows + cols
-    clique = (1 << n) - (1 << rows)
-    adj = [0] * rows + [clique ^ 1 << v for v in range(rows, n)]
+    adj = [0] * rows + [(1 << n) - (1 << rows) ^ 1 << v for v in range(rows, n)]
     for a, b in pairs:
         v = rows + b
-        if not (0 <= a < rows and 0 <= b < cols):
-            # a pair of an unvalidated object: refused as the edge (a, v) is
-            Graph.from_edges(n, [(a, v)])
+        if not (0 <= a < rows and 0 <= b < cols):  # only an unvalidated object has it
+            Graph.from_edges(n, [(a, v)])  # refuse it as the edge list did, if at all
         adj[a] |= 1 << v
         adj[v] |= 1 << a
     return Graph(n, tuple(adj))

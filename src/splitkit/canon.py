@@ -675,8 +675,7 @@ def _canonical_ones(key: CanonicalKey, cols: int) -> list[tuple[int, int]]:
     """(row, column) of every 1 of the canonical matrix that a matrix-class
     key packs after its tag and two dimensions, in row-major order."""
     packed = key.data[1 + 2 * KEY_DIM_BYTES :]
-    last = 8 * len(packed) - 1
-    value = int.from_bytes(packed, "big")
+    value, last = int.from_bytes(packed, "big"), 8 * len(packed) - 1
     ones = []
     while value:
         top = value.bit_length() - 1

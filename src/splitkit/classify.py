@@ -225,23 +225,20 @@ def loyal_vertices_split(g: Graph) -> frozenset[int]:
 
 
 def loyal_elements(c: SetCover) -> tuple[tuple[int, ...], ...]:
-    """Per-set tuples of loyal elements (elements lying in that set only).
-
-    An element outside 0..n-1 raises IndexError."""
-    n = c.n
-    once = twice = 0  # the elements in at least one set, in at least two
+    """Per-set tuples of loyal elements (elements lying in that set only);
+    an element outside 0..n-1 raises IndexError."""
+    once = twice = 0  # the elements in one set or more, in two or more
     masks = []
     for s in c.sets:
-        if s and (s[0] < 0 or s[-1] >= n):  # each set is sorted
-            raise IndexError(f"element outside 0..{n - 1} in set {list(s)}")
+        if s and (s[0] < 0 or s[-1] >= c.n):  # each set is sorted
+            raise IndexError(f"element outside 0..{c.n - 1} in set {list(s)}")
         members = 0
         for e in s:
             members |= 1 << e
         masks.append(members)
         twice |= once & members
         once |= members
-    loyal = once ^ twice
-    return tuple([tuple(_bits(members & loyal)) for members in masks])
+    return tuple([tuple(_bits(members & (once ^ twice))) for members in masks])
 
 
 def _require_cover(c: SetCover):
@@ -262,14 +259,8 @@ def is_minimal(c: SetCover) -> bool:
 _NOT_MINIMAL = "cover is not minimal: some set has no loyal element"
 
 
-def _require_minimal(c: SetCover):
-    if not is_minimal(c):
-        raise DomainError(_NOT_MINIMAL)
-
-
 def _minimal_loyal(c: SetCover) -> tuple[tuple[int, ...], ...]:
-    """``loyal_elements`` of a minimal cover; any other value is refused as
-    :func:`_require_minimal` refuses it."""
+    """``loyal_elements`` of a minimal cover; any other value is refused."""
     _require_cover(c)
     loyal = loyal_elements(c)
     if not all(loyal):
@@ -285,7 +276,8 @@ def extremal_sets(c: SetCover) -> list[int]:
 
 def balance_cover(c: SetCover) -> Balance:
     """Unbalanced iff some set has size |V| - |C| + 1 (witness: its index)."""
-    _require_minimal(c)
+    if not is_minimal(c):
+        raise DomainError(_NOT_MINIMAL)
     extremal = extremal_sets(c)
     if extremal:
         return Balance("unbalanced", extremal[0])

@@ -250,95 +250,76 @@ def cmd_gallery(args) -> int:
 # parser
 
 
-def _add_enumerate(sub):
-    p = sub.add_parser("enumerate", help="emit the census of a class at size n")
-    p.add_argument("--class", dest="cls", required=True, choices=["split", "cover", "xy", "poset"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--balance", choices=["all", "balanced", "unbalanced"], default="all")
-    p.add_argument("--no-y-isolates", action="store_true")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=["g6", "json"], default=None)
-    p.add_argument("--stream", action="store_true", help="emit in generation order, header last")
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
-    p.set_defaults(fn=cmd_enumerate)
-
-
-def _add_classify(sub):
-    p = sub.add_parser("classify", help="classify objects read from stdin")
-    p.add_argument("--class", dest="cls", default="auto", choices=["auto", "split", "cover", "xy", "poset"])
-    p.set_defaults(fn=cmd_classify)
-
-
-def _add_map(sub):
-    p = sub.add_parser("map", help="apply a bijection to objects read from stdin")
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--inverse", action="store_true", help="apply the inverse of the named map")
-    p.set_defaults(fn=cmd_map)
-
-
-def _add_compile(sub):
-    p = sub.add_parser("compile", help="apply a compilation map to objects from stdin")
-    p.add_argument("--class", dest="cls", required=True, choices=["split", "cover", "xy", "poset"])
-    p.add_argument("--direction", required=True, choices=["down", "up"])
-    p.add_argument("--n", type=int, default=None, help="target size for --direction up")
-    p.set_defaults(fn=cmd_compile)
-
-
-def _add_verify(sub):
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["all", "roundtrip", "balance", "compilation", "choice", "counts", "triangle"],
-    )
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
-    p.set_defaults(fn=cmd_verify)
-
-
-def _add_gallery(sub):
-    p = sub.add_parser("gallery", help="aligned multi-class listing at size n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
-    p.set_defaults(fn=cmd_gallery)
-
-
-_SUBCOMMANDS = {
-    "enumerate": _add_enumerate,
-    "classify": _add_classify,
-    "map": _add_map,
-    "compile": _add_compile,
-    "verify": _add_verify,
-    "gallery": _add_gallery,
-}
+_COMMANDS = ("enumerate", "classify", "map", "compile", "verify", "gallery")
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for ``argv``: with only the subcommand that ``argv[0]``
-    names, when it names one, else with all of them (for top-level help
-    and errors).  Parsing ``argv`` gives the same result and output either
-    way; building one subcommand instead of six saves about 1 ms a run."""
+    """The parser for ``argv``: with only the subcommand ``argv[0]`` names,
+    else all six.  ``argv`` parses to the same result and output either way."""
     parser = argparse.ArgumentParser(
         prog="splitkit",
         description="Enumerate, classify, map and verify split graphs, "
         "minimal set covers, XY-graphs and bipartite posets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if argv and argv[0] in _SUBCOMMANDS:
-        _SUBCOMMANDS[argv[0]](sub)
-        # the top-level usage, which an unrecognized argument prints, still
-        # lists every subcommand
-        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
-    else:
-        for add in _SUBCOMMANDS.values():
-            add(sub)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    if only:
+        # the top-level usage (an unrecognized argument prints it) lists all
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+
+    if only in (None, "enumerate"):
+        p = sub.add_parser("enumerate", help="emit the census of a class at size n")
+        p.add_argument("--class", dest="cls", required=True, choices=["split", "cover", "xy", "poset"])
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--balance", choices=["all", "balanced", "unbalanced"], default="all")
+        p.add_argument("--no-y-isolates", action="store_true")
+        p.add_argument("--count-only", action="store_true")
+        p.add_argument("--format", choices=["g6", "json"], default=None)
+        p.add_argument("--stream", action="store_true", help="emit in generation order, header last")
+        p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
+        p.set_defaults(fn=cmd_enumerate)
+
+    if only in (None, "classify"):
+        p = sub.add_parser("classify", help="classify objects read from stdin")
+        p.add_argument("--class", dest="cls", default="auto", choices=["auto", "split", "cover", "xy", "poset"])
+        p.set_defaults(fn=cmd_classify)
+
+    if only in (None, "map"):
+        p = sub.add_parser("map", help="apply a bijection to objects read from stdin")
+        p.add_argument("--from", dest="src", required=True)
+        p.add_argument("--to", dest="dst", required=True)
+        p.add_argument("--inverse", action="store_true", help="apply the inverse of the named map")
+        p.set_defaults(fn=cmd_map)
+
+    if only in (None, "compile"):
+        p = sub.add_parser("compile", help="apply a compilation map to objects from stdin")
+        p.add_argument("--class", dest="cls", required=True, choices=["split", "cover", "xy", "poset"])
+        p.add_argument("--direction", required=True, choices=["down", "up"])
+        p.add_argument("--n", type=int, default=None, help="target size for --direction up")
+        p.set_defaults(fn=cmd_compile)
+
+    if only in (None, "verify"):
+        p = sub.add_parser("verify", help="run verification suites")
+        p.add_argument(
+            "--suite",
+            required=True,
+            choices=["all", "roundtrip", "balance", "compilation", "choice", "counts", "triangle"],
+        )
+        p.add_argument("--max-n", type=int, required=True)
+        p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
+        p.set_defaults(fn=cmd_verify)
+
+    if only in (None, "gallery"):
+        p = sub.add_parser("gallery", help="aligned multi-class listing at size n")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
+        p.set_defaults(fn=cmd_gallery)
+
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
         if getattr(args, "workers", 1) < 1:

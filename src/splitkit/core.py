@@ -398,10 +398,9 @@ def size_of(obj) -> int:
 GRAPH6_MAX_N = 62  # the short form: one header byte holds n
 
 
-# The bit stream holds the upper triangle column by column, vertex j
-# against vertices 0..j-1, and each 6-bit group reads it most significant
-# bit first.  Stream bit k is bit k of the integer whose 6-bit groups,
-# least significant first, are the data bytes' groups reversed.
+# The data bytes hold the upper triangle column by column (vertex j against
+# 0..j-1) in 6-bit groups, most significant bit first: as an integer with
+# bit k for stream bit k, its 6-bit groups are the data bytes' reversed.
 _REVERSED = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 _GROUP_CHARS = tuple(chr(63 + v) for v in _REVERSED)
 
@@ -640,18 +639,6 @@ def _named_first(items: list[int]) -> tuple[list[int], int]:
     return items[:_LISTED], len(items) - _LISTED
 
 
-def _named_bits(mask: int) -> tuple[list[int], int]:
-    """``_named_first`` of the set bits of ``mask`` in ascending order,
-    finding only the bits it names."""
-    count = mask.bit_count()
-    named = []
-    for _ in range(count if count <= _LISTED + 1 else _LISTED):
-        low = mask & -mask
-        named.append(low.bit_length() - 1)
-        mask ^= low
-    return named, count - len(named)
-
-
 def _validate_cover(c: SetCover) -> list[str]:
     out = []
     n = c.n
@@ -668,10 +655,11 @@ def _validate_cover(c: SetCover) -> list[str]:
         if c.sets[i] == c.sets[i + 1]:
             out.append(f"duplicate set at indices {i},{i + 1}")
     uncovered = (1 << n) - 1 ^ covered
-    named, more = _named_bits(uncovered)
-    out += [f"union ≠ ground set: element {e} uncovered" for e in named]
-    if more:
-        out.append(f"union ≠ ground set: and {more} more elements uncovered")
+    if uncovered:  # its binary digits read backwards hold element e at index e
+        named, more = _named_first([e for e, bit in enumerate(f"{uncovered:b}"[::-1]) if bit == "1"])
+        out += [f"union ≠ ground set: element {e} uncovered" for e in named]
+        if more:
+            out.append(f"union ≠ ground set: and {more} more elements uncovered")
     return out
 
 
