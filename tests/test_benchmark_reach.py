@@ -9,6 +9,7 @@ here too and not only under ``python -m pytest perfbench``.  It only reads
 ``perfbench/``: no bytecode or pytest cache is written there.
 """
 
+import compileall
 import os
 import subprocess
 import sys
@@ -19,6 +20,9 @@ REACH_TEST = "perfbench/test_perfbench.py::test_every_listed_function_records_a_
 
 
 def test_every_listed_function_records_a_call_on_the_scaled_down_workloads():
+    # most of the time is CLI start-up in about a hundred traced children,
+    # so compile the package first, as perfbench/run.py does
+    assert compileall.compile_dir(str(ROOT / "src" / "splitkit"), quiet=1)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", REACH_TEST],
