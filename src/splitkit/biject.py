@@ -162,8 +162,8 @@ def _incidence_split(rows: int, cols: int, pairs) -> Graph:
     adj = [0] * rows + [(1 << n) - (1 << rows) ^ 1 << v for v in range(rows, n)]
     for a, b in pairs:
         v = rows + b
-        if not (0 <= a < rows and 0 <= b < cols):  # only an unvalidated object has it
-            Graph.from_edges(n, [(a, v)])  # refuse it as the edge list did, if at all
+        if not (0 <= a < rows and 0 <= b < cols):  # only in an unvalidated object
+            Graph.from_edges(n, [(a, v)])  # raises as the edge list did, or keeps it as it did
         adj[a] |= 1 << v
         adj[v] |= 1 << a
     return Graph(n, tuple(adj))

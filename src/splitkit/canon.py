@@ -28,7 +28,7 @@ interchangeable twin vertices and unit rows, automorphisms are not
 pruned.
 
 Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host,
-uncached: 0.08 / 0.15 ms for random 7x7 / 12x11 matrices; 0.07 ms for
+uncached: 0.08 / 0.15 ms for random 7x7 / 12x11 matrices; 0.05 ms for
 the 9- to 11-vertex split graphs of the stream benchmark and 0.30 /
 0.62 ms for random split graphs on 40 / 62 vertices; 0.22 ms for the
 incidence of a 7-set cover on 10 elements whose loyal elements tie;
@@ -181,9 +181,9 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     the least such state is kept.  Among equal results the witness sorts the rows for its
     column order, so the witness of a canonical matrix is the identity.
 
-    About 0.06 ms per uncached call on the stream's matrices with unit
-    rows and 0.03 ms on those without (``tools/kernel_percall.py`` gives
-    0.022 / 0.024 / 0.041 ms on the census, certify and stream inputs);
+    About 0.044 / 0.028 ms per uncached call on the stream's matrices with
+    / without unit rows, 2.6 us on a cache hit (``tools/kernel_percall.py``
+    gives 0.022 / 0.024 / 0.041 ms on the census, certify and stream inputs);
     0.15 / 0.19 ms for the 64x64 identity and the 128x64 incidence of 64
     disjoint pairs.  Symmetric inputs without unit rows keep more tied
     states (25 ms for the 10x10 co-identity, 0.59 s for the 35x7
@@ -521,7 +521,7 @@ def canon_graph(g: Graph) -> GraphCanon:
     Every other graph keeps the adjacency objective (``_canon_adjacency``).
 
     On split graphs the cost is that of the matrix kernel on an |S| x |K|
-    matrix: about 0.07 ms for 9- to 11-vertex split graphs, 0.30 / 0.62 ms
+    matrix: about 0.05 ms for 9- to 11-vertex split graphs, 0.30 / 0.62 ms
     for random split graphs on 40 / 62 vertices, and 0.07 / 0.14 ms for
     the thin spider (a k x k identity) on 20 / 40 vertices.
     """
