@@ -52,7 +52,6 @@ from .classify import (
     is_split,
     k_max_partition,
     k_swings,
-    loyal_elements,
     poset_support,
     s_max_partition,
     s_max_sides,
@@ -447,7 +446,7 @@ class MapReport(Value):
 def _rep_choices(c: SetCover) -> Iterator[dict]:
     default = default_reps(c)
     yield {"reps": default}
-    for reps in itertools.product(*loyal_elements(c)):
+    for reps in itertools.product(*_minimal_loyal(c)):
         if reps != default:
             yield {"reps": reps}
 

@@ -12,6 +12,7 @@ points makes every height-0 point full support.
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -29,10 +30,23 @@ from .core import (
 )
 
 
+# The structural passes below are pure functions of immutable values, and
+# ``verify`` asks them about the same census objects and map images again
+# and again.  Each memoized pass keeps its last _MEMO results keyed by the
+# object itself, as ``verify._key`` does: exact, because values compare
+# equal only with the same class and fields.  Results are immutable; a
+# refusal is raised again on every call, never stored.  A public pass
+# stays a plain function that calls its memoized private body.  With 256
+# entries the in-process peak of ``verify.run_all(8)`` rises by 1.0 MB and
+# with 4,096 by 12 MB; at max-n 6, 256 entries run as fast as 512.
+_MEMO = 256
+
+
 # ---------------------------------------------------------------------------
 # split graphs
 
 
+@lru_cache(maxsize=_MEMO)
 def _degree_split_data(g: Graph):
     """(is_split, m, order) for the descending-degree criterion.
 
@@ -42,7 +56,7 @@ def _degree_split_data(g: Graph):
     the vertices by descending degree, ties by index.
     """
     degree = [row.bit_count() for row in g.adj]
-    order = sorted(range(g.n), key=degree.__getitem__, reverse=True)
+    order = tuple(sorted(range(g.n), key=degree.__getitem__, reverse=True))
     degs = [degree[v] for v in order]
     # d_i - (i - 1) falls by at least 1 per step, so the first failure is final
     m = 0
@@ -79,6 +93,11 @@ def k_swings(g: Graph, S, K) -> list[int]:
 
 def k_max_partition(g: Graph) -> KSPartition:
     """Partition with |K| = omega(G): the m highest-degree vertices."""
+    return _k_max_partition(g)
+
+
+@lru_cache(maxsize=_MEMO)
+def _k_max_partition(g: Graph) -> KSPartition:
     m, order = _require_split(g)
     p = KSPartition(g, frozenset(order[:m]), frozenset(order[m:]))
     if validate(p):
@@ -247,13 +266,19 @@ def _require_cover(c: SetCover):
         raise DomainError("not a set cover: " + "; ".join(problems))
 
 
+@lru_cache(maxsize=_MEMO)
+def _cover_loyal(c: SetCover) -> tuple[tuple[int, ...], ...]:
+    """``loyal_elements`` of a set cover; any other value is refused."""
+    _require_cover(c)
+    return loyal_elements(c)
+
+
 def is_minimal(c: SetCover) -> bool:
     """True iff every set contains a loyal element.
 
     Equivalent to no set being contained in the union of the others.
     """
-    _require_cover(c)
-    return all(loyal_elements(c))
+    return all(_cover_loyal(c))
 
 
 _NOT_MINIMAL = "cover is not minimal: some set has no loyal element"
@@ -261,8 +286,7 @@ _NOT_MINIMAL = "cover is not minimal: some set has no loyal element"
 
 def _minimal_loyal(c: SetCover) -> tuple[tuple[int, ...], ...]:
     """``loyal_elements`` of a minimal cover; any other value is refused."""
-    _require_cover(c)
-    loyal = loyal_elements(c)
+    loyal = _cover_loyal(c)
     if not all(loyal):
         raise DomainError(_NOT_MINIMAL)
     return loyal
@@ -295,6 +319,11 @@ def xy_isolates_universals(g: XYGraph) -> tuple[frozenset[int], frozenset[int]]:
     universal if adjacent to every Y-vertex (vacuously all of X when Y is
     empty).
     """
+    return _xy_isolates_universals(g)
+
+
+@lru_cache(maxsize=_MEMO)
+def _xy_isolates_universals(g: XYGraph) -> tuple[frozenset[int], frozenset[int]]:
     x_deg = [0] * g.nx
     y_deg = [0] * g.ny
     for x, y in g.edges:
@@ -327,6 +356,11 @@ def poset_support(p: BipartitePoset) -> tuple[frozenset[int], frozenset[int]]:
     A full support point is comparable to every height-1 point; with no
     height-1 points every height-0 point is vacuously full support.
     """
+    return _poset_support(p)
+
+
+@lru_cache(maxsize=_MEMO)
+def _poset_support(p: BipartitePoset) -> tuple[frozenset[int], frozenset[int]]:
     up_counts = [0] * p.n0
     for a, _ in p.below:
         up_counts[a] += 1

@@ -599,26 +599,24 @@ def _validate_graph(g: Graph) -> list[str]:
 def _validate_partition(p: KSPartition) -> list[str]:
     g = p.graph
     out = []
-    all_v = frozenset(range(g.n))
-    if p.K | p.S != all_v:
-        missing = sorted(all_v - (p.K | p.S))
-        out.append(f"K ∪ S misses vertices {missing}")
-    extra = sorted((p.K | p.S) - all_v)
-    if extra:
-        out.append(f"partition uses unknown vertices {extra}")
-    overlap = sorted(p.K & p.S)
+    inside = range(g.n)
+    kmask = _mask(v for v in p.K if v in inside)
+    smask = _mask(v for v in p.S if v in inside)
+    missing = (1 << len(inside)) - 1 ^ (kmask | smask)
+    unknown = len(p.K) + len(p.S) > kmask.bit_count() + smask.bit_count()
+    if missing or unknown:  # K ∪ S differs from the vertex set
+        out.append(f"K ∪ S misses vertices {_bits(missing)}")
+    if unknown:
+        out.append(f"partition uses unknown vertices {sorted(v for v in p.K | p.S if v not in inside)}")
+    overlap = sorted(p.K & p.S) if unknown else _bits(kmask & smask)
     if overlap:
         out.append(f"K ∩ S nonempty: {overlap}")
     # the pairs (u, v) with u < v, from the bits of adj[u] above u
-    ks = sorted(p.K & all_v)
-    kmask = _mask(ks)
-    for u in ks:
+    for u in _bits(kmask):
         missing = kmask & ~g.adj[u] & -2 << u
         if missing:
             out += [f"K not a clique: ({u},{v})" for v in _bits(missing)]
-    ss = sorted(p.S & all_v)
-    smask = _mask(ss)
-    for u in ss:
+    for u in _bits(smask):
         present = smask & g.adj[u] & -2 << u
         if present:
             out += [f"S not stable: ({u},{v})" for v in _bits(present)]

@@ -5,7 +5,10 @@ Each suite consumes full censuses from :mod:`splitkit.census` as records
 process; a suite never generates, canonicalizes or classifies a census
 object itself.  It computes the key and balance of every object a map
 produces, and reports the exact failing keys so a failure can be replayed
-through the CLI.  All suites are deterministic.  The triangle suite is
+through the CLI.  ``run_all`` maps each census object once per direction
+of each pair, and keys (``_key``) and the structural passes of
+:mod:`splitkit.classify` are memoized, so an object met again is not
+analysed again.  All suites are deterministic.  The triangle suite is
 informational only: commutativity of composed bijections is measured, not
 asserted.
 """
@@ -13,6 +16,7 @@ asserted.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator, Optional
 
 from . import biject, census
 from .canon import canon_key
@@ -112,8 +116,12 @@ def _check_key(result: SuiteResult, key, back):
         result.failures.append((key.hex, key.hex, back_key.hex))
 
 
-def verify_roundtrip(pair: str, max_n: int) -> SuiteResult:
-    """inverse(forward(o)) and forward(inverse(o)) are identities on keys."""
+def verify_roundtrip(pair: str, max_n: int, images: Optional[list] = None) -> SuiteResult:
+    """inverse(forward(o)) and forward(inverse(o)) are identities on keys.
+
+    When ``images`` is a list, the image of each census object under the
+    pair's map is appended to it, in the order ``verify_balance`` reads
+    them."""
     result = SuiteResult("roundtrip", {"pair": pair, "max_n": max_n}, 0)
     if pair == "xy-shift":
         for n in range(max_n + 1):
@@ -132,17 +140,21 @@ def verify_roundtrip(pair: str, max_n: int) -> SuiteResult:
         raise UsageError(f"unknown pair {pair!r}; known: {', '.join(PAIR_NAMES)}")
     dom, fwd, cod, inv = _PAIRS[pair]
     for n in range(max_n + 1):
-        for rec in _iter(dom, n):
-            result.checked += 1
-            _check_key(result, rec.key, inv(fwd(rec.obj)))
-        for rec in _iter(cod, n):
-            result.checked += 1
-            _check_key(result, rec.key, fwd(inv(rec.obj)))
+        for tag, there, back in ((dom, fwd, inv), (cod, inv, fwd)):
+            for rec in _iter(tag, n):
+                result.checked += 1
+                image = there(rec.obj)
+                if images is not None:
+                    images.append(image)
+                _check_key(result, rec.key, back(image))
     return result
 
 
-def verify_balance(pair: str, max_n: int) -> SuiteResult:
-    """Balance(o) equals Balance(map(o)) in both directions of a pair."""
+def verify_balance(pair: str, max_n: int, images: Optional[Iterator] = None) -> SuiteResult:
+    """Balance(o) equals Balance(map(o)) in both directions of a pair.
+
+    ``images``, when given, yields the map image of each census object, as
+    ``verify_roundtrip`` collects them, in place of mapping it again."""
     if pair not in _PAIRS:
         raise UsageError(f"unknown pair {pair!r}; known: {', '.join(BALANCE_PAIR_NAMES)}")
     dom, fwd, cod, inv = _PAIRS[pair]
@@ -151,7 +163,7 @@ def verify_balance(pair: str, max_n: int) -> SuiteResult:
         for tag, fn in ((dom, fwd), (cod, inv)):
             for rec in _iter(tag, n):
                 result.checked += 1
-                got = balance_of(fn(rec.obj)).value
+                got = balance_of(fn(rec.obj) if images is None else next(images)).value
                 if rec.balance.value != got:
                     result.failures.append((rec.key.hex, rec.balance.value, got))
     return result
@@ -288,12 +300,14 @@ def verify_triangle(max_n: int) -> SuiteResult:
 # whole battery
 
 
+def _shift_roundtrip(max_n: int) -> SuiteResult:
+    # The shift pair compares censuses at n and n+1, so cap it one lower.
+    return verify_roundtrip("xy-shift", max(max_n - 1, 0))
+
+
 def run_suite(name: str, max_n: int) -> list[SuiteResult]:
     if name == "roundtrip":
-        # The shift pair compares censuses at n and n+1, so cap it one lower.
-        out = [verify_roundtrip(p, max_n) for p in _PAIRS]
-        out.append(verify_roundtrip("xy-shift", max(max_n - 1, 0)))
-        return out
+        return [verify_roundtrip(p, max_n) for p in _PAIRS] + [_shift_roundtrip(max_n)]
     if name == "balance":
         return [verify_balance(p, max_n) for p in BALANCE_PAIR_NAMES]
     if name == "compilation":
@@ -315,5 +329,14 @@ ASSERTING_SUITES = ("roundtrip", "balance", "compilation", "choice", "counts")
 
 
 def run_all(max_n: int) -> list[SuiteResult]:
-    """Every asserting suite, then the triangle report."""
-    return [result for name in ASSERTING_SUITES + ("triangle",) for result in run_suite(name, max_n)]
+    """Every asserting suite, then the triangle report, as ``run_suite``
+    gives them.  Each pair's roundtrip suite hands the map images it
+    computes to the pair's balance suite, and they are dropped after it."""
+    roundtrip, balance = [], []
+    for pair in _PAIRS:
+        images = []
+        roundtrip.append(verify_roundtrip(pair, max_n, images))
+        balance.append(verify_balance(pair, max_n, iter(images)))
+    roundtrip.append(_shift_roundtrip(max_n))
+    rest = [result for name in ASSERTING_SUITES[2:] + ("triangle",) for result in run_suite(name, max_n)]
+    return roundtrip + balance + rest

@@ -120,7 +120,8 @@ def test_degree_criterion_matches_brute_force():
 
 def _degree_split_data_by_definition(g):
     """(is_split, m, order) spelled out: m is the largest i with
-    d_i >= i - 1 over all i, ties in degree ordered by index."""
+    d_i >= i - 1 over all i, ties in degree ordered by index; ``order``
+    is a tuple, as the memoized pass returns it."""
     degree = [row.bit_count() for row in g.adj]
     order = sorted(range(g.n), key=lambda v: (-degree[v], v))
     degs = [degree[v] for v in order]
@@ -128,7 +129,7 @@ def _degree_split_data_by_definition(g):
     for i in range(1, g.n + 1):
         if degs[i - 1] >= i - 1:
             m = i
-    return sum(degs[:m]) == m * (m - 1) + sum(degs[m:]), m, order
+    return sum(degs[:m]) == m * (m - 1) + sum(degs[m:]), m, tuple(order)
 
 
 def test_degree_split_data_matches_its_definition():

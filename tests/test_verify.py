@@ -201,3 +201,102 @@ def test_memo_tells_classes_with_equal_fields_apart():
 def test_memo_is_bounded():
     maxsize = verify._key.cache_info().maxsize
     assert isinstance(maxsize, int) and 0 < maxsize < 1 << 16
+
+
+# ---------------------------------------------------------------------------
+# the image handoff between the roundtrip and balance suites
+
+
+def ref_roundtrip_failures(pair, max_n):
+    """The roundtrip loop of a pair as it was before the handoff."""
+    dom, fwd, cod, inv = verify._PAIRS[pair]
+    failures = []
+    for n in range(max_n + 1):
+        for rec in census.records(dom, n, require_no_y_isolates=(dom == "xy")):
+            back_key = canon_key(inv(fwd(rec.obj)))
+            if back_key != rec.key:
+                failures.append((rec.key.hex, rec.key.hex, back_key.hex))
+        for rec in census.records(cod, n, require_no_y_isolates=(cod == "xy")):
+            back_key = canon_key(fwd(inv(rec.obj)))
+            if back_key != rec.key:
+                failures.append((rec.key.hex, rec.key.hex, back_key.hex))
+    return failures
+
+
+def ref_balance_failures(pair, max_n):
+    """The balance loop of a pair as it was before the handoff."""
+    dom, fwd, cod, inv = verify._PAIRS[pair]
+    failures = []
+    for n in range(max_n + 1):
+        for tag, fn in ((dom, fwd), (cod, inv)):
+            for rec in census.records(tag, n, require_no_y_isolates=(tag == "xy")):
+                got = classify.balance_of(fn(rec.obj)).value
+                if rec.balance.value != got:
+                    failures.append((rec.key.hex, rec.balance.value, got))
+    return failures
+
+
+def _docs(results):
+    return [r.to_doc() for r in results]
+
+
+def test_suites_run_alone_give_the_records_of_run_all():
+    everything = _docs(verify.run_all(6))
+    roundtrip = _docs(verify.run_suite("roundtrip", 6))
+    balance = _docs(verify.run_suite("balance", 6))
+    assert everything[: len(roundtrip) + len(balance)] == roundtrip + balance
+    assert [d["suite"] for d in everything[len(roundtrip) + len(balance):]] == (
+        ["compilation"] * 24 + ["choice"] * len(verify.CHOICE_MAPS) + ["counts", "triangle"]
+    )
+
+
+def test_a_wrong_inverse_fails_both_suites_as_the_old_loops_did(monkeypatch):
+    dom, fwd, cod, _ = verify._PAIRS["xy-poset"]
+    # every poset goes to the edgeless XY-graph with all its points in X
+    monkeypatch.setitem(verify._PAIRS, "xy-poset", (dom, fwd, cod, lambda p: XYGraph(p.n0 + p.n1, 0, ())))
+    want_roundtrip = ref_roundtrip_failures("xy-poset", 4)
+    want_balance = ref_balance_failures("xy-poset", 4)
+    assert want_roundtrip and want_balance
+    index = list(verify._PAIRS).index("xy-poset")
+    results = verify.run_all(4)
+    shared = (results[index], results[len(verify.PAIR_NAMES) + index])
+    alone = (verify.verify_roundtrip("xy-poset", 4), verify.verify_balance("xy-poset", 4))
+    for roundtrip, balance in (shared, alone):
+        assert (roundtrip.suite, roundtrip.params["pair"]) == ("roundtrip", "xy-poset")
+        assert (balance.suite, balance.params["pair"]) == ("balance", "xy-poset")
+        assert roundtrip.failures == want_roundtrip
+        assert balance.failures == want_balance
+
+
+def test_each_census_object_is_mapped_once_per_direction(monkeypatch):
+    # counts, not times: run_all(5) from empty census stores and memos
+    monkeypatch.setattr(census, "_records", {})
+    monkeypatch.setattr(census, "_levels", {})
+    for memo in [verify._key] + [v for v in vars(classify).values() if hasattr(v, "cache_clear")]:
+        memo.cache_clear()
+    calls = {}
+
+    def counted(label, fn):
+        def run(obj):
+            calls[label] = calls.get(label, 0) + 1
+            return fn(obj)
+        return run
+
+    for pair, (dom, fwd, cod, inv) in list(verify._PAIRS.items()):
+        monkeypatch.setitem(
+            verify._PAIRS, pair, (dom, counted((pair, "fwd"), fwd), cod, counted((pair, "inv"), inv))
+        )
+    degree = classify._degree_split_data
+    graphs = set()
+
+    def recorded(g):
+        graphs.add(g)
+        return degree(g)
+
+    monkeypatch.setattr(classify, "_degree_split_data", recorded)
+    results = verify.run_all(5)
+    assert all(r.passed for r in results)
+    for pair, (dom, _, cod, _) in verify._PAIRS.items():
+        objects = sum(len(verify._iter(tag, n)) for tag in (dom, cod) for n in range(6))
+        assert calls[(pair, "fwd")] == calls[(pair, "inv")] == objects, pair
+    assert 0 < degree.cache_info().misses <= len(graphs)
