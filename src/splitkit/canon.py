@@ -182,8 +182,9 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     column order, so the witness of a canonical matrix is the identity.
 
     About 0.044 / 0.028 ms per uncached call on the stream's matrices with
-    / without unit rows, 2.6 us on a cache hit (``tools/kernel_percall.py``
-    gives 0.022 / 0.024 / 0.041 ms on the census, certify and stream inputs);
+    / without unit rows, 2.1-2.5 us on a cache hit on the stream's XY
+    matrices (``tools/kernel_percall.py`` gives 0.020-0.036 / 0.020-0.036 /
+    0.040-0.055 ms per uncached call on the census, certify and stream inputs);
     0.15 / 0.19 ms for the 64x64 identity and the 128x64 incidence of 64
     disjoint pairs.  Symmetric inputs without unit rows keep more tied
     states (25 ms for the 10x10 co-identity, 0.59 s for the 35x7
@@ -203,9 +204,8 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     """``canon_matrix`` of rows given as column masks (bit j is column j).
 
     The census and the verify suites canonicalize the same small matrices
-    many times over (about 11 calls per distinct matrix in
-    ``verify --suite all --max-n 6``), so recent results are kept; they are
-    immutable.
+    many times over (``verify --suite all --max-n 6`` makes 1,961 calls on
+    747 distinct inputs), so recent results are kept; they are immutable.
     """
     r = len(rows)
     if r == 0 or c == 0:
@@ -650,7 +650,18 @@ def canon_xy(g: XYGraph) -> CanonicalKey:
 
 
 def canon_cover(c: SetCover) -> CanonicalKey:
-    mcf = canon_matrix(cover_matrix(c))
+    """The key of a cover's incidence, searched with its rows sorted.
+
+    The key does not depend on row order, and the witness never leaves
+    here, so the rows are sorted to key the kernel's cache by their
+    multiset: rep choices and compile maps swap twin loyal elements, which
+    moves rows and keeps the multiset.  XY-graphs and posets keep their
+    row order, since sorting theirs as well costs cache hits
+    (``verify --suite all --max-n 6`` then makes 762 searches, not 747),
+    and split graphs keep theirs because ``canon_graph`` returns its
+    witness.
+    """
+    mcf = canon_matrix(sorted(cover_matrix(c)))
     return _make_key("cover", (c.n, len(c.sets)), mcf.values, len(c.sets))
 
 

@@ -15,8 +15,12 @@ back has one of the counted vectors.  Children are deduplicated by their
 canonical values and kept in order of first appearance.
 
 The XY census without isolates in Y reads level n - nx for nx = n down to
-0.  Split graphs, covers and posets are transported straight from those
-XY-graphs (``xy_to_split``, then ``split_to_cover`` or ``split_to_poset``).
+0.  Its records are read straight off the level values, which are
+canonical already: the key packs them, and the canonical XY-graph joins
+X-vertex x to Y-vertex ny - 1 - j for each bit j of ``values[x]``.  Split
+graphs, covers and posets are transported straight from those XY-graphs
+(``xy_to_split``, then ``split_to_cover`` or ``split_to_poset``) and
+canonicalized.
 By the paper's counting fact, the XY-graphs on n points with isolates in Y
 are the ones without isolates on fewer points, with isolates added: for
 each nx, the unrestricted XY census reads the levels m < n - nx with
@@ -41,9 +45,10 @@ run that pass when nothing is stored yet, and every later pass replays the
 stored records.  A transported census canonicalizes and classifies only
 its own objects, so a one-shot ``enumerate`` builds no XY or split census
 it does not print, while a caller that asks for every census (``verify``)
-canonicalizes each unlabeled object of each class once.  A pass that stops
-early stores no census records.  A building pass checks that no two of its
-objects share a key.
+canonicalizes each unlabeled object of each class once, apart from the XY
+records without isolates in Y, which need no canonicalization.  A pass
+that stops early stores no census records.  A building pass checks that
+no two of its objects share a key.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import itertools
 from typing import Iterator, Optional
 
 from . import biject
-from .canon import _canon_rows, canon_key, canonical_object
+from .canon import _canon_rows, _make_key, canon_key, canonical_object
 from .classify import balance_of, xy_isolates_universals
 from .core import (
     Balance,
@@ -183,14 +188,20 @@ _TRANSPORT = {
 
 
 def _transported(class_tag: str, n: int) -> Iterator[Record]:
-    """Records of a census read off the XY-graphs without isolates in Y."""
+    """Records of a census read off the XY-graphs without isolates in Y;
+    an XY record is read straight off the canonical level values."""
     maps = _TRANSPORT[class_tag]
     for nx in range(n, -1, -1):
-        for values in _level(nx, n - nx):
-            obj = _xy_graph(nx, n - nx, values)
-            for to_class in maps:
-                obj = to_class(obj)
-            obj, key = canonical_object(obj)
+        ny = n - nx
+        for values in _level(nx, ny):
+            if maps:
+                obj = _xy_graph(nx, ny, values)
+                for to_class in maps:
+                    obj = to_class(obj)
+                obj, key = canonical_object(obj)
+            else:
+                obj = XYGraph(nx, ny, frozenset((x, ny - 1 - y) for x, v in enumerate(values) for y in range(ny) if v >> y & 1))
+                key = _make_key("xy", (nx, ny), values, ny)
             yield Record(obj, key, balance_of(obj))
 
 

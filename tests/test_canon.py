@@ -213,6 +213,23 @@ def test_cover_keys():
     assert canon_cover(a) == canon_cover(c)
 
 
+def test_covers_whose_rows_differ_only_in_order_share_one_kernel_search():
+    """A cover's incidence is searched with its rows sorted, so relabeled
+    elements that leave every set in its column cost one search."""
+    from splitkit import canon
+
+    cover = SetCover(5, ((0, 1), (1, 2, 3), (3, 4)))
+    relabeled = []
+    for perm in itertools.permutations(range(5)):
+        sets = [tuple(sorted(perm[e] for e in s)) for s in cover.sets]
+        if sets == sorted(sets):  # the normal form keeps the columns
+            relabeled.append(SetCover(5, sets))
+    assert len(set(relabeled)) > 1
+    canon._canon_rows.cache_clear()
+    assert {canon_cover(c) for c in relabeled} == {canon_cover(cover)}
+    assert canon._canon_rows.cache_info().misses == 1
+
+
 def test_nine_minimal_covers_of_a_four_set():
     from splitkit.census import naive_oracle
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from splitkit import census, verify
-from splitkit.canon import canon_key
+from splitkit.canon import canon_key, canonical_object
 from splitkit.census import (
     MAX_N,
     count_table,
@@ -192,11 +192,20 @@ def test_verify_canonicalizes_each_census_object_once(monkeypatch):
     canonicalized, augmented = _count_work(monkeypatch)
     results = verify.run_all(5)
     assert all(r.passed for r in results if r.suite != "triangle")
-    # the unrestricted XY census shares the records without isolates in Y
-    stored = [r.key for (_, _, no_isolates), records in census._records.items() if not no_isolates for r in records]
+    # XY records without isolates in Y are read off the levels, uncanonicalized;
+    # the unrestricted XY census shares them and canonicalizes only the padded
+    # levels, the objects with isolates in Y
+    stored = [
+        r.key
+        for (tag, _, no_isolates), records in census._records.items()
+        if not no_isolates
+        for r in records
+        if tag != "xy" or r.balance is None
+    ]
     censuses = [census.enumerate_class(tag, n) for tag in ("split", "cover", "poset") for n in range(6)]
-    censuses += [enumerate_xy(n, False) for n in range(6)]
     census_keys = [k for c in censuses for k in c.keys]
+    for n in range(6):
+        census_keys += set(enumerate_xy(n, False).keys) - set(enumerate_xy(n, True).keys)
     assert sorted(canonicalized) == sorted(stored) == sorted(census_keys)
     # one augmentation per level that the censuses at n <= 5 read
     assert _built_once(augmented, 5)
@@ -206,16 +215,32 @@ def test_verify_canonicalizes_each_census_object_once(monkeypatch):
 def test_xy_census_without_isolates_is_the_unrestricted_one_with_a_balance(monkeypatch, first_without_isolates):
     canonicalized, augmented = _count_work(monkeypatch)
     census.records("xy", 6, first_without_isolates)
-    # a one-shot census does only its own work; the unrestricted one
-    # stores the records without isolates in Y that it shares
-    assert len(canonicalized) == len(census.records("xy", 6, first_without_isolates))
+    # a one-shot census does only its own work: the census without isolates
+    # in Y is read off the levels, and the unrestricted one canonicalizes
+    # each of its 94 - 56 objects with isolates once and stores the records
+    # without isolates that it shares
+    assert len(canonicalized) == (0 if first_without_isolates else 94 - 56)
     assert _built_once(augmented, 6)
     assert ("xy", 6, True) in census._records
     census.records("xy", 6, not first_without_isolates)
     unrestricted = census.records("xy", 6, False)
     assert census.records("xy", 6, True) == tuple(r for r in unrestricted if r.balance is not None)
-    assert len(canonicalized) == len(unrestricted)
+    assert canonicalized == [r.key for r in unrestricted if r.balance is None]
+    assert len(unrestricted) == 94 and len(canonicalized) == 94 - 56
     assert _built_once(augmented, 6)
+
+
+def test_xy_records_read_off_the_levels_are_the_canonicalized_ones(monkeypatch):
+    """Each XY record without isolates in Y equals the level's XY-graph
+    put through ``canonical_object`` again, as the census once built it."""
+    monkeypatch.setattr(census, "_records", {})
+    for n in range(MAX_N + 1):
+        reference = []
+        for nx in range(n, -1, -1):
+            for values in census._level(nx, n - nx):
+                obj, key = canonical_object(census._xy_graph(nx, n - nx, values))
+                reference.append(census.Record(obj, key, balance_of(obj)))
+        assert census.records("xy", n, True) == tuple(reference)
 
 
 def test_a_transported_census_builds_only_itself(monkeypatch):

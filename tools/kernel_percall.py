@@ -16,10 +16,21 @@ the fixed ``reference_kernel``, and the best sweep is scaled by the
 median over the sweeps of its nominal time over their mean, since one
 sample of the reference kernel carries noise of its own.
 
-    python tools/kernel_percall.py
+With ``--against DIR`` it also loads the kernel of the checkout at DIR
+(its ``src/splitkit``, imported as a package of its own in the same
+process) and times the two kernels on the same inputs in ``PAIRS``
+interleaved pairs of sweeps, the side that runs first alternating.  For
+each set it prints the median over the pairs of this kernel's time over
+the other's, and in how many pairs this kernel was faster.  Host drift
+moves both sides of a pair alike, so a per-call claim should rest on
+these ratios rather than on two separate runs.
+
+    python tools/kernel_percall.py [--against DIR]
 """
 
+import argparse
 import contextlib
+import importlib.util
 import io
 import os
 import statistics
@@ -35,6 +46,7 @@ import workloads  # noqa: E402
 from splitkit import canon, census, cli  # noqa: E402
 
 REPEAT = 7  # timed sweeps per set; the best counts
+PAIRS = 10  # interleaved pairs of sweeps per set with --against
 SETS = {
     "census": [(["enumerate", "--class", cls, "--n", "7"], "") for cls in ("split", "cover", "xy", "poset")],
     "certify": [(["verify", "--suite", "all", "--max-n", "6"], "")],
@@ -69,6 +81,13 @@ def record(commands) -> list:
     return list(seen)
 
 
+def _sweep(kernel, inputs) -> float:
+    start = time.perf_counter()
+    for rows, c in inputs:
+        kernel(rows, c)
+    return time.perf_counter() - start
+
+
 def per_call_us(inputs) -> tuple[float, float]:
     """(raw, scaled) microseconds per call: the best sweep, then the same
     scaled by the median of the sweeps' speed factors."""
@@ -77,21 +96,55 @@ def per_call_us(inputs) -> tuple[float, float]:
     speed.start()
     best, factors = float("inf"), []
     for _ in range(REPEAT):
-        start = time.perf_counter()
-        for rows, c in inputs:
-            kernel(rows, c)
-        best = min(best, time.perf_counter() - start)
+        best = min(best, _sweep(kernel, inputs))
         factors.append(speed.factor())
     raw = best / len(inputs) * 1e6
     return raw, raw * statistics.median(factors)
 
 
-def main() -> int:
-    print("set      inputs   raw us  scaled us")
+def load_kernel(root: str):
+    """The uncached ``_canon_rows`` of the checkout at ``root``."""
+    name = "splitkit_against"
+    package = os.path.join(os.path.abspath(root), "src", "splitkit")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return sys.modules[name + ".canon"]._canon_rows.__wrapped__
+
+
+def interleaved(inputs, other) -> tuple[float, int]:
+    """(median over the pairs of this kernel's sweep time over the other's,
+    pairs in which this kernel was faster)."""
+    kernel = canon._canon_rows.__wrapped__
+    ratios = []
+    for i in range(PAIRS):
+        if i % 2:
+            theirs = _sweep(other, inputs)
+            ours = _sweep(kernel, inputs)
+        else:
+            ours = _sweep(kernel, inputs)
+            theirs = _sweep(other, inputs)
+        ratios.append(ours / theirs)
+    return statistics.median(ratios), sum(r < 1 for r in ratios)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Per-call cost of the matrix kernel.")
+    parser.add_argument("--against", metavar="DIR", help="a second checkout whose kernel to interleave with")
+    args = parser.parse_args(argv)
+    other = load_kernel(args.against) if args.against else None
+    print("set      inputs   raw us  scaled us" + ("  ratio  won" if other else ""))
     for name, commands in SETS.items():
         inputs = record(commands)
         raw, scaled = per_call_us(inputs)
-        print(f"{name:<8} {len(inputs):>6}  {raw:7.1f}  {scaled:9.1f}")
+        line = f"{name:<8} {len(inputs):>6}  {raw:7.1f}  {scaled:9.1f}"
+        if other:
+            ratio, won = interleaved(inputs, other)
+            line += f"  {ratio:5.3f}  {won:>2}/{PAIRS}"
+        print(line)
     return 0
 
 

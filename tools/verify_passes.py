@@ -5,7 +5,8 @@ cleared memos:
 
 * a timed run, which first builds every census record the suites read and
   then prints the CPU time (``time.process_time``) of the census build and
-  of each suite, summed over the suite's calls;
+  of each suite, summed over the suite's calls, beside its uncached matrix
+  kernel searches (``canon._canon_rows`` cache misses);
 * a counted run under ``sys.setprofile``, which prints, for each
   structural pass and for the twelve maps of the roundtrip and balance
   pairs (``verify._PAIRS``), how often its body ran and on how many
@@ -71,10 +72,16 @@ def _fresh():
                 value.cache_clear()
 
 
-def suite_times(max_n: int) -> dict:
-    """CPU seconds of the census build and of each suite in ``run_all``."""
+def _searches() -> int:
+    return canon._canon_rows.cache_info().misses
+
+
+def suite_times(max_n: int) -> tuple[dict, dict]:
+    """CPU seconds and uncached kernel searches of the census build and of
+    each suite in ``run_all``."""
     _fresh()
     spent = defaultdict(float)
+    searched = defaultdict(int)
     start = time.process_time()
     for tag in ("split", "cover", "xy", "poset"):
         for n in range(max_n + 1):
@@ -82,14 +89,16 @@ def suite_times(max_n: int) -> dict:
             if tag == "xy":
                 census.records(tag, n)
     spent["census"] = time.process_time() - start
+    searched["census"] = _searches()
 
     def timed(name, fn):
         def run(*args, **kwargs):
-            t0 = time.process_time()
+            t0, s0 = time.process_time(), _searches()
             try:
                 return fn(*args, **kwargs)
             finally:
                 spent[name] += time.process_time() - t0
+                searched[name] += _searches() - s0
         return run
 
     patches = [mock.patch.object(verify, name, timed(name, getattr(verify, name))) for name in SUITES]
@@ -100,7 +109,7 @@ def suite_times(max_n: int) -> dict:
     finally:
         for p in patches:
             p.stop()
-    return spent
+    return spent, searched
 
 
 def pass_counts(max_n: int) -> dict:
@@ -127,11 +136,11 @@ def pass_counts(max_n: int) -> dict:
 
 def main(argv) -> int:
     max_n = int(argv[0]) if argv else 6
-    times = suite_times(max_n)
-    print(f"run_all({max_n}) CPU ms by suite")
+    times, searched = suite_times(max_n)
+    print(f"run_all({max_n}) CPU ms and uncached kernel searches by suite")
     for name, seconds in times.items():
-        print(f"  {name:<28} {seconds * 1e3:8.1f}")
-    print(f"  {'total':<28} {sum(times.values()) * 1e3:8.1f}")
+        print(f"  {name:<28} {seconds * 1e3:8.1f} {searched[name]:6}")
+    print(f"  {'total':<28} {sum(times.values()) * 1e3:8.1f} {sum(searched.values()):6}")
     counts = pass_counts(max_n)
     print(f"run_all({max_n}) body runs / distinct inputs")
     for label, (runs, distinct) in counts.items():
