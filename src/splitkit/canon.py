@@ -20,25 +20,27 @@ and equivalent states are merged.  In the matrix kernel, a tie among
 unit rows (a single 1) is placed as one run: the tied states keep only
 the subsets of their unit rows that the rows of several ones can still
 tell apart, and the placed unit rows share one cell of their columns, so
-neither their orders nor their other subsets branch.  Every cover has
-such rows, one per loyal element.  Nothing is pruned by size or by an
-invariant, so the result is the objective itself.  Tied states can still
-multiply on highly symmetric inputs without unit rows: apart from
-interchangeable twin vertices and unit rows, automorphisms are not
+neither their orders nor their other subsets branch.  Every minimal
+cover has such rows, one per loyal element, and ``canon_cover`` takes
+their identity blocks out before the search.  Nothing is pruned by size
+or by an invariant, so the result is the objective itself.  Tied states
+can still multiply on highly symmetric inputs without unit rows: apart
+from interchangeable twin vertices and unit rows, automorphisms are not
 pruned.
 
 Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host,
 uncached: 0.08 / 0.15 ms for random 7x7 / 12x11 matrices; 0.05 ms for
 the 9- to 11-vertex split graphs of the stream benchmark and 0.30 /
-0.62 ms for random split graphs on 40 / 62 vertices; 0.22 ms for the
-incidence of a 7-set cover on 10 elements whose loyal elements tie;
-0.04-0.15 ms for k x k identities and 0.05-0.19 ms for the incidence of
-k disjoint pairs (k = 16 to 64), and 0.07 / 0.14 ms for the thin spiders
-on 20 and 40 vertices (K_k with a pendant vertex on each clique vertex,
-whose S-max incidence is the identity).  Matrices without unit rows:
-25 ms / 0.16 s for the 10x10 / 12x12 co-identity, 0.59 s for the 35x7
-incidence of the 3-subsets of a 7-set and 3.1 s for the 28x8 incidence
-of K8.  The adjacency search takes 35 ms on the 16-cycle.
+0.62 ms for random split graphs on 40 / 62 vertices; 0.17-0.22 ms for
+the incidence of a 7-set cover on 10 elements whose loyal elements tie,
+and 0.10 ms for that cover's key, which searches only its three rows of
+several ones; 0.04-0.15 ms for k x k identities and 0.05-0.19 ms for
+the incidence of k disjoint pairs (k = 16 to 64), and 0.07 / 0.14 ms for
+the thin spiders on 20 and 40 vertices (K_k with a pendant vertex on each
+clique vertex, whose S-max incidence is the identity).  Matrices without
+unit rows: 25 ms / 0.16 s for the 10x10 / 12x12 co-identity, 0.59 s for
+the 35x7 incidence of the 3-subsets of a 7-set and 3.1 s for the 28x8
+incidence of K8.  The adjacency search takes 35 ms on the 16-cycle.
 
 The row and column groups of the matrix kernel act independently, which
 is exactly what keeps X distinguished, keeps a cover's elements and sets
@@ -181,10 +183,12 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     the least such state is kept.  Among equal results the witness sorts the rows for its
     column order, so the witness of a canonical matrix is the identity.
 
-    About 0.044 / 0.028 ms per uncached call on the stream's matrices with
-    / without unit rows, 2.1-2.5 us on a cache hit on the stream's XY
-    matrices (``tools/kernel_percall.py`` gives 0.020-0.036 / 0.020-0.036 /
-    0.040-0.055 ms per uncached call on the census, certify and stream inputs);
+    About 0.038 / 0.040 ms per uncached call on the stream's matrices with
+    / without unit rows (0.058 / 0.037 ms when covers were searched with
+    their identity blocks), 2.1-2.5 us on a cache hit on the stream's XY
+    matrices (``tools/kernel_percall.py`` gives 0.020-0.022 / 0.018-0.021 /
+    0.029-0.043 ms per uncached call on the census, certify and stream
+    inputs, scaled to the benchmark's reference speed);
     0.15 / 0.19 ms for the 64x64 identity and the 128x64 incidence of 64
     disjoint pairs.  Symmetric inputs without unit rows keep more tied
     states (25 ms for the 10x10 co-identity, 0.59 s for the 35x7
@@ -205,7 +209,7 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
 
     The census and the verify suites canonicalize the same small matrices
     many times over (``verify --suite all --max-n 6`` makes 1,961 calls on
-    747 distinct inputs), so recent results are kept; they are immutable.
+    633 distinct inputs), so recent results are kept; they are immutable.
     """
     r = len(rows)
     if r == 0 or c == 0:
@@ -650,19 +654,42 @@ def canon_xy(g: XYGraph) -> CanonicalKey:
 
 
 def canon_cover(c: SetCover) -> CanonicalKey:
-    """The key of a cover's incidence, searched with its rows sorted.
+    """The key of a cover's incidence, searched with its rows sorted and
+    without the identity blocks of its loyal elements.
+
+    A loyal element (in one set only) is a unit row, and a cover is
+    minimal exactly when every set has one, so with k the fewest unit rows
+    on any column, k >= 1 for every minimal cover (k = 0 otherwise).  The
+    k copies of the identity are taken out before the search and merged
+    back into the values.  This is exact: under every column order they
+    are the same multiset U of rows, the least matrix for a column order
+    has its rows sorted, and merging a fixed U into sorted sequences of
+    one length keeps their lexicographic order, so the least matrix is U
+    merged into the least matrix of the other rows.  On the stream's
+    covers (an identity plus a few rows) the identity's unit runs were
+    where the search branched.
 
     The key does not depend on row order, and the witness never leaves
     here, so the rows are sorted to key the kernel's cache by their
     multiset: rep choices and compile maps swap twin loyal elements, which
     moves rows and keeps the multiset.  XY-graphs and posets keep their
-    row order, since sorting theirs as well costs cache hits
-    (``verify --suite all --max-n 6`` then makes 762 searches, not 747),
-    and split graphs keep theirs because ``canon_graph`` returns its
-    witness.
+    rows as given: their identity blocks are rare, and stripping them as
+    well saved nothing on the stream's items (their total time in-process
+    was lower in 4 of 10 pairs), while sorting their rows costs cache hits
+    (``verify --suite all --max-n 6`` made 762 searches, not 747, before
+    covers were stripped).  Split graphs keep their rows and identity
+    blocks because ``canon_graph`` returns a witness, which is pinned.
     """
-    mcf = canon_matrix(sorted(cover_matrix(c)))
-    return _make_key("cover", (c.n, len(c.sets)), mcf.values, len(c.sets))
+    m = len(c.sets)
+    rows = sorted(cover_matrix(c))
+    units = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]
+    k = min(map(rows.count, units), default=0)
+    if k:
+        for unit in units:  # the sorted rows hold each unit row's copies together
+            i = rows.index(unit)
+            del rows[i : i + k]
+    values = canon_matrix(rows).values + tuple(1 << j for j in range(m)) * k
+    return _make_key("cover", (c.n, m), sorted(values), m)
 
 
 def canon_poset(p: BipartitePoset) -> CanonicalKey:

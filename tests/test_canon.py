@@ -10,6 +10,7 @@ from splitkit import census
 from splitkit.biject import cover_to_split, split_to_xy
 from splitkit.canon import (
     _canon_adjacency,
+    _make_key,
     canon_cover,
     canon_graph,
     canon_key,
@@ -17,6 +18,7 @@ from splitkit.canon import (
     canon_poset,
     canon_xy,
     canonical_object,
+    cover_matrix,
     is_isomorphic,
     relabel_graph,
 )
@@ -228,6 +230,96 @@ def test_covers_whose_rows_differ_only_in_order_share_one_kernel_search():
     canon._canon_rows.cache_clear()
     assert {canon_cover(c) for c in relabeled} == {canon_cover(cover)}
     assert canon._canon_rows.cache_info().misses == 1
+
+
+def _unstripped_cover_key(c):
+    """The reference key: the search over every incidence row, identity
+    blocks included."""
+    values = canon_matrix(sorted(cover_matrix(c))).values
+    return _make_key("cover", (c.n, len(c.sets)), values, len(c.sets))
+
+
+def _fewest_loyal(c):
+    """k: the fewest elements of their own over the sets, 0 with no sets."""
+    owners = [0] * c.n
+    for s in c.sets:
+        for e in s:
+            owners[e] += 1
+    return min((sum(owners[e] == 1 for e in s) for s in c.sets), default=0)
+
+
+def _random_covers(rng, count):
+    """Seeded covers of every kind the stripping meets: minimal with one or
+    several loyal elements per set, not minimal (k = 0), every row a unit
+    row, and the cover with no sets; elements are shuffled."""
+    covers = [SetCover(0, ())]
+    for i in range(count):
+        kind = i % 4
+        m = rng.randint(1, 7)
+        if kind == 0:  # one loyal element per set
+            loyal = [1] * m
+        elif kind == 1:  # several per set
+            loyal = [rng.randint(2, 3) for _ in range(m)]
+        elif kind == 2:  # some set has none: not minimal
+            loyal = [rng.randint(0, 2) for _ in range(m)]
+            loyal[rng.randrange(m)] = 0
+        else:  # a partition: every row a unit row
+            loyal = [rng.randint(1, 3) for _ in range(m)]
+        shared = rng.randint(0, 5) if kind != 3 and m > 1 else 0
+        sets = [[] for _ in range(m)]
+        n = 0
+        for j, k in enumerate(loyal):
+            sets[j] += range(n, n + k)
+            n += k
+        for _ in range(shared):
+            for j in rng.sample(range(m), rng.randint(2, m)):
+                sets[j].append(n)
+            n += 1
+        for j in range(m):
+            if not sets[j]:  # an empty set gets an element shared with the next
+                sets[j].append(n)
+                sets[(j + 1) % m].append(n)
+                n += 1
+        labels = list(range(n))
+        rng.shuffle(labels)
+        covers.append(SetCover(n, [[labels[e] for e in s] for s in sets]))
+    return covers
+
+
+def test_cover_keys_strip_the_loyal_identity_exactly():
+    """``canon_cover`` searches without k identity copies; its key is the
+    search over every row, on the census and on seeded random covers."""
+    objects = [r.obj for n in range(9) for r in census.records("cover", n)]
+    assert len(objects) == 815
+    covers = _random_covers(random.Random(2021), 2400)
+    assert {0, 1, 2, 3} <= {_fewest_loyal(c) for c in covers}
+    assert any(c.sets and all(sum(row) == 1 for row in cover_matrix(c)) for c in covers)
+    for c in objects + covers:
+        assert canon_cover(c) == _unstripped_cover_key(c), c
+
+
+def test_cover_search_gets_the_rows_left_after_stripping(monkeypatch):
+    """A cover with k loyal elements in every set hands the kernel exactly
+    n - k * |C| rows; one with a set of no loyal element hands it all n."""
+    from splitkit import canon
+
+    sizes = []
+
+    def spy(matrix):
+        sizes.append(len(matrix))
+        return canon_matrix(matrix)
+
+    monkeypatch.setattr(canon, "canon_matrix", spy)
+    # three sets, two loyal elements each (0-5), three shared (6-8)
+    two_each = SetCover(9, ((0, 1, 6, 7), (2, 3, 6, 8), (4, 5, 7, 8)))
+    # the third set has three, so k is still 2
+    one_more = SetCover(10, ((0, 1, 6, 7), (2, 3, 6, 8), (4, 5, 7, 8, 9)))
+    partition = SetCover(6, ((0, 1), (2, 3, 4), (5,)))
+    not_minimal = SetCover(4, ((0, 1), (1, 2), (0, 1, 2, 3), (3,)))
+    assert [_fewest_loyal(c) for c in (two_each, one_more, partition, not_minimal)] == [2, 2, 1, 0]
+    for c in (two_each, one_more, partition, not_minimal):
+        canon_cover(c)
+    assert sizes == [9 - 2 * 3, 10 - 2 * 3, 6 - 1 * 3, 4]
 
 
 def test_nine_minimal_covers_of_a_four_set():

@@ -305,7 +305,7 @@ def test_each_census_object_is_mapped_once_per_direction(monkeypatch):
 def test_run_all_keys_covers_by_their_row_multiset(monkeypatch):
     # counts, not times: run_all(6) from empty census stores, memos and
     # kernel cache; with covers searched in their given row order it made
-    # 1,119 searches
+    # 1,119 searches, and 747 with their loyal identity blocks searched too
     monkeypatch.setattr(census, "_records", {})
     monkeypatch.setattr(census, "_levels", {})
     for module in (canon, classify, verify):
@@ -314,4 +314,4 @@ def test_run_all_keys_covers_by_their_row_multiset(monkeypatch):
                 memo.cache_clear()
     results = verify.run_all(6)
     assert all(r.passed for r in results if r.suite != "triangle")
-    assert canon._canon_rows.cache_info().misses <= 747
+    assert canon._canon_rows.cache_info().misses <= 633

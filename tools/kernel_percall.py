@@ -23,7 +23,11 @@ interleaved pairs of sweeps, the side that runs first alternating.  For
 each set it prints the median over the pairs of this kernel's time over
 the other's, and in how many pairs this kernel was faster.  Host drift
 moves both sides of a pair alike, so a per-call claim should rest on
-these ratios rather than on two separate runs.
+these ratios rather than on two separate runs.  Both kernels run on the
+inputs this checkout records, so the ratio sees only a change in how the
+kernel searches: a change in *what* it is asked, such as fewer or smaller
+inputs from a caller, leaves it near 1.00 and shows in the input counts
+and per-call times of each checkout run on its own.
 
     python tools/kernel_percall.py [--against DIR]
 """
@@ -136,15 +140,19 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="DIR", help="a second checkout whose kernel to interleave with")
     args = parser.parse_args(argv)
     other = load_kernel(args.against) if args.against else None
-    print("set      inputs   raw us  scaled us" + ("  ratio  won" if other else ""))
-    for name, commands in SETS.items():
-        inputs = record(commands)
-        raw, scaled = per_call_us(inputs)
-        line = f"{name:<8} {len(inputs):>6}  {raw:7.1f}  {scaled:9.1f}"
-        if other:
-            ratio, won = interleaved(inputs, other)
-            line += f"  {ratio:5.3f}  {won:>2}/{PAIRS}"
-        print(line)
+    try:
+        print("set      inputs   raw us  scaled us" + ("  ratio  won" if other else ""))
+        for name, commands in SETS.items():
+            inputs = record(commands)
+            raw, scaled = per_call_us(inputs)
+            line = f"{name:<8} {len(inputs):>6}  {raw:7.1f}  {scaled:9.1f}"
+            if other:
+                ratio, won = interleaved(inputs, other)
+                line += f"  {ratio:5.3f}  {won:>2}/{PAIRS}"
+            print(line, flush=True)
+    except BrokenPipeError:
+        # downstream closed the pipe (e.g. | head); exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -16,6 +16,7 @@ cleared memos:
     python tools/verify_passes.py [N]        (N defaults to 6)
 """
 
+import argparse
 import os
 import sys
 import time
@@ -134,8 +135,7 @@ def pass_counts(max_n: int) -> dict:
     return {label: (runs[label], len(seen[label])) for label in dict.fromkeys(codes.values())}
 
 
-def main(argv) -> int:
-    max_n = int(argv[0]) if argv else 6
+def report(max_n: int) -> None:
     times, searched = suite_times(max_n)
     print(f"run_all({max_n}) CPU ms and uncached kernel searches by suite")
     for name, seconds in times.items():
@@ -147,8 +147,21 @@ def main(argv) -> int:
         print(f"  {label:<28} {runs:6} {distinct:6}")
     maps = [v for label, v in counts.items() if label.startswith("map ")]
     print(f"  {'all pair maps':<28} {sum(r for r, _ in maps):6} {sum(d for _, d in maps):6}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Where verify.run_all(N) spends its work.")
+    parser.add_argument("max_n", metavar="N", nargs="?", type=int, default=6,
+                        choices=range(census.MAX_N + 1), help="the largest census size (default 6)")
+    args = parser.parse_args(argv)
+    try:
+        report(args.max_n)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # downstream closed the pipe (e.g. | head); exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
