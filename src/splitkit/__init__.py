@@ -60,7 +60,6 @@ from .census import (
     enumerate_poset,
     enumerate_split,
     enumerate_xy,
-    naive_oracle,
 )
 from .biject import MapReport, apply_named_map
 

@@ -28,11 +28,11 @@ n - nx - m isolates added, most isolates first, then the records of the
 census without isolates at that nx, which it shares.
 
 Deduplication rests on the kernel, so two checks share nothing with the
-generation but the canonical forms: the naive oracle (generate every
-labeled object, canonicalize, deduplicate) compares whole censuses at
-small n, and the paper's counts (OEIS A048194 for split graphs, their
-partial sums for XY-graphs) check up to n = 10 that the kernel neither
-merges nor splits classes.
+generation but the canonical forms: the naive oracle in the test suite
+(``tests/oracles.py``: generate every labeled object, canonicalize,
+deduplicate) compares whole censuses at small n, and the paper's counts
+(OEIS A048194 for split graphs, their partial sums for XY-graphs) check up
+to n = 10 that the kernel neither merges nor splits classes.
 
 Per-process stores keep what is built: the levels, the first time any
 census needs them, and per census that a caller asks for, its records, a
@@ -57,8 +57,8 @@ import itertools
 from typing import Iterator, Optional
 
 from . import biject
-from .canon import _canon_rows, _make_key, canon_key, canonical_object
-from .classify import balance_of, xy_isolates_universals
+from .canon import _canon_rows, _make_key, canonical_object
+from .classify import balance_of
 from .core import (
     Balance,
     BipartitePoset,
@@ -73,7 +73,6 @@ from .core import (
 )
 
 MAX_N = 8
-ORACLE_MAX_N = {"split": 5, "cover": 5, "xy": 6, "poset": 6}
 
 
 class Census(Value):
@@ -119,14 +118,6 @@ class Record(Value):
         _set(self, "obj", obj)
         _set(self, "key", key)
         _set(self, "balance", balance)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.obj, self.key, self.balance) == (other.obj, other.key, other.balance)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.obj, self.key, self.balance))
 
 
 def _check_bound(n: int):
@@ -327,155 +318,6 @@ def enumerate_poset(n: int) -> Census:
 
 def enumerate_class(class_tag: str, n: int, require_no_y_isolates: bool = False) -> Census:
     return _census(class_tag, n, require_no_y_isolates)
-
-
-# ---------------------------------------------------------------------------
-# naive oracle
-
-
-def naive_oracle(class_tag: str, n: int) -> Census:
-    """Census built without bijection transport: generate all labeled
-    objects, canonicalize, deduplicate, classify natively."""
-    bound = ORACLE_MAX_N.get(class_tag)
-    if bound is None:
-        raise UsageError(f"unknown class {class_tag!r}")
-    if not 0 <= n <= bound:
-        raise SizeLimitError(f"naive oracle supports n <= {bound} for {class_tag}, got n={n}")
-    if class_tag == "split":
-        return _oracle_split(n)
-    if class_tag == "cover":
-        return _oracle_cover(n)
-    if class_tag == "xy":
-        return _oracle_xy(n)
-    return _oracle_poset(n)
-
-
-def _oracle_split(n: int) -> Census:
-    pair_bits = [(i, j) for j in range(n) for i in range(j)]
-    results: dict[CanonicalKey, bool] = {}
-    for code in range(1 << len(pair_bits)):
-        edges = [pair_bits[k] for k in range(len(pair_bits)) if code >> k & 1]
-        g = Graph.from_edges(n, edges)
-        partitions = _split_partitions(g)
-        if not partitions:
-            continue
-        key = canon_key(g)
-        if key in results:
-            continue
-        omega = max(
-            (len(ks) for ks in _all_cliques(g)), default=0
-        )
-        alpha = max(
-            (len(ss) for ss in _all_stables(g)), default=0
-        )
-        balanced = any(len(k) == omega and n - len(k) == alpha for k in partitions)
-        results[key] = balanced
-    return _oracle_census("split", n, results)
-
-
-def _all_cliques(g: Graph):
-    for code in range(1 << g.n):
-        members = [v for v in range(g.n) if code >> v & 1]
-        if all(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1 :]):
-            yield members
-
-
-def _all_stables(g: Graph):
-    for code in range(1 << g.n):
-        members = [v for v in range(g.n) if code >> v & 1]
-        if not any(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1 :]):
-            yield members
-
-
-def _split_partitions(g: Graph) -> list[frozenset[int]]:
-    """All K-sides of valid clique/stable bipartitions, by brute force."""
-    out = []
-    for code in range(1 << g.n):
-        k = [v for v in range(g.n) if code >> v & 1]
-        s = [v for v in range(g.n) if not code >> v & 1]
-        if all(g.has_edge(u, v) for i, u in enumerate(k) for v in k[i + 1 :]) and not any(
-            g.has_edge(u, v) for i, u in enumerate(s) for v in s[i + 1 :]
-        ):
-            out.append(frozenset(k))
-    return out
-
-
-def _oracle_cover(n: int) -> Census:
-    # A minimal cover has at most n sets (each owns a distinct loyal
-    # element), so families larger than n never pass the filter.
-    results: dict[CanonicalKey, bool] = {}
-    full = (1 << n) - 1
-    masks = list(range(1, 1 << n))
-    for k in range(0, n + 1):
-        for family in itertools.combinations(masks, k):
-            union = 0
-            for m in family:
-                union |= m
-            if union != full:
-                continue
-            minimal = True
-            for i, m in enumerate(family):
-                rest = 0
-                for j, other in enumerate(family):
-                    if j != i:
-                        rest |= other
-                if not m & ~rest:
-                    minimal = False
-                    break
-            if not minimal:
-                continue
-            sets = tuple(tuple(v for v in range(n) if m >> v & 1) for m in family)
-            cover = SetCover(n, sets)
-            key = canon_key(cover)
-            if key not in results:
-                threshold = n - k + 1
-                results[key] = not any(len(s) == threshold for s in cover.sets)
-    return _oracle_census("cover", n, results)
-
-
-def _oracle_xy(n: int) -> Census:
-    results: dict[CanonicalKey, Optional[bool]] = {}
-    for nx in range(n + 1):
-        ny = n - nx
-        cells = [(x, y) for x in range(nx) for y in range(ny)]
-        for code in range(1 << len(cells)):
-            edges = frozenset(cells[k] for k in range(len(cells)) if code >> k & 1)
-            h = XYGraph(nx, ny, edges)
-            key = canon_key(h)
-            if key in results:
-                continue
-            isolates, universals = xy_isolates_universals(h)
-            results[key] = None if isolates else not universals
-    balanced = sum(1 for v in results.values() if v is True)
-    unbalanced = sum(1 for v in results.values() if v is False)
-    ood = sum(1 for v in results.values() if v is None)
-    return Census("xy", n, tuple(sorted(results)), balanced, unbalanced, ood)
-
-
-def _oracle_poset(n: int) -> Census:
-    results: dict[CanonicalKey, bool] = {}
-    for n0 in range(n + 1):
-        n1 = n - n0
-        cells = [(a, b) for a in range(n0) for b in range(n1)]
-        for code in range(1 << len(cells)):
-            below = frozenset(cells[k] for k in range(len(cells)) if code >> k & 1)
-            covered = {b for _, b in below}
-            if len(covered) != n1:
-                continue  # some height-1 point would have an empty down-set
-            p = BipartitePoset(n0, n1, below)
-            key = canon_key(p)
-            if key not in results:
-                up_counts = [0] * n0
-                for a, _ in below:
-                    up_counts[a] += 1
-                results[key] = not any(u == n1 for u in up_counts)
-    return _oracle_census("poset", n, results)
-
-
-def _oracle_census(tag: str, n: int, results: dict) -> Census:
-    balanced = sum(1 for v in results.values() if v)
-    unbalanced = sum(1 for v in results.values() if not v)
-    return Census(tag, n, tuple(sorted(results)), balanced, unbalanced)
 
 
 # ---------------------------------------------------------------------------

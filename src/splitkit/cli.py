@@ -22,6 +22,7 @@ from . import biject, census, verify
 from .canon import canon_key, canonical_object
 from .classify import balance_of, omega_alpha
 from .core import (
+    CLASS_TAGS,
     GRAPH6_MAX_N,
     MAX_KEY_DIM,
     DomainError,
@@ -269,7 +270,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     if only in (None, "enumerate"):
         p = sub.add_parser("enumerate", help="emit the census of a class at size n")
-        p.add_argument("--class", dest="cls", required=True, choices=["split", "cover", "xy", "poset"])
+        p.add_argument("--class", dest="cls", required=True, choices=CLASS_TAGS)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--balance", choices=["all", "balanced", "unbalanced"], default="all")
         p.add_argument("--no-y-isolates", action="store_true")
@@ -281,7 +282,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     if only in (None, "classify"):
         p = sub.add_parser("classify", help="classify objects read from stdin")
-        p.add_argument("--class", dest="cls", default="auto", choices=["auto", "split", "cover", "xy", "poset"])
+        p.add_argument("--class", dest="cls", default="auto", choices=("auto",) + CLASS_TAGS)
         p.set_defaults(fn=cmd_classify)
 
     if only in (None, "map"):
@@ -293,7 +294,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     if only in (None, "compile"):
         p = sub.add_parser("compile", help="apply a compilation map to objects from stdin")
-        p.add_argument("--class", dest="cls", required=True, choices=["split", "cover", "xy", "poset"])
+        p.add_argument("--class", dest="cls", required=True, choices=CLASS_TAGS)
         p.add_argument("--direction", required=True, choices=["down", "up"])
         p.add_argument("--n", type=int, default=None, help="target size for --direction up")
         p.set_defaults(fn=cmd_compile)

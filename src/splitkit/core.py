@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import total_ordering
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -142,9 +142,6 @@ class Graph(Value):
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
 
     def neighbors(self, v: int) -> list[int]:
         return _bits(self.adj[v])
@@ -308,14 +305,6 @@ class Balance(Value):
         _set(self, "value", value)
         _set(self, "witness", witness)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value, self.witness) == (other.value, other.witness)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.witness))
-
     @property
     def is_balanced(self) -> bool:
         return self.value == "balanced"
@@ -361,8 +350,6 @@ class CanonicalKey(Value):
             return (self.class_tag, self.data) < (other.class_tag, other.data)
         return NotImplemented
 
-
-ObjectType = Union[Graph, SetCover, XYGraph, BipartitePoset]
 
 CLASS_TAGS = ("split", "cover", "xy", "poset")
 

@@ -306,6 +306,7 @@ def _shift_roundtrip(max_n: int) -> SuiteResult:
 
 
 def run_suite(name: str, max_n: int) -> list[SuiteResult]:
+    census._check_bound(max_n)
     if name == "roundtrip":
         return [verify_roundtrip(p, max_n) for p in _PAIRS] + [_shift_roundtrip(max_n)]
     if name == "balance":
@@ -332,6 +333,7 @@ def run_all(max_n: int) -> list[SuiteResult]:
     """Every asserting suite, then the triangle report, as ``run_suite``
     gives them.  Each pair's roundtrip suite hands the map images it
     computes to the pair's balance suite, and they are dropped after it."""
+    census._check_bound(max_n)
     roundtrip, balance = [], []
     for pair in _PAIRS:
         images = []

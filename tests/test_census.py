@@ -1,6 +1,9 @@
 """Census counts, oracle agreement, transport cardinality, determinism."""
 
+import ast
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +18,12 @@ from splitkit.census import (
     enumerate_xy,
     iter_split,
     iter_xy,
-    naive_oracle,
 )
 from splitkit.classify import balance_of, xy_isolates_universals
 from splitkit.core import Graph, SizeLimitError
+
+import oracles
+from oracles import naive_oracle, oracle_verdicts
 
 UNBALANCED = [0, 1, 2, 4, 8, 17, 38, 94, 258]  # splits, n = 0..8
 TOTALS = [1, 1, 2, 4, 9, 21, 56, 164]  # splits, n = 0..7
@@ -82,6 +87,33 @@ def test_oracle_equivalence_everywhere_defined():
         master = enumerate_poset(n)
         assert oracle.keys == master.keys
         assert (oracle.balanced, oracle.unbalanced) == (master.balanced, master.unbalanced)
+
+
+def test_oracle_matches_the_xy_census_without_y_isolates():
+    # read off the level values, with no canonicalization of its own
+    for n in range(7):
+        verdicts = oracle_verdicts("xy", n)
+        defined = sorted(key for key, balanced in verdicts.items() if balanced is not None)
+        master = enumerate_xy(n, True)
+        assert tuple(defined) == master.keys
+        balanced = sum(1 for key in defined if verdicts[key])
+        assert (balanced, len(defined) - balanced) == (master.balanced, master.unbalanced)
+        assert master.out_of_domain == 0
+
+
+def test_oracle_imports_only_core_and_canon():
+    # an oracle that imports census, classify or biject code checks it with itself
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "no relative imports"
+            imported.add(node.module)
+    package = {name for name in imported if name.split(".")[0] == "splitkit"}
+    assert package == {"splitkit.core", "splitkit.canon"}
+    assert all(name.split(".")[0] in sys.stdlib_module_names for name in imported - package)
 
 
 def test_oracle_bounds():

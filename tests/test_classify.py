@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from splitkit.census import iter_cover, iter_split, naive_oracle
+from splitkit.census import iter_cover, iter_split
 from splitkit.classify import (
     _degree_split_data,
     balance_cover,
@@ -36,6 +36,8 @@ from splitkit.core import (
     validate,
 )
 
+from oracles import all_graphs
+
 
 def graph(n, edges):
     return Graph.from_edges(n, edges)
@@ -48,12 +50,6 @@ P3 = graph(3, [(0, 1), (1, 2)])
 K3 = graph(3, [(0, 1), (0, 2), (1, 2)])
 STAR = graph(4, [(0, 1), (0, 2), (0, 3)])
 PAW = graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-
-
-def all_graphs(n):
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for code in range(1 << len(pairs)):
-        yield graph(n, [pairs[k] for k in range(len(pairs)) if code >> k & 1])
 
 
 def valid_k_masks(g):

@@ -417,6 +417,14 @@ def test_verify_command(capsys):
     assert suites == {"roundtrip", "balance", "compilation", "choice", "counts", "triangle"}
 
 
+@pytest.mark.parametrize("max_n", ["-1", "9"])
+@pytest.mark.parametrize("suite", ["all", "roundtrip", "balance", "compilation", "choice", "counts", "triangle"])
+def test_verify_refuses_a_size_outside_the_census(suite, max_n, capsys):
+    code, out, err = run(["verify", "--suite", suite, "--max-n", max_n], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration supports 0 <= n <= 8, got n={max_n}\n"
+
+
 def test_stream_and_sorted_modes_agree_on_content(monkeypatch, capsys):
     code, sorted_out, _ = run(["enumerate", "--class", "xy", "--n", "4"], capsys=capsys)
     assert code == 0

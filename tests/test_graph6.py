@@ -12,6 +12,8 @@ from splitkit.core import (
     serialize_graph6,
 )
 
+from oracles import all_graphs
+
 
 def reference_decode(line):
     """Independent decoder written directly from the published format:
@@ -29,12 +31,6 @@ def reference_decode(line):
             k += 1
     assert all(b == "0" for b in bitstring[k:])
     return n, edges
-
-
-def all_graphs(n):
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for code in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[k] for k in range(len(pairs)) if code >> k & 1])
 
 
 def test_hand_decoded_examples():
@@ -211,18 +207,6 @@ def _outcome(fn, arg):
         return type(exc).__name__, str(exc)
 
 
-def _graphs_by_mask(n):
-    """Every graph on n vertices, built from adjacency masks."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for code in range(1 << len(pairs)):
-        adj = [0] * n
-        for k, (i, j) in enumerate(pairs):
-            if code >> k & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        yield Graph(n, tuple(adj))
-
-
 def _random_graph(rng, n):
     """A seeded graph on n vertices with edge density 1/8, 1/4, 1/2 or 3/4."""
     draw = rng.choice(
@@ -245,7 +229,7 @@ def _random_graph(rng, n):
 
 def test_codec_matches_the_reference_on_every_graph_up_to_six_vertices():
     for n in range(7):
-        for g in _graphs_by_mask(n):
+        for g in all_graphs(n):
             line = serialize_graph6(g)
             assert line == ref_serialize_graph6(g)
             assert parse_graph6(line) == g

@@ -5,9 +5,10 @@ Each reference below is the earlier implementation kept verbatim apart
 from its name: split-graph outputs built as edge lists through
 ``Graph.from_edges``, ``canon_matrix`` converting rows bit by bit,
 ``canon_graph`` reading its incidence vertex pair by vertex pair, an
-O(n^2) ``relabel_graph``, and the validators and ``loyal_elements`` on
-Python sets and counts.  The package must give equal objects, keys and
-witnesses, and the same messages in the same order.
+O(n^2) ``relabel_graph``, and the validators on Python sets;
+``loyal_elements`` is checked against the counting copy in ``oracles``.
+The package must give equal objects, keys and witnesses, and the same
+messages in the same order.
 """
 
 import random
@@ -45,6 +46,8 @@ from splitkit.core import (
     _bits,
     validate,
 )
+
+from oracles import ref_loyal_elements, relabeled
 
 # ---------------------------------------------------------------------------
 # reference copies
@@ -197,14 +200,6 @@ def ref_validate_partition(p):
     return out
 
 
-def ref_loyal_elements(c):
-    membership = [0] * c.n
-    for s in c.sets:
-        for e in s:
-            membership[e] += 1
-    return tuple(tuple(e for e in s if membership[e] == 1) for s in c.sets)
-
-
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -217,26 +212,6 @@ def _outcome(fn, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
-def _relabeled(obj, rng):
-    """``obj`` with its ground points (each side separately) permuted."""
-    def shuffled(n):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        return perm
-
-    if isinstance(obj, Graph):
-        perm = shuffled(obj.n)
-        return Graph.from_edges(obj.n, [(perm[u], perm[v]) for u, v in obj.edges()])
-    if isinstance(obj, SetCover):
-        perm = shuffled(obj.n)
-        return SetCover(obj.n, [[perm[e] for e in s] for s in obj.sets])
-    if isinstance(obj, XYGraph):
-        px, py = shuffled(obj.nx), shuffled(obj.ny)
-        return XYGraph(obj.nx, obj.ny, frozenset((px[x], py[y]) for x, y in obj.edges))
-    pa, pb = shuffled(obj.n0), shuffled(obj.n1)
-    return BipartitePoset(obj.n0, obj.n1, frozenset((pa[a], pb[b]) for a, b in obj.below))
-
-
 def _census_objects(class_tag, max_n=6, relabelings=3):
     """Every census object of the class on at most ``max_n`` points, each
     followed by seeded relabelings of it."""
@@ -245,7 +220,7 @@ def _census_objects(class_tag, max_n=6, relabelings=3):
     for n in range(max_n + 1):
         for rec in census.records(class_tag, n):
             out.append(rec.obj)
-            out += [_relabeled(rec.obj, rng) for _ in range(relabelings)]
+            out += [relabeled(rec.obj, rng) for _ in range(relabelings)]
     return out
 
 

@@ -4,9 +4,10 @@ The degree criterion, the K-max partition, the loyal elements of a set
 cover, ``xy_isolates_universals`` and ``poset_support`` each keep their
 recent results keyed by the object.  Every census object with n <= 6 of
 each class, and three relabelings of each, must get the same results as
-the uncached reference copies below, on the first call and on the second;
-the memos hold only immutable values, refusals are raised every time with
-the same text, and every memo is bounded.
+the uncached reference copies below (the loyal elements: ``oracles``), on
+the first call and on the second; the memos hold only immutable values,
+refusals are raised every time with the same text, and every memo is
+bounded.
 """
 
 import random
@@ -14,17 +15,16 @@ import random
 import pytest
 
 from splitkit import biject, census, classify
-from splitkit.canon import relabel_graph
 from splitkit.core import (
-    BipartitePoset,
     DomainError,
     Graph,
     KSPartition,
     SetCover,
     Value,
-    XYGraph,
     validate,
 )
+
+from oracles import ref_loyal_elements, relabeled
 
 MEMOS = ("_degree_split_data", "_k_max_partition", "_cover_loyal", "_xy_isolates_universals", "_poset_support")
 
@@ -47,14 +47,6 @@ def ref_k_max_partition(g):
     if not ok:
         raise DomainError(f"not a split graph (n={g.n})")
     return KSPartition(g, frozenset(order[:m]), frozenset(order[m:]))
-
-
-def ref_loyal_elements(c):
-    membership = [0] * c.n
-    for s in c.sets:
-        for e in s:
-            membership[e] += 1
-    return tuple(tuple(e for e in s if membership[e] == 1) for s in c.sets)
 
 
 def ref_is_minimal(c):
@@ -87,30 +79,12 @@ def ref_poset_support(p):
 # helpers
 
 
-def _relabeled(obj, rng):
-    """``obj`` with its points renumbered at random (a cover's sets reordered)."""
-
-    def perm(k):
-        return rng.sample(range(k), k)
-
-    if isinstance(obj, Graph):
-        return relabel_graph(obj, perm(obj.n))
-    if isinstance(obj, SetCover):
-        p = perm(obj.n)
-        return SetCover(obj.n, rng.sample([[p[e] for e in s] for s in obj.sets], len(obj.sets)))
-    if isinstance(obj, XYGraph):
-        px, py = perm(obj.nx), perm(obj.ny)
-        return XYGraph(obj.nx, obj.ny, {(px[x], py[y]) for x, y in obj.edges})
-    p0, p1 = perm(obj.n0), perm(obj.n1)
-    return BipartitePoset(obj.n0, obj.n1, {(p0[a], p1[b]) for a, b in obj.below})
-
-
 def _objects(tag, rng):
     for n in range(7):
         for rec in census.records(tag, n):
             yield rec.obj
             for _ in range(3):
-                yield _relabeled(rec.obj, rng)
+                yield relabeled(rec.obj, rng)
 
 
 def _immutable(value) -> bool:

@@ -7,8 +7,10 @@ import random
 import pytest
 
 from splitkit import biject, canon, census, classify, verify
-from splitkit.canon import canon_key, relabel_graph
+from splitkit.canon import canon_key
 from splitkit.core import BipartitePoset, Graph, SetCover, UsageError, XYGraph
+
+from oracles import relabeled
 
 LONG = os.environ.get("SPLITKIT_LONG") == "1"
 
@@ -155,24 +157,6 @@ def test_every_operation_is_touched():
 # the key memo
 
 
-def _relabeled(obj, rng):
-    """``obj`` with its points renumbered at random (a cover's sets reordered)."""
-
-    def perm(k):
-        return rng.sample(range(k), k)
-
-    if isinstance(obj, Graph):
-        return relabel_graph(obj, perm(obj.n))
-    if isinstance(obj, SetCover):
-        p = perm(obj.n)
-        return SetCover(obj.n, rng.sample([[p[e] for e in s] for s in obj.sets], len(obj.sets)))
-    if isinstance(obj, XYGraph):
-        px, py = perm(obj.nx), perm(obj.ny)
-        return XYGraph(obj.nx, obj.ny, {(px[x], py[y]) for x, y in obj.edges})
-    p0, p1 = perm(obj.n0), perm(obj.n1)
-    return BipartitePoset(obj.n0, obj.n1, {(p0[a], p1[b]) for a, b in obj.below})
-
-
 def test_memo_keys_are_the_uncached_keys():
     rng = random.Random(16)
     verify._key.cache_clear()
@@ -180,7 +164,7 @@ def test_memo_keys_are_the_uncached_keys():
     for tag in ("split", "cover", "xy", "poset"):
         for n in range(7):
             for r in census.records(tag, n):
-                objects = [r.obj] + [_relabeled(r.obj, rng) for _ in range(3)]
+                objects = [r.obj] + [relabeled(r.obj, rng) for _ in range(3)]
                 for obj in objects + objects:  # the second pass reads the memo
                     assert verify._key(obj) == canon_key(obj) == r.key
                     checked += 1
