@@ -90,7 +90,7 @@ def test_oracle_equivalence_everywhere_defined():
 
 
 def test_oracle_matches_the_xy_census_without_y_isolates():
-    # read off the level values, with no canonicalization of its own
+    # that census is read off the level values, never canonicalized
     for n in range(7):
         verdicts = oracle_verdicts("xy", n)
         defined = sorted(key for key, balanced in verdicts.items() if balanced is not None)
