@@ -9,6 +9,18 @@ record per input line, ``verify`` runs the certification suites and
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 parse or
 domain error in the input.
+
+``main()`` runs one command and returns its exit code; tests and tools
+call it in-process.  The process entry ``run()`` (``python -m
+splitkit.cli`` and the ``splitkit`` script) calls it, flushes stdout and
+stderr and ends with ``os._exit``, so a command skips the interpreter's
+teardown of every module, census record and memo.  That teardown took
+about a sixth of a census command: ``enumerate --class split --n 7`` ran
+in 152 ms with it and 131 ms without, ``verify --suite all --max-n 0`` in
+103 and 86 ms (medians of 30 interleaved pairs of fresh processes,
+``tools/fresh_process.py``, Python 3.11 on a 2-core host).  Skipping it
+is safe because a splitkit process registers no ``atexit`` handler,
+starts no thread or child and opens no file but the standard streams.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NoReturn
 
 from . import biject, census, verify
 from .canon import canon_key, canonical_object
@@ -319,6 +332,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so that output still buffered when
+    downstream closed the pipe (e.g. ``| head``) goes nowhere, quietly."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
@@ -333,11 +352,36 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:
-        # downstream closed the pipe (e.g. | head); exit quietly
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        _drop_stdout()
         return 0
 
 
+def _observed() -> bool:
+    """Whether a tracer or profiler (coverage, cProfile) or ``python -i``
+    waits for the interpreter's normal exit."""
+    if sys.gettrace() is not None or sys.getprofile() is not None or sys.flags.inspect:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # where Python 3.12+ tools register
+    return monitoring is not None and any(monitoring.get_tool(i) for i in range(6))
+
+
+def run() -> NoReturn:
+    """The process entry: ``main()``, a flush of stdout and stderr, and
+    ``os._exit`` with the code (see the module docstring).  An exception or
+    ``SystemExit`` out of ``main()`` and an ``_observed`` run take the
+    normal exit.  A pipe closed before the flush exits 0 quietly, as one
+    closed while ``main()`` writes does."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+        code = 0
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

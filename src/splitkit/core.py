@@ -485,12 +485,13 @@ def parse_object(text: str):
         raise ParseError('missing "class" field')
     tag = doc["class"]
 
+    def violation(text: str) -> ParseError:
+        return ParseError(f"schema violation for class {tag!r}: {text}")
+
     def whole(value, name: str) -> int:
         # only a JSON integer: never a bool, a float or a string
         if type(value) is not int:
-            raise ParseError(
-                f"schema violation for class {tag!r}: {name} must be an integer, got {json.dumps(value)}"
-            )
+            raise violation(f"{name} must be an integer, got {_shown(value)}")
         return value
 
     def size(value, name: str) -> int:
@@ -501,29 +502,42 @@ def parse_object(text: str):
             )
         return value
 
-    try:
-        if tag == "cover":
-            size(len(doc["sets"]), "the number of sets")
-            n = size(doc["n"], "n")
-            sets = [[whole(e, "each sets entry") for e in s] for s in doc["sets"]]
-            repeated = [f"element {e} in input set {i}" for i, s in enumerate(sets) for e in _repeats(s)]
-            obj = SetCover(n, tuple(map(tuple, sets)))
-        elif tag == "xy":
-            nx, ny = size(doc["nx"], "nx"), size(doc["ny"], "ny")
-            edges = [(whole(x, "each edges entry"), whole(y, "each edges entry")) for x, y in doc["edges"]]
-            repeated = [f"edge ({x},{y})" for x, y in _repeats(edges)]
-            obj = XYGraph(nx, ny, frozenset(edges))
-        elif tag == "poset":
-            n0, n1 = size(doc["n0"], "n0"), size(doc["n1"], "n1")
-            below = [(whole(a, "each below entry"), whole(b, "each below entry")) for a, b in doc["below"]]
-            repeated = [f"relation ({a},{b})" for a, b in _repeats(below)]
-            obj = BipartitePoset(n0, n1, frozenset(below))
-        else:
-            raise ParseError(f"unknown class {tag!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, (ParseError, SizeLimitError)):
-            raise
-        raise ParseError(f"schema violation for class {tag!r}: {exc}") from None
+    def field(name: str):
+        if name not in doc:
+            raise violation(f'missing "{name}" field')
+        return doc[name]
+
+    def lists(name: str, width=None) -> list:
+        # a JSON list of JSON lists, each of ``width`` entries if given
+        value = field(name)
+        if type(value) is not list:
+            raise violation(f"{name} must be a list, got {_shown(value)}")
+        for i, entry in enumerate(value):
+            if type(entry) is not list or (width and len(entry) != width):
+                shape = "pair" if width else "list"
+                raise violation(
+                    f"{name}[{i}] must be a {shape}, and each {name} entry must be an integer; got {_shown(entry)}"
+                )
+        return value
+
+    if tag == "cover":
+        size(len(lists("sets")), "the number of sets")
+        n = size(field("n"), "n")
+        sets = [[whole(e, "each sets entry") for e in s] for s in doc["sets"]]
+        repeated = [f"element {e} in input set {i}" for i, s in enumerate(sets) for e in _repeats(s)]
+        obj = SetCover(n, tuple(map(tuple, sets)))
+    elif tag == "xy":
+        nx, ny = size(field("nx"), "nx"), size(field("ny"), "ny")
+        edges = [(whole(x, "each edges entry"), whole(y, "each edges entry")) for x, y in lists("edges", 2)]
+        repeated = [f"edge ({x},{y})" for x, y in _repeats(edges)]
+        obj = XYGraph(nx, ny, frozenset(edges))
+    elif tag == "poset":
+        n0, n1 = size(field("n0"), "n0"), size(field("n1"), "n1")
+        below = [(whole(a, "each below entry"), whole(b, "each below entry")) for a, b in lists("below", 2)]
+        repeated = [f"relation ({a},{b})" for a, b in _repeats(below)]
+        obj = BipartitePoset(n0, n1, frozenset(below))
+    else:
+        raise ParseError(f"unknown class {tag!r}")
     # the objects store sets, so an entry listed twice would vanish unseen
     named, more = _named_first(repeated)
     problems = [f"{entry} listed more than once" for entry in named]
@@ -533,6 +547,12 @@ def parse_object(text: str):
     if problems:
         raise ValidationError(problems)
     return obj
+
+
+def _shown(value) -> str:
+    """``value`` as JSON, cut to 40 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 def _repeats(entries: list) -> list:

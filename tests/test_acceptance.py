@@ -4,13 +4,10 @@ Criterion 2's n=8 term and criterion 8's n=5 sweep run only when the
 environment variable SPLITKIT_LONG=1 is set.
 """
 
-import itertools
 import json
 import os
 import subprocess
 import sys
-
-import pytest
 
 from splitkit import census, verify
 from splitkit.canon import canon_graph, canon_key, canon_matrix

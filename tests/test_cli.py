@@ -4,15 +4,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+from splitkit import verify
 from splitkit.canon import canon_key
 from splitkit.cli import main
-from splitkit.core import Graph, parse_graph6
+from splitkit.core import Graph, XYGraph, parse_graph6
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -488,6 +490,84 @@ def test_console_entry_point():
     proc = _cli("enumerate", "--class", "poset", "--n", "2", "--count-only")
     assert proc.returncode == 0
     assert "count=2" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the process entry, ``cli.run``: ``main`` and then ``os._exit``
+
+# a child that breaks the inverse of the xy-poset pair, so ``verify`` fails
+_BREAK_XY_POSET = (
+    "from splitkit import cli, verify\n"
+    "from splitkit.core import XYGraph\n"
+    "dom, fwd, cod, _ = verify._PAIRS['xy-poset']\n"
+    "verify._PAIRS['xy-poset'] = (dom, fwd, cod, lambda p: XYGraph(p.n0 + p.n1, 0, ()))\n"
+    "cli.run()\n"
+)
+_ENTRY_CASES = {  # exit code: (argv, stdin)
+    0: (["enumerate", "--class", "cover", "--n", "4"], ""),
+    1: (["verify", "--suite", "roundtrip", "--max-n", "3"], ""),
+    2: (["enumerate", "--class", "cover", "--n", "3", "--format", "g6"], ""),
+    3: (["classify"], 'CF\n{"class":"xy","nx":2,"ny":2}\n'),
+}
+
+
+@pytest.mark.parametrize("code", list(_ENTRY_CASES))
+def test_the_process_entry_exits_as_main_returns(code, monkeypatch, capsys):
+    argv, stdin = _ENTRY_CASES[code]
+    entry = ["-m", "splitkit.cli"]
+    if code == 1:
+        entry = ["-c", _BREAK_XY_POSET]
+        dom, fwd, cod, _ = verify._PAIRS["xy-poset"]
+        monkeypatch.setitem(verify._PAIRS, "xy-poset", (dom, fwd, cod, lambda p: XYGraph(p.n0 + p.n1, 0, ())))
+    proc = subprocess.run([sys.executable, *entry, *argv], input=stdin.encode(), capture_output=True, timeout=300)
+    returned, out, err = run(argv, stdin, monkeypatch, capsys)
+    assert returned == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    assert proc.stderr.count(b"\n") == (code == 2)  # one line, for the usage error only
+
+
+def test_the_process_entry_skips_teardown():
+    # an atexit handler would run at the interpreter's normal exit
+    script = "import atexit\natexit.register(print, 'teardown')\nfrom splitkit import cli\ncli.run()\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "enumerate", "--class", "poset", "--n", "2", "--count-only"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "# class=poset n=2 count=2 balanced=0 unbalanced=2\n", "")
+
+
+def test_a_profiler_still_gets_the_normal_exit():
+    argv = ["-m", "cProfile", "-m", "splitkit.cli", "verify", "--suite", "counts", "--max-n", "2"]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0
+    first, table = proc.stdout.split("\n", 1)
+    assert json.loads(first)["suite"] == "counts"
+    assert "function calls" in table and "ncalls  tottime  percall  cumtime  percall" in table
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--class", "split", "--n", "5"],  # all of it still buffered when main returns
+        ["enumerate", "--class", "xy", "--n", "7"],  # more than the buffer: main writes
+    ],
+    ids=["small", "large"],
+)
+def test_a_closed_pipe_exits_quietly(argv):
+    # without PYTHONUNBUFFERED, stdout is block-buffered; the pipe's reader is
+    # gone before the child starts, so every write to it fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitkit.cli", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=300
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,35 @@ def test_parse_errors():
         parse_object('{"class":"cover","n":3}')
 
 
+
+_PAIR = "must be a pair, and each {} entry must be an integer; got"
+SCHEMA_MESSAGES = {
+    # a missing field, or a field or an entry of the wrong kind: each is named
+    '{"class":"xy","nx":2,"ny":2}': """class 'xy': missing "edges" field""",
+    '{"class":"cover","sets":[[0]]}': """class 'cover': missing "n" field""",
+    '{"class":"poset","n1":1,"below":[]}': """class 'poset': missing "n0" field""",
+    '{"class":"xy","nx":2,"ny":2,"edges":5}': "class 'xy': edges must be a list, got 5",
+    '{"class":"cover","n":1,"sets":{}}': "class 'cover': sets must be a list, got {}",
+    '{"class":"cover","n":3,"sets":[[0,1],3]}': (
+        "class 'cover': sets[1] must be a list, and each sets entry must be an integer; got 3"
+    ),
+    '{"class":"xy","nx":2,"ny":2,"edges":[[0,0,1]]}': f"class 'xy': edges[0] {_PAIR.format('edges')} [0, 0, 1]",
+    '{"class":"xy","nx":2,"ny":2,"edges":["ab"]}': f"""class 'xy': edges[0] {_PAIR.format('edges')} \"ab\"""",
+    '{"class":"poset","n0":1,"n1":1,"below":[[0]]}': f"class 'poset': below[0] {_PAIR.format('below')} [0]",
+    # a value shown in a message is cut to 40 characters
+    '{"class":"xy","nx":1,"ny":1,"edges":[["%s",0]]}' % ("y" * 50): (
+        """class 'xy': each edges entry must be an integer, got "%s...""" % ("y" * 36)
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(SCHEMA_MESSAGES))
+def test_schema_violations_name_the_field_or_entry(text):
+    with pytest.raises(ParseError) as err:
+        parse_object(text)
+    assert str(err.value) == f"schema violation for {SCHEMA_MESSAGES[text]}"
+
+
 def test_validate_cover_examples():
     assert validate(SetCover(3, ((0, 1),))) == ["union ≠ ground set: element 2 uncovered"]
     assert validate(SetCover(3, ((0, 1), (1, 2)))) == []
