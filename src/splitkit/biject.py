@@ -577,6 +577,10 @@ def apply_named_map(name: str, obj, n: Optional[int] = None):
         # every map on split graphs rejects this first; checking before
         # canonicalizing spares the search on an arbitrary graph
         raise DomainError("not a split graph")
+    if tag == "xy" and spec.fn is not xy_to_unbalanced_split:
+        # the other maps on XY-graphs reject isolates in Y first; checking
+        # the input names them by its own labels
+        _check_no_y_isolates(obj)
     canon_in, key_in = canonical_object(obj)
     # with no choice to make the map raises its own domain error
     choice = next(spec.choices(canon_in), {}) if spec.choices else {}

@@ -24,8 +24,8 @@ canonicalized.
 By the paper's counting fact, the XY-graphs on n points with isolates in Y
 are the ones without isolates on fewer points, with isolates added: for
 each nx, the unrestricted XY census reads the levels m < n - nx with
-n - nx - m isolates added, most isolates first, then the records of the
-census without isolates at that nx, which it shares.
+n - nx - m isolates added, most isolates first, then level n - nx as the
+census without isolates reads it.
 
 Deduplication rests on the kernel, so two checks share nothing with the
 generation but the canonical forms: the naive oracle in the test suite
@@ -38,17 +38,15 @@ Per-process stores keep what is built: the levels, the first time any
 census needs them, and per census that a caller asks for, its records, a
 tuple in generation order, one per unlabeled object, holding the
 canonically labeled object, its canonical key and its balance (``None``
-for an XY-graph with isolates in Y, whose balance is undefined).  The
-first full pass of an ``iter_*`` generator over a (class, n,
-no-Y-isolates) census stores its records; ``records`` and ``enumerate_*``
-run that pass when nothing is stored yet, and every later pass replays the
-stored records.  A transported census canonicalizes and classifies only
-its own objects, so a one-shot ``enumerate`` builds no XY or split census
-it does not print, while a caller that asks for every census (``verify``)
-canonicalizes each unlabeled object of each class once, apart from the XY
-records without isolates in Y, which need no canonicalization.  A pass
-that stops early stores no census records.  A building pass checks that
-no two of its objects share a key.
+for an XY-graph with isolates in Y, whose balance is undefined).  A
+(class, n, no-Y-isolates) census is built whole on its first read, with a
+check that no two of its objects share a key, and stored; every
+``iter_*`` pass reads the stored tuple.  A transported census
+canonicalizes and classifies only its own objects, so a one-shot
+``enumerate`` builds no XY or split census it does not print, while a
+caller that asks for every census (``verify``) canonicalizes each
+unlabeled object of each class once, apart from the XY records without
+isolates in Y, which need no canonicalization.
 """
 
 from __future__ import annotations
@@ -178,12 +176,19 @@ _TRANSPORT = {
 }
 
 
-def _transported(class_tag: str, n: int) -> Iterator[Record]:
+def _transported(class_tag: str, n: int, no_isolates: bool) -> Iterator[Record]:
     """Records of a census read off the XY-graphs without isolates in Y;
-    an XY record is read straight off the canonical level values."""
+    an XY record is read straight off the canonical level values.  The
+    unrestricted XY census first reads, at each nx, the levels m < n - nx
+    with n - nx - m isolates added in Y, most isolates first."""
     maps = _TRANSPORT[class_tag]
+    padded = class_tag == "xy" and not no_isolates
     for nx in range(n, -1, -1):
         ny = n - nx
+        for m in range(ny if padded else 0):
+            for values in _level(nx, m):
+                h, key = canonical_object(_xy_graph(nx, ny, values))
+                yield Record(h, key, None)
         for values in _level(nx, ny):
             if maps:
                 obj = _xy_graph(nx, ny, values)
@@ -196,67 +201,41 @@ def _transported(class_tag: str, n: int) -> Iterator[Record]:
             yield Record(obj, key, balance_of(obj))
 
 
-def _xy_with_isolates(n: int) -> Iterator[Record]:
-    """The unrestricted XY census: for each nx, the levels m < n - nx with
-    n - nx - m isolates added in Y, most isolates first, then the records
-    of the census without isolates at that nx."""
-    shared = _pass("xy", n, True)
-    record = next(shared, None)
-    for nx in range(n, -1, -1):
-        ny = n - nx
-        for m in range(ny):
-            for values in _level(nx, m):
-                h, key = canonical_object(_xy_graph(nx, ny, values))
-                yield Record(h, key, None)
-        while record is not None and record.obj.nx == nx:
-            yield record
-            # resumed past its last record, the shared pass stores them
-            record = next(shared, None)
-
-
-def _pass(class_tag: str, n: int, no_isolates: bool) -> Iterator[Record]:
-    """One pass over a census: replay its stored records, or build them
-    and store them once the pass is complete."""
+def _built(class_tag: str, n: int, no_isolates: bool) -> tuple[Record, ...]:
+    """The records of one census, built on first read and stored."""
     _check_bound(n)
     cache_key = (class_tag, n, no_isolates)
     stored = _records.get(cache_key)
-    if stored is not None:
-        yield from stored
-        return
-    if class_tag == "xy" and not no_isolates:
-        build = _xy_with_isolates(n)
-    else:
-        build = _transported(class_tag, n)
-    built = []
-    seen: set[CanonicalKey] = set()
-    for record in build:
-        if record.key in seen:
-            raise RuntimeError(f"two objects of the {class_tag} census at n={n} share key {record.key.hex}")
-        seen.add(record.key)
-        built.append(record)
-        yield record
-    _records[cache_key] = tuple(built)
+    if stored is None:
+        stored = tuple(_transported(class_tag, n, no_isolates))
+        seen: set[CanonicalKey] = set()
+        for record in stored:
+            if record.key in seen:
+                raise RuntimeError(f"two objects of the {class_tag} census at n={n} share key {record.key.hex}")
+            seen.add(record.key)
+        _records[cache_key] = stored
+    return stored
 
 
 def iter_xy(n: int, require_no_y_isolates: bool = False) -> Iterator[XYGraph]:
     """Canonically labeled XY-graphs on n vertices, one per unlabeled object."""
-    for record in _pass("xy", n, require_no_y_isolates):
+    for record in _built("xy", n, require_no_y_isolates):
         yield record.obj
 
 
 def iter_split(n: int) -> Iterator[Graph]:
     """Canonically labeled split graphs on n vertices via XY transport."""
-    for record in _pass("split", n, False):
+    for record in _built("split", n, False):
         yield record.obj
 
 
 def iter_cover(n: int) -> Iterator[SetCover]:
-    for record in _pass("cover", n, False):
+    for record in _built("cover", n, False):
         yield record.obj
 
 
 def iter_poset(n: int) -> Iterator[BipartitePoset]:
-    for record in _pass("poset", n, False):
+    for record in _built("poset", n, False):
         yield record.obj
 
 
@@ -273,9 +252,9 @@ def iter_objects(class_tag: str, n: int, require_no_y_isolates: bool = False):
 
 
 def records(class_tag: str, n: int, require_no_y_isolates: bool = False) -> tuple[Record, ...]:
-    """Records of one census in generation order, from a full first pass of
-    ``iter_objects`` when none is stored.  ``require_no_y_isolates``
-    applies to XY-graphs only."""
+    """Records of one census in generation order, stored by a first pass
+    of ``iter_objects``.  ``require_no_y_isolates`` applies to XY-graphs
+    only."""
     cache_key = (class_tag, n, require_no_y_isolates and class_tag == "xy")
     if cache_key not in _records:
         for _ in iter_objects(class_tag, n, require_no_y_isolates):

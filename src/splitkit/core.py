@@ -539,10 +539,8 @@ def parse_object(text: str):
     else:
         raise ParseError(f"unknown class {tag!r}")
     # the objects store sets, so an entry listed twice would vanish unseen
-    named, more = _named_first(repeated)
-    problems = [f"{entry} listed more than once" for entry in named]
-    if more:
-        problems.append(f"and {more} more entries listed more than once")
+    repeated = [f"{entry} listed more than once" for entry in repeated]
+    problems = _named_problems(repeated, "entries listed more than once")
     problems += validate(obj)
     if problems:
         raise ValidationError(problems)
@@ -630,18 +628,25 @@ def _validate_partition(p: KSPartition) -> list[str]:
     return out
 
 
-# Elements left uncovered or points with an empty down-set are named one by
-# one only up to this many; the rest are counted, so that a small line
-# cannot ask for an error record that grows with its stated size.
+# Entries out of range or listed twice, elements left uncovered and points
+# with an empty down-set are named one by one only up to this many; the rest
+# are counted, so that an error record grows neither with a line's entries
+# nor with its stated size.
 _LISTED = 5
 
 
-def _named_first(items: list[int]) -> tuple[list[int], int]:
+def _named_first(items: list) -> tuple[list, int]:
     """The items to name one by one and how many more there are (0, or at
     least 2, so that the count never stands for a single item)."""
     if len(items) <= _LISTED + 1:
         return items, 0
     return items[:_LISTED], len(items) - _LISTED
+
+
+def _named_problems(problems: list[str], what: str) -> list[str]:
+    """The first few ``problems`` one by one, then how many more ``what``."""
+    named, more = _named_first(problems)
+    return named + [f"and {more} more {what}"] if more else named
 
 
 def _validate_cover(c: SetCover) -> list[str]:
@@ -650,12 +655,14 @@ def _validate_cover(c: SetCover) -> list[str]:
     if n < 0:
         return [f"ground size {n} negative"]
     covered = 0
+    outside = []
     for i, s in enumerate(c.sets):
         if s and (s[0] < 0 or s[-1] >= n):  # each set is sorted
-            out += [f"set {i} contains out-of-range element {e}" for e in s if not 0 <= e < n]
+            outside += [f"set {i} contains out-of-range element {e}" for e in s if not 0 <= e < n]
             s = [e for e in s if 0 <= e < n]
         for e in s:
             covered |= 1 << e
+    out += _named_problems(outside, "out-of-range elements")
     for i in range(len(c.sets) - 1):
         if c.sets[i] == c.sets[i + 1]:
             out.append(f"duplicate set at indices {i},{i + 1}")
@@ -669,22 +676,19 @@ def _validate_cover(c: SetCover) -> list[str]:
 
 
 def _validate_xy(g: XYGraph) -> list[str]:
-    out = []
     if g.nx < 0 or g.ny < 0:
         return [f"block sizes ({g.nx},{g.ny}) negative"]
-    for x, y in sorted(g.edges):
-        if not (0 <= x < g.nx and 0 <= y < g.ny):
-            out.append(f"edge ({x},{y}) outside X×Y")
-    return out
+    outside = [f"edge ({x},{y}) outside X×Y" for x, y in sorted(g.edges) if not (0 <= x < g.nx and 0 <= y < g.ny)]
+    return _named_problems(outside, "edges outside X×Y")
 
 
 def _validate_poset(p: BipartitePoset) -> list[str]:
     out = []
     if p.n0 < 0 or p.n1 < 0:
         return [f"point counts ({p.n0},{p.n1}) negative"]
-    for a, b in sorted(p.below):
-        if not (0 <= a < p.n0 and 0 <= b < p.n1):
-            out.append(f"relation ({a},{b}) outside height-0×height-1")
+    outside = [f"relation ({a},{b}) outside height-0×height-1" for a, b in sorted(p.below)
+               if not (0 <= a < p.n0 and 0 <= b < p.n1)]
+    out += _named_problems(outside, "relations outside height-0×height-1")
     covered = {b for _, b in p.below}
     named, more = _named_first([b for b in range(p.n1) if b not in covered])
     out += [f"height-1 point {b} has empty down-set" for b in named]

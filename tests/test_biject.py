@@ -251,6 +251,22 @@ def test_apply_named_map_reports():
         apply_named_map("no_such_map", P3)
 
 
+@pytest.mark.parametrize(
+    "name, n", [("xy_to_split", None), ("xy_to_cover", None), ("xy_to_poset", None),
+                ("compile_xy_down", None), ("compile_xy_up", 7)]
+)
+def test_named_xy_maps_name_the_inputs_isolates(name, n):
+    # Y-vertex 2 is the isolate; canonically labeled it would be Y-vertex 0
+    h = XYGraph(2, 3, frozenset({(0, 0), (0, 1), (1, 1)}))
+    with pytest.raises(DomainError, match=r"^Y-vertices \[2\] are isolates$"):
+        apply_named_map(name, h, n)
+
+
+def test_the_shift_map_takes_y_isolates():
+    out, _ = apply_named_map("xy_to_unbalanced_split", XYGraph(2, 3, frozenset({(0, 0), (0, 1), (1, 1)})))
+    assert out.n == 6
+
+
 def test_report_choices_replay():
     # replaying the recorded choices on the same labeled input reproduces
     # the same labeled output

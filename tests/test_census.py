@@ -174,19 +174,21 @@ def test_replay_matches_the_first_pass(monkeypatch):
             else:
                 assert r.balance == balance_of(r.obj)
     # split graphs come straight from the generation, which stores no XY
-    # records; the unrestricted XY census stores the records without
-    # isolates in Y that it shares
-    assert set(census._records) == {(t, 5, False) for t in ("split", "cover", "xy", "poset")} | {("xy", 5, True)}
+    # records, and each census stores only itself
+    assert set(census._records) == {(t, 5, False) for t in ("split", "cover", "xy", "poset")}
 
 
-def test_a_pass_that_stops_early_stores_nothing(monkeypatch):
+@pytest.mark.parametrize("tag", ["split", "cover", "xy", "poset"])
+def test_a_pass_that_stops_early_stores_the_whole_census(monkeypatch, tag):
     monkeypatch.setattr(census, "_records", {})
-    head = iter_split(5)
+    head = census.iter_objects(tag, 5)
     assert [next(head) for _ in range(3)]
     head.close()
-    assert ("split", 5, False) not in census._records
-    assert len(list(iter_split(5))) == 21
-    assert ("split", 5, False) in census._records
+    assert set(census._records) == {(tag, 5, False)}
+    stored = census._records[tag, 5, False]
+    monkeypatch.setattr(census, "_records", {})
+    assert census.records(tag, 5) == stored
+    assert len(stored) == (21 if tag != "xy" else 38)
 
 
 def _count_work(monkeypatch):
@@ -247,13 +249,13 @@ def test_verify_canonicalizes_each_census_object_once(monkeypatch):
 def test_xy_census_without_isolates_is_the_unrestricted_one_with_a_balance(monkeypatch, first_without_isolates):
     canonicalized, augmented = _count_work(monkeypatch)
     census.records("xy", 6, first_without_isolates)
-    # a one-shot census does only its own work: the census without isolates
-    # in Y is read off the levels, and the unrestricted one canonicalizes
-    # each of its 94 - 56 objects with isolates once and stores the records
-    # without isolates that it shares
+    # a one-shot census does only its own work and stores only itself: the
+    # census without isolates in Y is read off the levels, and the
+    # unrestricted one canonicalizes each of its 94 - 56 objects with
+    # isolates once
     assert len(canonicalized) == (0 if first_without_isolates else 94 - 56)
     assert _built_once(augmented, 6)
-    assert ("xy", 6, True) in census._records
+    assert set(census._records) == {("xy", 6, first_without_isolates)}
     census.records("xy", 6, not first_without_isolates)
     unrestricted = census.records("xy", 6, False)
     assert census.records("xy", 6, True) == tuple(r for r in unrestricted if r.balance is not None)

@@ -133,6 +133,27 @@ def test_cover_maps_refuse_with_one_pinned_line(argv, monkeypatch, capsys):
         assert out == json.dumps({"error": error, "line": line}, separators=(",", ":")) + "\n"
 
 
+_Y_ISOLATE = '{"class":"xy","nx":2,"ny":3,"edges":[[0,0],[0,1],[1,1]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["map", "--from", "xy", "--to", "split"], "Y-vertices [2] are isolates"),
+        (["map", "--from", "xy", "--to", "cover"], "Y-vertices [2] are isolates"),
+        (["map", "--from", "xy", "--to", "poset"], "Y-vertices [2] are isolates"),
+        (["compile", "--class", "xy", "--direction", "down"], "Y-vertices [2] are isolates"),
+        (["compile", "--class", "xy", "--direction", "up", "--n", "7"], "Y-vertices [2] are isolates"),
+        (["classify"], "balance undefined: Y-vertices [2] are isolates"),
+    ],
+    ids=lambda v: " ".join(v[1:]) if isinstance(v, list) else "",
+)
+def test_xy_maps_name_the_y_isolates_by_the_inputs_labels(argv, error, monkeypatch, capsys):
+    code, out, _ = run(argv, _Y_ISOLATE + "\n", monkeypatch, capsys)
+    assert code == 3
+    assert out == json.dumps({"error": error, "line": _Y_ISOLATE}, separators=(",", ":")) + "\n"
+
+
 def _rejected_line(line, monkeypatch, capsys):
     """classify gives ``line`` a per-line error record and exits with 3."""
     code, out, _ = run(["classify"], line + "\n", monkeypatch, capsys)

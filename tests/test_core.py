@@ -128,6 +128,32 @@ def test_validate_names_the_first_few_missing_points_and_counts_the_rest():
     ]
 
 
+def test_validate_names_the_first_few_entries_out_of_range_and_counts_the_rest():
+    # one line lists these entries, so the error text must not grow with them
+    assert validate(SetCover(1, ((0, 1, 2, 3, 4, 5, 6),))) == [
+        f"set 0 contains out-of-range element {e}" for e in range(1, 7)
+    ]
+    assert validate(SetCover(1, (tuple(range(20)),))) == [
+        *(f"set 0 contains out-of-range element {e}" for e in range(1, 6)),
+        "and 14 more out-of-range elements",
+    ]
+    assert validate(SetCover(2, ((0, 5, 6), (1, 7, 8), (9,)))) == [
+        "set 0 contains out-of-range element 5",
+        "set 0 contains out-of-range element 6",
+        "set 1 contains out-of-range element 7",
+        "set 1 contains out-of-range element 8",
+        "set 2 contains out-of-range element 9",
+    ]
+    assert validate(XYGraph(1, 1, frozenset((0, y) for y in range(8)))) == [
+        *(f"edge (0,{y}) outside X×Y" for y in range(1, 6)),
+        "and 2 more edges outside X×Y",
+    ]
+    assert validate(BipartitePoset(1, 1, frozenset((a, 0) for a in range(9)))) == [
+        *(f"relation ({a},0) outside height-0×height-1" for a in range(1, 6)),
+        "and 3 more relations outside height-0×height-1",
+    ]
+
+
 def test_validate_partition_examples():
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     good = KSPartition(p4, frozenset({1, 2}), frozenset({0, 3}))

@@ -157,12 +157,14 @@ def ref_validate_cover(c):
     if c.n < 0:
         return [f"ground size {c.n} negative"]
     covered = set()
+    outside = []
     for i, s in enumerate(c.sets):
         for e in s:
             if not 0 <= e < c.n:
-                out.append(f"set {i} contains out-of-range element {e}")
+                outside.append(f"set {i} contains out-of-range element {e}")
             else:
                 covered.add(e)
+    out += outside if len(outside) <= 6 else outside[:5] + [f"and {len(outside) - 5} more out-of-range elements"]
     for i in range(len(c.sets) - 1):
         if c.sets[i] == c.sets[i + 1]:
             out.append(f"duplicate set at indices {i},{i + 1}")
