@@ -48,6 +48,7 @@ from .core import (
 )
 from .classify import (
     _minimal_loyal,
+    _y_isolates_named,
     extremal_sets,
     is_split,
     k_max_partition,
@@ -134,10 +135,7 @@ def cover_to_split(c: SetCover, reps: Optional[Sequence[int]] = None) -> Graph:
 def _s_max_incidence(g: Graph) -> tuple[int, int, frozenset[tuple[int, int]]]:
     """(|S|, |K|, pairs (i, j) with S-vertex i adjacent to K-vertex j) of the
     S-max partition, both sides numbered in ascending vertex order."""
-    sides = s_max_sides(g)
-    if sides is None:
-        raise DomainError("not a split graph")
-    xs, ys = sides
+    xs, ys = s_max_sides(g)
     return _renumber(((u, v) for u in xs for v in g.neighbors(u)), xs, ys)
 
 
@@ -150,7 +148,7 @@ def _check_no_y_isolates(h: XYGraph) -> frozenset[int]:
     """The universal X-vertices of ``h``, which must have no isolates in Y."""
     isolates, universals = xy_isolates_universals(h)
     if isolates:
-        raise DomainError(f"Y-vertices {sorted(isolates)} are isolates")
+        raise DomainError(_y_isolates_named(isolates))
     return universals
 
 

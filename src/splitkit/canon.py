@@ -1,32 +1,27 @@
 """Canonical forms reducing "unlabeled" equality to byte equality.
 
 A key is defined by a lex-least objective, not by the search that finds
-it:
+it: the least row-major bit string of a 0/1 matrix over all row and
+column orders.  Covers, XY-graphs and posets are keyed by their incidence
+matrix, and a split graph by the incidence of its S-max partition (rows
+S, columns K).  Graphs that are not split have no key: every command
+refuses them first, and ``canon_graph`` raises ``DomainError`` on them.
 
-* 0/1 matrices under independent row and column permutations -- the least
-  row-major bit string over all row and column orders.  Covers, XY-graphs
-  and posets are keyed by their incidence matrix, and a split graph by the
-  incidence of its S-max partition (rows S, columns K);
-* graphs that are not split -- the least adjacency bit string read in
-  growing order (vertex k against vertices 0..k-1, for k = 1..n-1) over
-  all vertex orders.
-
-Both kernels find their objective by an exact search over ordered cells.
-A search state stands for every order that permutes the vertices (or the
-columns) inside its cells, all of which emit the same bits so far.  Each
-step places the least-reading vertex or row, reading zeros before ones in
-every cell, and splits the cells the same way; every tied state is kept
-and equivalent states are merged.  In the matrix kernel, a tie among
-unit rows (a single 1) is placed as one run: the tied states keep only
-the subsets of their unit rows that the rows of several ones can still
-tell apart, and the placed unit rows share one cell of their columns, so
-neither their orders nor their other subsets branch.  Every minimal
-cover has such rows, one per loyal element, and ``canon_cover`` takes
-their identity blocks out before the search.  Nothing is pruned by size
-or by an invariant, so the result is the objective itself.  Tied states
-can still multiply on highly symmetric inputs without unit rows: apart
-from interchangeable twin vertices and unit rows, automorphisms are not
-pruned.
+One kernel finds the objective by an exact search over ordered cells of
+columns.  A search state stands for every order that permutes the columns
+inside its cells, all of which give the placed rows the same bits.  Each
+step places the least-reading row, reading zeros before ones in every
+cell, and splits the cells the same way; every tied state is kept and
+equivalent states are merged.  A tie among unit rows (a single 1) is
+placed as one run: the tied states keep only the subsets of their unit
+rows that the rows of several ones can still tell apart, and the placed
+unit rows share one cell of their columns, so neither their orders nor
+their other subsets branch.  Every minimal cover has such rows, one per
+loyal element, and ``canon_cover`` takes their identity blocks out before
+the search.  Nothing is pruned by size or by an invariant, so the result
+is the objective itself.  Tied states can still multiply on highly
+symmetric inputs without unit rows: apart from interchangeable unit rows,
+automorphisms are not pruned.
 
 Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host,
 uncached: 0.08 / 0.15 ms for random 7x7 / 12x11 matrices; 0.05 ms for
@@ -40,14 +35,13 @@ the thin spiders on 20 and 40 vertices (K_k with a pendant vertex on each
 clique vertex, whose S-max incidence is the identity).  Matrices without
 unit rows: 25 ms / 0.16 s for the 10x10 / 12x12 co-identity, 0.59 s for
 the 35x7 incidence of the 3-subsets of a 7-set and 3.1 s for the 28x8
-incidence of K8.  The adjacency search takes 35 ms on the 16-cycle.
+incidence of K8.
 
-The row and column groups of the matrix kernel act independently, which
-is exactly what keeps X distinguished, keeps a cover's elements and sets
+The row and column groups of the kernel act independently, which is
+exactly what keeps X distinguished, keeps a cover's elements and sets
 apart and keeps a split graph's stable side apart from its clique.  Keys
 embed a tag byte and the dimensions before the bits, so objects of
-different shapes never collide, nor do split graphs and graphs that are
-not split.
+different classes or shapes never collide.
 """
 
 from __future__ import annotations
@@ -71,10 +65,8 @@ from .core import (
 )
 from .classify import s_max_sides
 
-# The first byte of every key, by kind.  A split graph is keyed by its S-max
-# incidence; a graph that is not split keeps its adjacency key.  Both are
-# keys of the "split" class.
-_TAG_BYTES = {"split": b"S", "graph": b"s", "cover": b"c", "xy": b"x", "poset": b"p"}
+# The first byte of every key, by class.
+_TAG_BYTES = {"split": b"S", "cover": b"c", "xy": b"x", "poset": b"p"}
 
 
 def _make_key(kind: str, dims: Sequence[int], rows: Sequence[int], width: int) -> CanonicalKey:
@@ -87,11 +79,11 @@ def _make_key(kind: str, dims: Sequence[int], rows: Sequence[int], width: int) -
     pad = -size % 8
     dim_bytes = b"".join(d.to_bytes(KEY_DIM_BYTES, "big") for d in dims)
     data = _TAG_BYTES[kind] + dim_bytes + (packed << pad).to_bytes((size + pad) // 8, "big")
-    return CanonicalKey("split" if kind == "graph" else kind, data)
+    return CanonicalKey(kind, data)
 
 
 # ---------------------------------------------------------------------------
-# ordered cells, shared by both kernels
+# matrix kernel
 
 
 def _reading(mask: int, cells: Sequence[int]) -> int:
@@ -114,10 +106,6 @@ def _split_cells(cells: Sequence[int], mask: int) -> list[int]:
         else:
             split.append(cell)
     return split
-
-
-# ---------------------------------------------------------------------------
-# matrix kernel
 
 
 class MatrixCanonForm(Value):
@@ -462,7 +450,7 @@ def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int):
 
 
 # ---------------------------------------------------------------------------
-# graph kernel
+# split graphs
 
 
 class GraphCanon(Value):
@@ -481,37 +469,8 @@ class GraphCanon(Value):
         _set(self, "order", order)
 
 
-def _twin_leaders(g: Graph) -> list[list[int]]:
-    """Group vertices whose swap is always an automorphism (open or closed twins)."""
-    n = g.n
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    seen: dict[int, int] = {}
-    for v in range(n):
-        for key in (g.adj[v], g.adj[v] | (1 << v)):
-            if key in seen:
-                union(seen[key], v)
-            else:
-                seen[key] = v
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(find(v), []).append(v)
-    return [sorted(members) for members in classes.values()]
-
-
 def canon_graph(g: Graph) -> GraphCanon:
-    """Canonical key of a graph with a witnessing vertex order.
+    """Canonical key of a split graph with a witnessing vertex order.
 
     A split graph is keyed by the incidence of its S-max partition, rows S
     and columns K (``classify.s_max_sides``, the sides ``split_to_xy``
@@ -520,89 +479,19 @@ def canon_graph(g: Graph) -> GraphCanon:
     a pair of adjacent twins, which is an automorphism, so two split graphs
     have equal keys iff they are isomorphic.  The witness lists S in the
     kernel's row order, then K in its column order, so the canonical split
-    graph has S first and its witness is the identity.
+    graph has S first and its witness is the identity.  A graph that is
+    not split raises ``DomainError`` from the degree test, before any
+    search.
 
-    Every other graph keeps the adjacency objective (``_canon_adjacency``).
-
-    On split graphs the cost is that of the matrix kernel on an |S| x |K|
-    matrix: about 0.05 ms for 9- to 11-vertex split graphs, 0.30 / 0.62 ms
-    for random split graphs on 40 / 62 vertices, and 0.07 / 0.14 ms for
-    the thin spider (a k x k identity) on 20 / 40 vertices.
+    The cost is that of the matrix kernel on an |S| x |K| matrix: about
+    0.05 ms for 9- to 11-vertex split graphs, 0.30 / 0.62 ms for random
+    split graphs on 40 / 62 vertices, and 0.07 / 0.14 ms for the thin
+    spider (a k x k identity) on 20 / 40 vertices.
     """
-    sides = s_max_sides(g)
-    if sides is None:
-        return _canon_adjacency(g)
-    s_side, k_side = sides
+    s_side, k_side = s_max_sides(g)
     mcf = canon_matrix([[row >> v & 1 for v in k_side] for row in [g.adj[u] for u in s_side]])
     order = tuple(s_side[i] for i in mcf.row_perm) + tuple(k_side[j] for j in mcf.col_perm)
     return GraphCanon(_make_key("split", (len(s_side), len(k_side)), mcf.values, len(k_side)), order)
-
-
-def _canon_adjacency(g: Graph) -> GraphCanon:
-    """The adjacency key of any graph, with a witnessing vertex order.
-
-    The key holds the lexicographically least adjacency bits read in
-    growing order (vertex k against vertices 0..k-1) over all vertex
-    orders, so keys of two graphs are equal iff the graphs are isomorphic.
-    A search state is an ordered list of cells of placed vertices; each
-    cell is a clique or an independent set, and adjacency between two
-    cells is complete or empty, so every order inside the cells emits the
-    same bits.  A vertex appended to a state reads zeros first, then ones,
-    in every cell, and splits each cell that way; it then joins the last
-    cell when that keeps the invariant.  Candidates are one vertex per twin
-    class, every tied state is kept, and equal states are merged.  The
-    witness is the least order attaining the key, so the witness of a
-    canonical graph is the identity.
-
-    Sub-millisecond on random 11-vertex graphs and 30 ms on the 16-cycle.
-    On split graphs the tied states grow with the subsets of the stable
-    side: 13 ms at 20 vertices, 0.4 s at 28, and more than 20 s at 40.
-    """
-    n = g.n
-    if n == 0:
-        return GraphCanon(_make_key("graph", (0,), (), 0), ())
-    adj = g.adj
-    twin_classes = _twin_leaders(g)
-
-    def candidates(used_mask: int) -> list[int]:
-        out = []
-        for members in twin_classes:
-            for v in members:
-                if not used_mask >> v & 1:
-                    out.append(v)
-                    break
-        return out
-
-    states: dict[tuple[int, ...], int] = {(1 << v,): 1 << v for v in candidates(0)}
-    packed = 0
-    for k in range(1, n):
-        best = None
-        tied = []
-        for cells, used in states.items():
-            for v in candidates(used):
-                block = _reading(adj[v], cells)
-                if best is None or block < best:
-                    best, tied = block, [(cells, used, v)]
-                elif block == best:
-                    tied.append((cells, used, v))
-        packed = packed << k | best
-        states = {}
-        for cells, used, v in tied:
-            row = adj[v]
-            split = _split_cells(cells, row)
-            last = split[-1]
-            u = (last & -last).bit_length() - 1
-            if not (row ^ adj[u]) & used & ~last and (
-                last == 1 << u or bool(adj[u] & last) == bool(row & last)
-            ):
-                split[-1] = last | 1 << v
-            else:
-                split.append(1 << v)
-            states[tuple(split)] = used | 1 << v
-    order = min(
-        tuple(v for cell in cells for v in range(n) if cell >> v & 1) for cells in states
-    )
-    return GraphCanon(_make_key("graph", (n,), (packed,), n * (n - 1) // 2), order)
 
 
 def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
@@ -681,13 +570,17 @@ def canon_cover(c: SetCover) -> CanonicalKey:
     blocks because ``canon_graph`` returns a witness, which is pinned.
     """
     m = len(c.sets)
-    rows = sorted(cover_matrix(c))
-    units = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]
-    k = min(map(rows.count, units), default=0)
-    if k:
-        for unit in units:  # the sorted rows hold each unit row's copies together
-            i = rows.index(unit)
-            del rows[i : i + k]
+    rows = cover_matrix(c)
+    owners = [0] * c.n  # how many sets hold each element
+    for s in c.sets:
+        for e in s:
+            owners[e] += 1
+    loyal = [[e for e in s if owners[e] == 1] for s in c.sets]
+    k = min(map(len, loyal), default=0)
+    for elements in loyal:  # the unit rows of k loyal elements per set go
+        for e in elements[:k]:
+            rows[e] = None
+    rows = sorted(row for row in rows if row is not None)
     values = canon_matrix(rows).values + tuple(1 << j for j in range(m)) * k
     return _make_key("cover", (c.n, m), sorted(values), m)
 

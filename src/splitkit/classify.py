@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import insort
 from functools import lru_cache
-from typing import Optional
 
 from .core import (
     Balance,
@@ -26,6 +25,7 @@ from .core import (
     XYGraph,
     _bits,
     _mask,
+    _named_first,
     validate,
 )
 
@@ -119,22 +119,14 @@ def _swing_into_s(g: Graph, s_side, k_side) -> tuple[list[int], list[int]]:
     return s_side, k_side
 
 
-def s_max_sides(g: Graph) -> Optional[tuple[list[int], list[int]]]:
-    """(S, K) of the S-max partition, each sorted, from one degree pass; None
-    when the graph is not split.
+def s_max_sides(g: Graph) -> tuple[list[int], list[int]]:
+    """(S, K) of the S-max partition, each sorted, from one degree pass.
 
     The same partition as :func:`s_max_partition`, without building or
     validating a partition object.  Any two S-max partitions differ by
     exchanging one pair of adjacent twins, so the S x K incidence of this
     one identifies the graph up to isomorphism.
     """
-    ok, m, order = _degree_split_data(g)
-    if not ok:
-        return None
-    return _swing_into_s(g, order[m:], order[:m])
-
-
-def _require_s_max_sides(g: Graph) -> tuple[list[int], list[int]]:
     m, order = _require_split(g)
     return _swing_into_s(g, order[m:], order[:m])
 
@@ -158,7 +150,7 @@ def omega_alpha(g: Graph) -> SplitAnalysis:
     alpha is |S| of the S-max partition; omega is |K|, plus one when an
     S-vertex sees all of K (K plus that vertex is then a larger clique).
     """
-    S, K = _require_s_max_sides(g)
+    S, K = s_max_sides(g)
     return SplitAnalysis(omega=len(K) + bool(s_swings(g, S, K)), alpha=len(S))
 
 
@@ -209,7 +201,7 @@ def balance_split(g: Graph) -> Balance:
     Equivalently, unbalanced iff the S-max partition has a swing vertex;
     the least such vertex is the witness.
     """
-    S, K = _require_s_max_sides(g)
+    S, K = s_max_sides(g)
     swings = s_swings(g, S, K)
     if swings:
         return Balance("unbalanced", swings[0])
@@ -334,13 +326,17 @@ def _xy_isolates_universals(g: XYGraph) -> tuple[frozenset[int], frozenset[int]]
     return isolates, universals
 
 
+def _y_isolates_named(isolates) -> str:
+    """The Y-isolates named in a refusal: the first few, then a count."""
+    named, more = _named_first(sorted(isolates))
+    return f"Y-vertices {named}{f' and {more} more' if more else ''} are isolates"
+
+
 def balance_xy(g: XYGraph) -> Balance:
     """Unbalanced iff a universal X-vertex exists; needs no isolates in Y."""
     isolates, universals = xy_isolates_universals(g)
     if isolates:
-        raise DomainError(
-            f"balance undefined: Y-vertices {sorted(isolates)} are isolates"
-        )
+        raise DomainError(f"balance undefined: {_y_isolates_named(isolates)}")
     if universals:
         return Balance("unbalanced", min(universals))
     return Balance("balanced")

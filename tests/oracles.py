@@ -5,11 +5,17 @@ transport or classification: it sweeps every labeled object of a class on
 n points, keys each with ``canon_key`` and keeps the first of each key,
 with its balance decided from the definitions.  It is exponential in the
 number of labeled objects, so each class has a small bound
-(``ORACLE_MAX_N``).  The other helpers are shared by several test modules.
+(``ORACLE_MAX_N``).
 
-This module imports only ``splitkit.core`` and ``splitkit.canon``, so
-that an oracle never checks census, classify or biject code with itself;
-``tests/test_census.py`` holds it to that.
+The adjacency oracle keys any graph, split or not, by its least adjacency
+bits read in growing order.  It is the reference that split-graph keys
+are checked against: two graphs get equal bits iff they are isomorphic.
+
+The other helpers are shared by several test modules.  This module
+imports only public names of ``splitkit.core`` and ``splitkit.canon``, so
+that an oracle never checks census, classify or biject code, or the
+kernel's own helpers, with themselves; ``tests/test_census.py`` holds it
+to that.
 """
 
 import itertools
@@ -121,6 +127,119 @@ def naive_oracle(class_tag: str, n: int) -> OracleCensus:
     verdicts = oracle_verdicts(class_tag, n)
     tally = Counter(verdicts.values())
     return OracleCensus(class_tag, n, tuple(sorted(verdicts)), tally[True], tally[False], tally[None])
+
+
+# ---------------------------------------------------------------------------
+# the adjacency oracle
+
+
+def _reading(mask: int, cells) -> int:
+    """The least reading of a row (bit j for vertex j) over the orders that
+    permute vertices inside the cells: in each cell, zeros first."""
+    value = 0
+    for cell in cells:
+        value = value << cell.bit_count() | (1 << (cell & mask).bit_count()) - 1
+    return value
+
+
+def _split_cells(cells, mask: int) -> list[int]:
+    """Each cell split into its zeros, then its ones, of ``mask``."""
+    split = []
+    for cell in cells:
+        ones = cell & mask
+        if ones and ones != cell:
+            split.append(cell ^ ones)
+            split.append(ones)
+        else:
+            split.append(cell)
+    return split
+
+
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """Vertices grouped so that swapping two in a group is an automorphism
+    (open or closed twins, closed under chains of either)."""
+    parent = list(range(g.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    seen: dict[int, int] = {}
+    for v in range(g.n):
+        for row in (g.adj[v], g.adj[v] | 1 << v):
+            if row in seen:
+                ra, rb = find(seen[row]), find(v)
+                parent[max(ra, rb)] = min(ra, rb)
+            else:
+                seen[row] = v
+    classes: dict[int, list[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(find(v), []).append(v)
+    return list(classes.values())
+
+
+def canon_adjacency(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(bits, order): the least adjacency bits of any graph read in growing
+    order (vertex k against vertices 0..k-1, for k = 1..n-1) over all
+    vertex orders, and the least vertex order that reads them.
+
+    A search state is an ordered list of cells of placed vertices; each
+    cell is a clique or an independent set, and adjacency between two
+    cells is complete or empty, so every order inside the cells reads the
+    same bits.  A vertex appended to a state reads zeros first, then ones,
+    in every cell, and splits each cell that way; it then joins the last
+    cell when that keeps the invariant.  Candidates are one vertex per twin
+    class, every tied state is kept, and equal states are merged.
+
+    Exponential: 30 ms on the 16-cycle, and on split graphs the tied
+    states grow with the subsets of the stable side (0.4 s at 28 vertices,
+    more than 20 s at 40).
+    """
+    n = g.n
+    if n < 2:
+        return (), tuple(range(n))
+    adj = g.adj
+    classes = _twin_classes(g)
+
+    def candidates(used: int) -> list[int]:
+        out = []
+        for members in classes:
+            for v in members:
+                if not used >> v & 1:
+                    out.append(v)
+                    break
+        return out
+
+    states = {(1 << v,): 1 << v for v in candidates(0)}
+    packed = 0
+    for k in range(1, n):
+        best = None
+        tied = []
+        for cells, used in states.items():
+            for v in candidates(used):
+                block = _reading(adj[v], cells)
+                if best is None or block < best:
+                    best, tied = block, [(cells, used, v)]
+                elif block == best:
+                    tied.append((cells, used, v))
+        packed = packed << k | best
+        states = {}
+        for cells, used, v in tied:
+            row = adj[v]
+            split = _split_cells(cells, row)
+            last = split[-1]
+            u = (last & -last).bit_length() - 1
+            if not (row ^ adj[u]) & used & ~last and (
+                last == 1 << u or bool(adj[u] & last) == bool(row & last)
+            ):
+                split[-1] = last | 1 << v
+            else:
+                split.append(1 << v)
+            states[tuple(split)] = used | 1 << v
+    order = min(tuple(v for cell in cells for v in _members(cell)) for cells in states)
+    return tuple(map(int, f"{packed:0{n * (n - 1) // 2}b}")), order
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ import sys
 from splitkit import census, verify
 from splitkit.canon import canon_graph, canon_key, canon_matrix
 from splitkit.cli import main
-from splitkit.core import Graph, parse_graph6
+from splitkit.core import DomainError, Graph, parse_graph6
 
-from oracles import naive_oracle
+from oracles import canon_adjacency, naive_oracle
 
 LONG = os.environ.get("SPLITKIT_LONG") == "1"
 
 SPLIT_TOTALS = (1, 1, 2, 4, 9, 21, 56, 164)  # n = 0..7
+GRAPH_TOTALS = (1, 1, 2, 4, 11, 34, 156)  # all graphs, n = 0..6
 UNBALANCED = (0, 1, 2, 4, 8, 17, 38, 94, 258)  # n = 0..8
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -142,12 +143,18 @@ def _graph_orbits(n):
 
 
 def test_criterion_09_canonicalization_completeness():
+    # split graphs through canon_graph; every other graph is refused by it
+    # and keyed by the adjacency oracle
     for n in range(7):
         pairs, roots = _graph_orbits(n)
         key_of_root = {}
         for code in range(1 << len(pairs)):
-            edges = [pairs[k] for k in range(len(pairs)) if code >> k & 1]
-            key = canon_graph(Graph.from_edges(n, edges)).key
+            g = Graph.from_edges(n, [pairs[k] for k in range(len(pairs)) if code >> k & 1])
+            try:
+                key = canon_graph(g).key
+            except DomainError as exc:
+                assert str(exc).startswith("not a split graph"), exc
+                key = canon_adjacency(g)[0]
             root = roots[code]
             if root in key_of_root:
                 assert key_of_root[root] == key, f"orbit split at n={n}"
@@ -155,6 +162,9 @@ def test_criterion_09_canonicalization_completeness():
                 key_of_root[root] = key
         keys = list(key_of_root.values())
         assert len(set(keys)) == len(keys), f"orbit merge at n={n}"
+        assert len(keys) == GRAPH_TOTALS[n], f"orbit count at n={n}"
+        split_keys = [key for key in keys if not isinstance(key, tuple)]
+        assert len(split_keys) == SPLIT_TOTALS[n], f"split orbits refused at n={n}"
 
     for r in range(1, 5):
         for c in range(1, 5):

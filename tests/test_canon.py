@@ -9,7 +9,6 @@ import pytest
 from splitkit import census
 from splitkit.biject import cover_to_split, split_to_xy
 from splitkit.canon import (
-    _canon_adjacency,
     _make_key,
     canon_cover,
     canon_graph,
@@ -22,9 +21,9 @@ from splitkit.canon import (
     is_isomorphic,
     relabel_graph,
 )
-from splitkit.core import BipartitePoset, Graph, SetCover, UsageError, XYGraph
+from splitkit.core import BipartitePoset, DomainError, Graph, SetCover, UsageError, XYGraph
 
-from oracles import all_graphs, naive_oracle
+from oracles import all_graphs, canon_adjacency, naive_oracle
 
 
 def brute_min_matrix(matrix):
@@ -124,10 +123,10 @@ def test_graph_examples():
 
 def test_graph_witness_and_idempotence():
     rng = random.Random(3)
-    for _ in range(80):
-        n = rng.randrange(0, 8)
-        edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5]
-        g = graph(n, edges)
+    graphs = [graph(0, []), graph(1, [])]
+    graphs += [random_split_graph(rng, rng.randrange(2, 9)) for _ in range(80)]
+    for g in graphs:
+        n = g.n
         gc = canon_graph(g)
         canonical = relabel_graph(g, gc.order)
         assert canon_graph(canonical).key == gc.key
@@ -139,9 +138,8 @@ def test_equal_keys_have_witnessing_isomorphism():
     # applying each witness order lands both on the identical labeled graph
     rng = random.Random(21)
     for _ in range(40):
-        n = rng.randrange(1, 8)
-        edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.4]
-        g1 = graph(n, edges)
+        n = rng.randrange(2, 9)
+        g1 = random_split_graph(rng, n)
         perm = list(range(n))
         rng.shuffle(perm)
         g2 = relabel(g1, perm)
@@ -151,7 +149,8 @@ def test_equal_keys_have_witnessing_isomorphism():
 
 
 def test_graph_completeness_small():
-    # key partition == orbit partition, exhaustively (n <= 6 runs in acceptance)
+    # on split graphs, key partition == orbit partition, exhaustively (n <= 6
+    # runs in acceptance); every other graph is refused
     for n in range(6):
         orbits = {}
         for g in all_graphs(n):
@@ -171,11 +170,19 @@ def test_graph_completeness_small():
                     perm[i], perm[i + 1] = perm[i + 1], perm[i]
                     stack.append(relabel(h, perm))
         keys = {}
+        refused = set()
         for g in all_graphs(n):
-            keys.setdefault(canon_graph(g).key, set()).add(orbits[frozenset(g.edges())])
-        # each key covers exactly one orbit and orbit count matches key count
+            orbit = orbits[frozenset(g.edges())]
+            try:
+                keys.setdefault(canon_graph(g).key, set()).add(orbit)
+            except DomainError as exc:
+                assert str(exc).startswith("not a split graph")
+                refused.add(orbit)
+        # each key covers exactly one orbit, no orbit is both keyed and
+        # refused, and the keyed orbits are the split ones
         assert all(len(v) == 1 for v in keys.values())
-        assert len(keys) == len(set(orbits.values()))
+        assert len(keys) + len(refused) == len(set(orbits.values()))
+        assert len(keys) == (1, 1, 2, 4, 9, 21)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +325,19 @@ def test_cover_search_gets_the_rows_left_after_stripping(monkeypatch):
     assert sizes == [9 - 2 * 3, 10 - 2 * 3, 6 - 1 * 3, 4]
 
 
+def test_the_identity_cover_of_2000_sets_is_keyed_within_a_second():
+    """The unit rows are counted in one pass over the sets, with no m x m
+    identity built and no search of the rows for each unit row (that took
+    0.36 s at m = 800 and grew as m^3)."""
+    m = 2000
+    identity = SetCover(m, tuple((j,) for j in range(m)))
+    start = time.process_time()
+    key = canon_cover(identity)
+    elapsed = time.process_time() - start
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert key == _make_key("cover", (m, m), [1 << j for j in range(m)], m)
+
+
 def test_nine_minimal_covers_of_a_four_set():
     census = naive_oracle("cover", 4)
     assert len(census.keys) == 9
@@ -361,15 +381,13 @@ def test_graph_keys_against_networkx_beyond_exhaustive_range():
     rng = random.Random(2718)
     for trial in range(40):
         n = rng.randrange(8, 13)
-        e1 = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.4]
-        g1 = graph(n, e1)
+        g1 = random_split_graph(rng, n)
         if trial % 2 == 0:
             perm = list(range(n))
             rng.shuffle(perm)
             g2 = relabel(g1, perm)
         else:
-            e2 = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.4]
-            g2 = graph(n, e2)
+            g2 = random_split_graph(rng, n)
         h1 = nx.Graph(g1.edges())
         h1.add_nodes_from(range(n))
         h2 = nx.Graph(g2.edges())
@@ -441,6 +459,11 @@ def _symmetric_cases():
     return cases
 
 
+# Graphs in _symmetric_cases that are not split: the product refuses them,
+# and the adjacency oracle keys them.
+_NOT_SPLIT_CASES = ("16-cycle", "Petersen graph")
+
+
 def test_symmetric_worst_cases_within_budget():
     # CPU seconds of this process, so that load from other processes on
     # the host does not count against the budget
@@ -462,7 +485,15 @@ def test_symmetric_worst_cases_within_budget():
         keys = set()
         for x in inputs:
             start = time.process_time()
-            keys.add(canon_graph(x).key if isinstance(x, Graph) else canon_matrix(x).bits)
+            if name in _NOT_SPLIT_CASES:
+                with pytest.raises(DomainError, match="not a split graph"):
+                    canon_graph(x)
+                refused = time.process_time() - start
+                assert refused <= 0.01, f"{name}: refused in {refused:.3f} s"
+                start = time.process_time()
+                keys.add(canon_adjacency(x)[0])
+            else:
+                keys.add(canon_graph(x).key if isinstance(x, Graph) else canon_matrix(x).bits)
             elapsed = time.process_time() - start
             assert elapsed <= budget_s, f"{name}: {elapsed:.2f} s"
         assert len(keys) == 1, name
@@ -473,12 +504,34 @@ def test_is_isomorphic():
     p4r = graph(4, [(3, 2), (2, 1), (1, 0)])
     assert is_isomorphic(p4, p4r)
 
-    c4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    two_k2 = graph(4, [(0, 1), (2, 3)])
-    assert not is_isomorphic(c4, two_k2)
+    paw = graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert not is_isomorphic(p4, paw)
 
     with pytest.raises(UsageError):
         is_isomorphic(p4, SetCover(2, ((0, 1),)))
+
+
+_NOT_SPLIT_GRAPHS = {
+    "C4": graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "2K2": graph(4, [(0, 1), (2, 3)]),
+    "16-cycle": graph(16, [(i, (i + 1) % 16) for i in range(16)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_NOT_SPLIT_GRAPHS))
+def test_a_graph_that_is_not_split_has_no_key(name):
+    g = _NOT_SPLIT_GRAPHS[name]
+    p4 = graph(4, [(0, 1), (1, 2), (2, 3)])
+    calls = [
+        lambda: canon_graph(g),
+        lambda: canon_key(g),
+        lambda: canonical_object(g),
+        lambda: is_isomorphic(g, g),
+        lambda: is_isomorphic(p4, g),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="^not a split graph"):
+            call()
 
 
 def test_canonical_object_round_trips_key():
@@ -496,7 +549,7 @@ def test_canonical_object_round_trips_key():
 
 
 # ---------------------------------------------------------------------------
-# split graphs: the S-max incidence key against the adjacency search
+# split graphs: the S-max incidence key against the adjacency oracle
 
 
 def _same_partition(objects, key_a, key_b):
@@ -505,10 +558,14 @@ def _same_partition(objects, key_a, key_b):
     return len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
 
 
+def _adjacency_key(g):
+    return g.n, canon_adjacency(g)[0]
+
+
 def test_split_keys_partition_the_census_as_the_adjacency_search_does():
     for n in range(9):
         graphs = [r.obj for r in census.records("split", n)]
-        assert _same_partition(graphs, lambda g: canon_graph(g).key, lambda g: _canon_adjacency(g).key)
+        assert _same_partition(graphs, lambda g: canon_graph(g).key, _adjacency_key)
         assert len({canon_graph(g).key for g in graphs}) == (1, 1, 2, 4, 9, 21, 56, 164, 557)[n]
 
 
@@ -520,13 +577,13 @@ def test_split_keys_partition_relabeled_graphs_as_the_adjacency_search_does():
     graphs += [thin_spider(k) for k in range(1, 8)] + [co_spider(k) for k in range(1, 8)]
     objects = []
     for g in graphs:
-        assert _canon_adjacency(g).key.data[:1] == b"s" and canon_graph(g).key.data[:1] == b"S"
+        assert canon_graph(g).key.data[:1] == b"S"
         objects.append(g)
         for _ in range(2):
             perm = list(range(g.n))
             rng.shuffle(perm)
             objects.append(relabel(g, perm))
-    assert _same_partition(objects, lambda g: canon_graph(g).key, lambda g: _canon_adjacency(g).key)
+    assert _same_partition(objects, lambda g: canon_graph(g).key, _adjacency_key)
 
 
 def test_split_key_is_the_xy_key_of_its_s_max_incidence():

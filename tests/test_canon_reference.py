@@ -2,9 +2,12 @@
 
 The references below are the earlier searches kept as oracles: the matrix
 kernel sweeps every order of the smaller side and sorts the other side
-greedily, and the adjacency search (``canon._canon_adjacency``, which keys
-every graph that is not split) keeps every tied vertex prefix.  They share
-no code with ``splitkit.canon``; keys are rebuilt here from their bits.
+greedily, and the adjacency reference keeps every tied vertex prefix.
+They share no code with ``splitkit.canon``; keys are rebuilt here from
+their bits.  The adjacency reference checks the cell search of the
+adjacency oracle (``oracles.canon_adjacency``), which keys graphs split or
+not and is in turn the reference for split-graph keys in
+``tests/test_canon.py``.
 """
 
 import hashlib
@@ -13,8 +16,10 @@ import random
 from functools import lru_cache
 
 from splitkit import canon
-from splitkit.canon import _canon_adjacency, canon_graph, canon_matrix, canon_xy, relabel_graph
+from splitkit.canon import canon_graph, canon_matrix, canon_xy, relabel_graph
 from splitkit.core import Graph, XYGraph
+
+from oracles import canon_adjacency
 
 # ---------------------------------------------------------------------------
 # reference kernels
@@ -296,15 +301,11 @@ def test_interchangeable_unit_rows_do_not_multiply_tied_states(monkeypatch):
 
 
 def _check_graph(g):
-    # the adjacency search, which keys every graph that is not split; split
-    # graphs are keyed by their S-max incidence (tests/test_canon.py)
-    gc = _canon_adjacency(g)
-    bits, order = ref_canon_graph(g)
-    assert gc.key.data == ref_key_bytes(b"s", (g.n,), bits)
-    assert gc.order == order
-    canonical = relabel_graph(g, gc.order)
-    assert _canon_adjacency(canonical).key == gc.key
-    assert _canon_adjacency(canonical).order == tuple(range(g.n))
+    # the adjacency oracle's cell search; the product keys split graphs by
+    # their S-max incidence (tests/test_canon.py)
+    bits, order = canon_adjacency(g)
+    assert (bits, order) == ref_canon_graph(g)
+    assert canon_adjacency(relabel_graph(g, order)) == (bits, tuple(range(g.n)))
 
 
 def test_graphs_agree_with_the_prefix_frontier():

@@ -102,17 +102,26 @@ def test_oracle_matches_the_xy_census_without_y_isolates():
 
 
 def test_oracle_imports_only_core_and_canon():
-    # an oracle that imports census, classify or biject code checks it with itself
+    # an oracle that imports census, classify or biject code, or a helper of
+    # the kernel, checks it with itself
     tree = ast.parse(Path(oracles.__file__).read_text())
     imported = set()
+    from_canon = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
+            # a module imported whole would lend the oracle its helpers
+            assert not any(alias.name.split(".")[0] == "splitkit" for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             assert node.level == 0, "no relative imports"
             imported.add(node.module)
+            if node.module.split(".")[0] == "splitkit":
+                assert not any(alias.name.startswith("_") for alias in node.names), node.module
+            if node.module == "splitkit.canon":
+                from_canon.update(alias.name for alias in node.names)
     package = {name for name in imported if name.split(".")[0] == "splitkit"}
     assert package == {"splitkit.core", "splitkit.canon"}
+    assert from_canon <= {"canon_key", "relabel_graph"}
     assert all(name.split(".")[0] in sys.stdlib_module_names for name in imported - package)
 
 

@@ -154,6 +154,27 @@ def test_xy_maps_name_the_y_isolates_by_the_inputs_labels(argv, error, monkeypat
     assert out == json.dumps({"error": error, "line": _Y_ISOLATE}, separators=(",", ":")) + "\n"
 
 
+_MANY_Y_ISOLATES = '{"class":"xy","nx":62,"ny":65535,"edges":[]}'
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["classify"], "balance undefined: Y-vertices [0, 1, 2, 3, 4] and 65530 more are isolates"),
+        (["map", "--from", "xy", "--to", "cover"], "Y-vertices [0, 1, 2, 3, 4] and 65530 more are isolates"),
+        (["compile", "--class", "xy", "--direction", "down"], "Y-vertices [0, 1, 2, 3, 4] and 65530 more are isolates"),
+    ],
+    ids=["classify", "map", "compile"],
+)
+def test_a_short_line_with_many_y_isolates_gets_a_short_record(argv, error, monkeypatch, capsys):
+    # the isolates are named up to five and counted after that, so the
+    # record does not grow with ny (it listed all 65,535 in 448 KB)
+    code, out, _ = run(argv, _MANY_Y_ISOLATES + "\n", monkeypatch, capsys)
+    assert code == 3
+    assert out == json.dumps({"error": error, "line": _MANY_Y_ISOLATES}, separators=(",", ":")) + "\n"
+    assert len(out.encode()) < 1024
+
+
 def _rejected_line(line, monkeypatch, capsys):
     """classify gives ``line`` a per-line error record and exits with 3."""
     code, out, _ = run(["classify"], line + "\n", monkeypatch, capsys)

@@ -24,7 +24,6 @@ from splitkit.biject import (
 )
 from splitkit.canon import (
     GraphCanon,
-    _canon_adjacency,
     _canon_rows,
     _make_key,
     canon_graph,
@@ -94,10 +93,7 @@ def ref_canon_matrix(matrix):
 
 
 def ref_canon_graph(g):
-    sides = s_max_sides(g)
-    if sides is None:
-        return _canon_adjacency(g)
-    s_side, k_side = sides
+    s_side, k_side = s_max_sides(g)  # raises on a graph that is not split
     mcf = ref_canon_matrix([[g.adj[u] >> v & 1 for v in k_side] for u in s_side])
     order = tuple(s_side[i] for i in mcf.row_perm) + tuple(k_side[j] for j in mcf.col_perm)
     return GraphCanon(_make_key("split", (len(s_side), len(k_side)), mcf.values, len(k_side)), order)

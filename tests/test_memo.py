@@ -165,6 +165,7 @@ def test_refusals_are_raised_again_with_the_same_text(cleared):
         (classify.k_max_partition, c4, DomainError, "not a split graph (n=4)"),
         (classify.s_max_partition, c4, DomainError, "not a split graph (n=4)"),
         (classify.omega_alpha, c4, DomainError, "not a split graph (n=4)"),
+        (classify.s_max_sides, c4, DomainError, "not a split graph (n=4)"),
         (biject.default_reps, not_minimal, DomainError, classify._NOT_MINIMAL),
         (classify.balance_cover, not_minimal, DomainError, classify._NOT_MINIMAL),
         (classify.loyal_elements, out_of_range, IndexError, "element outside 0..1 in set [0, 5]"),
