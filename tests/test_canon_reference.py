@@ -16,8 +16,8 @@ import random
 from functools import lru_cache
 
 from splitkit import canon
-from splitkit.canon import canon_graph, canon_matrix, canon_xy, relabel_graph
-from splitkit.core import Graph, XYGraph
+from splitkit.canon import canon_graph, canon_matrix, canon_xy, canonical_object, relabel_graph
+from splitkit.core import BipartitePoset, Graph, SetCover, XYGraph, serialize_graph6, serialize_object
 
 from oracles import canon_adjacency
 
@@ -374,3 +374,30 @@ def test_kernel_witnesses_are_pinned():
     for _ in range(1000):
         digest.update(repr(canon_graph(stream_split_graph(rng, rng.randrange(9, 12))).order).encode())
     assert digest.hexdigest() == "e3114d2658933fb5ab740fae6d79d02c83929fc5134fa10637c79843d5961e3b"
+
+
+def test_canonical_objects_are_pinned():
+    # sha256 over the key hex and the serialized canonical object that
+    # canonical_object gives for every pinned matrix read as an XY-graph
+    # and as a poset, the cover-shaped ones (the first 3,000) read as covers
+    # too, then for stream-shaped split graphs: this pins what
+    # relabel_graph and the read-back of matrix-class keys build
+    digest = hashlib.sha256()
+
+    def pin(obj):
+        canonical, key = canonical_object(obj)
+        text = serialize_graph6(canonical) if isinstance(canonical, Graph) else serialize_object(canonical)
+        digest.update(f"{key.hex} {text}\n".encode())
+
+    for i, m in enumerate(pinned_matrices(random.Random(2017))):
+        r, c = len(m), len(m[0])
+        ones = frozenset((a, b) for a, row in enumerate(m) for b, v in enumerate(row) if v)
+        pin(XYGraph(r, c, ones))
+        pin(BipartitePoset(r, c, ones))
+        if i < 3000:
+            pin(SetCover(r, [[a for a in range(r) if m[a][b]] for b in range(c)]))
+    rng = random.Random(2015)
+    for _ in range(1000):
+        pin(stream_split_graph(rng, rng.randrange(9, 12)))
+    assert digest.hexdigest() == "81fe059d47c1514cf4495e2eab237c3d9393d5fb6bb683d0a6428818ec962e6a"
+
