@@ -56,10 +56,10 @@ from .core import (
     CanonicalKey,
     Graph,
     SetCover,
+    SizeLimitError,
     UsageError,
     Value,
     XYGraph,
-    _bits,
     _set,
     class_tag_of,
 )
@@ -71,15 +71,27 @@ _TAG_BYTES = {"split": b"S", "cover": b"c", "xy": b"x", "poset": b"p"}
 
 def _make_key(kind: str, dims: Sequence[int], rows: Sequence[int], width: int) -> CanonicalKey:
     """The tag byte, the dimensions, then ``rows`` (``width`` bits each, the
-    most significant first) packed row-major and padded with zero bits."""
-    packed = 0
-    for row in rows:
-        packed = packed << width | row
-    size = len(rows) * width
-    pad = -size % 8
-    dim_bytes = b"".join(d.to_bytes(KEY_DIM_BYTES, "big") for d in dims)
-    data = _TAG_BYTES[kind] + dim_bytes + (packed << pad).to_bytes((size + pad) // 8, "big")
-    return CanonicalKey(kind, data)
+    most significant first) packed row-major and padded with zero bits.
+
+    Eight rows fill ``width`` whole bytes, so rows are packed eight at a
+    time and the bytes joined: linear in the key's bits, where shifting one
+    growing integer per row was quadratic (32 s for the 8,000 x 8,000
+    identity).  A dimension above ``MAX_KEY_DIM`` raises ``SizeLimitError``.
+    """
+    parts = [_TAG_BYTES[kind]]
+    for d in dims:
+        if not 0 <= d <= MAX_KEY_DIM:
+            raise SizeLimitError(f"a key dimension must be at most {MAX_KEY_DIM}, the largest size a key encodes; got {d}")
+        parts.append(d.to_bytes(KEY_DIM_BYTES, "big"))
+    for start in range(0, len(rows), 8):
+        chunk = rows[start : start + 8]
+        packed = 0
+        for row in chunk:
+            packed = packed << width | row
+        size = len(chunk) * width
+        pad = -size % 8
+        parts.append((packed << pad).to_bytes((size + pad) // 8, "big"))
+    return CanonicalKey(kind, b"".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +220,39 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
         groups[mask] = groups.get(mask, 0) + 1
     masks = list(groups)
     copies = list(groups.values())
-    # col_rows[j]: the groups that are 1 in column j; several: the groups
-    # of several ones
-    col_rows = [0] * c
-    several = 0
-    for g, mask in enumerate(masks):
-        if mask & (mask - 1):
-            several |= 1 << g
-        while mask:
-            low = mask & -mask
-            col_rows[low.bit_length() - 1] |= 1 << g
-            mask ^= low
     # An open state is (placed groups, column cells, remaining groups, their
-    # mask); `fixed` is the least state with a fixed future, or None.
+    # mask).  The search starts with one, placed in place while it stays
+    # alone; most searches end there.
     start = ((), ((1 << c) - 1,), tuple(range(len(masks))), (1 << len(masks)) - 1)
-    open_states, fixed = _settle([start], None, masks, col_rows, copies)
-    while open_states:
+    moves, cells = _lone_steps(start, masks, copies)
+    if moves is None:
+        return _form(rows, c, masks, cells)
+    fixed = None  # the least state with a fixed future, or None
+    while True:
+        grown = []
+        for (placed, cells, left, left_mask), gs, mask in moves:
+            split = _split_cells(cells, mask)
+            if len(gs) == 1:
+                left_mask ^= 1 << gs[0]
+                i = left.index(gs[0])
+                left = left[:i] + left[i + 1 :]
+            else:
+                for g in gs:
+                    left_mask ^= 1 << g
+                kept = []
+                for g in left:
+                    if left_mask >> g & 1:
+                        kept.append(g)
+                left = tuple(kept)
+            grown.append((placed + tuple(gs), tuple(split), left, left_mask))
+        open_states, fixed = _settle(grown, fixed, masks, copies)
+        if not open_states:
+            break
+        if fixed is None and len(open_states) == 1:
+            moves, cells = _lone_steps(open_states[0], masks, copies)
+            if moves is None:
+                return _form(rows, c, masks, cells)
+            continue
         value = most = None
         tied = []
         for state in open_states:
@@ -232,6 +261,9 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
             # fewest ones in the first cell, then in the second, ...
             low = 0
             for cell in cells:
+                if len(cand) == 1:
+                    low = low << cell.bit_count() | (1 << (masks[cand[0]] & cell).bit_count()) - 1
+                    continue
                 least = None
                 for g in cand:
                     k = (masks[g] & cell).bit_count()
@@ -259,7 +291,7 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
                     moves.append((state, (g,), masks[g]))
             steps = 1
         else:
-            moves, steps = _unit_run(tied, masks, several)
+            moves, steps = _unit_run(tied, masks)
         if fixed is not None:
             # The fixed state's next rows against the open states' rows by
             # (reading, more copies first), one unit step at a time.
@@ -273,45 +305,101 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
                 break  # the fixed state beats every open one
             else:
                 fixed = None
-        grown = []
-        for (placed, cells, left, left_mask), gs, mask in moves:
-            split = _split_cells(cells, mask)
-            if len(gs) == 1:
-                left_mask ^= 1 << gs[0]
-                i = left.index(gs[0])
-                left = left[:i] + left[i + 1 :]
-            else:
-                for g in gs:
-                    left_mask ^= 1 << g
-                left = tuple(g for g in left if left_mask >> g & 1)
-            grown.append((placed + tuple(gs), tuple(split), left, left_mask))
-        open_states, fixed = _settle(grown, fixed, masks, col_rows, copies)
-    # Every order inside a cell of the least state reads the same bits once
-    # its rows are sorted; the witness takes the columns of each cell in
-    # ascending order and the least row order that sorts the rows.
+    return _form(rows, c, masks, fixed[2])
+
+
+def _lone_steps(state, masks, copies):
+    """Place the rows of a lone open state while no fixed state is kept.
+
+    The state is updated in place, one step at a time, until its remaining
+    rows split no cell, which gives (None, its cells), or until a step has
+    several moves, which gives (those moves, None).  A lone state merges
+    with nothing and is compared with nothing, so a step needs its least
+    rows but not their reading, and places one row of several ones (or the
+    zero row) or one run of unit rows without building a state.
+    """
+    placed, cells, left, left_mask = list(state[0]), list(state[1]), list(state[2]), state[3]
+    while _splits(cells, masks, left_mask):
+        cand = left
+        for cell in cells:
+            if len(cand) == 1:
+                break
+            least = None
+            for g in cand:
+                k = (masks[g] & cell).bit_count()
+                if least is None or k < least:
+                    least, kept = k, [g]
+                elif k == least:
+                    kept.append(g)
+            cand = kept
+        if len(cand) > 1:
+            top = 0
+            for g in cand:
+                if copies[g] > top:
+                    top, kept = copies[g], [g]
+                elif copies[g] == top:
+                    kept.append(g)
+            cand = kept
+        g = cand[0]
+        if masks[g].bit_count() != 1:
+            if len(cand) > 1:
+                state = (tuple(placed), tuple(cells), tuple(left), left_mask)
+                moves = []
+                for g in cand:
+                    moves.append((state, (g,), masks[g]))
+                return moves, None
+            mask = masks[g]
+            left.remove(g)
+            left_mask ^= 1 << g
+            placed.append(g)
+        else:
+            state = (tuple(placed), tuple(cells), tuple(left), left_mask)
+            moves, _ = _unit_run([(state, cand)], masks)
+            if len(moves) > 1:
+                return moves, None
+            _, gs, mask = moves[0]
+            for g in gs:
+                left_mask ^= 1 << g
+                left.remove(g)
+            placed += gs
+        cells = _split_cells(cells, mask)
+    return None, cells
+
+
+def _form(rows, c, masks, cells) -> MatrixCanonForm:
+    """The canonical form read off the cells of the least state.
+
+    Every order inside a cell of the least state reads the same bits once
+    its rows are sorted; the witness takes the columns of each cell in
+    ascending order and the least row order that sorts the rows.
+    """
     col_perm = []
-    values = [0] * len(masks)
+    weight_of = [0] * c  # weight_of[j]: the bit of column j in a value
     weight = 1 << c
-    for cell in fixed[2]:
+    for cell in cells:
         while cell:
             low = cell & -cell
             cell ^= low
             j = low.bit_length() - 1
             weight >>= 1
+            weight_of[j] = weight
             col_perm.append(j)
-            on = col_rows[j]
-            while on:
-                low = on & -on
-                values[low.bit_length() - 1] |= weight
-                on ^= low
-    value_of = dict(zip(masks, values))
-    row_values = list(map(value_of.__getitem__, rows))
-    row_perm = sorted(range(r), key=row_values.__getitem__)
-    row_values.sort()
-    return MatrixCanonForm(r, c, tuple(row_values), tuple(row_perm), tuple(col_perm))
+    values = []
+    for mask in masks:
+        value = 0
+        while mask:
+            low = mask & -mask
+            value |= weight_of[low.bit_length() - 1]
+            mask ^= low
+        values.append(value)
+    if len(masks) < len(rows):
+        values = list(map(dict(zip(masks, values)).__getitem__, rows))
+    row_perm = sorted(range(len(rows)), key=values.__getitem__)
+    values.sort()
+    return MatrixCanonForm(len(rows), c, tuple(values), tuple(row_perm), tuple(col_perm))
 
 
-def _unit_run(tied, masks, several):
+def _unit_run(tied, masks):
     """The moves of a run of tied unit rows, and how many unit steps it emits.
 
     ``tied`` lists (state, candidate unit groups), the candidates on the
@@ -335,15 +423,18 @@ def _unit_run(tied, masks, several):
             reach |= cell
         fits = set()
         for h in state[2]:
-            if several >> h & 1 and not masks[h] & ~reach:
-                fit = masks[h] & units
+            mask = masks[h]
+            if mask & (mask - 1) and not mask & ~reach:
+                fit = mask & units
                 fits.add(fit)
                 if least is None or fit.bit_count() < least:
                     least = fit.bit_count()
         sites.append((state, cand, units, fits))
     moves = []
     if least is None:
-        widest = max(units.bit_count() for _, _, units, _ in sites)
+        widest = 0
+        for _, _, units, _ in sites:
+            widest = max(widest, units.bit_count())
         for state, cand, units, _ in sites:
             if units.bit_count() == widest:
                 moves.append((state, cand, units))
@@ -351,11 +442,15 @@ def _unit_run(tied, masks, several):
     for state, cand, _, fits in sites:
         for fit in sorted(fits):
             if fit.bit_count() == least:
-                moves.append((state, [g for g in cand if masks[g] & fit], fit))
+                gs = []
+                for g in cand:
+                    if masks[g] & fit:
+                        gs.append(g)
+                moves.append((state, gs, fit))
     return moves, least
 
 
-def _settle(states, fixed, masks, col_rows, copies):
+def _settle(states, fixed, masks, copies):
     """Merge equivalent open states and set aside those with a fixed future.
 
     Open states with the same remaining rows and the same cell signature
@@ -364,20 +459,31 @@ def _settle(states, fixed, masks, col_rows, copies):
     remaining rows in ascending order, and only the least such state is
     kept, as (future (reading, group) pairs, full group order, cells); the
     last state of a search is kept without its future, which nothing reads.
-    A lone state merges with nothing, so it is only asked whether some
-    remaining row splits a cell.
+    A state whose remaining rows no other state has merges with nothing,
+    so it is only asked whether some remaining row splits a cell.  The
+    open states come out in no particular order: which of them stay open,
+    and which fixed state is kept, does not depend on it.
     """
     if len(states) == 1:
         placed, cells, _, left_mask = states[0]
-        if _splits(cells, col_rows, left_mask):
+        if _splits(cells, masks, left_mask):
             return states, fixed
         if fixed is None:
             return [], (None, placed, cells)
         return [], _least_fixed(fixed, placed, cells, masks, left_mask, copies)
+    shared: dict = {}  # by remaining rows: whether several states have them
+    for state in states:
+        shared[state[3]] = state[3] in shared
     merged: dict = {}
     for state in states:
-        placed, cells, _, left_mask = state
-        key = _cell_signature(cells, col_rows, left_mask)
+        placed, cells, left, left_mask = state
+        if not shared[left_mask]:
+            if _splits(cells, masks, left_mask):
+                merged[left_mask] = state
+            else:
+                fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
+            continue
+        key = _cell_signature(cells, masks, left)
         if key is None:
             fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
         elif (left_mask, key) not in merged or placed < merged[left_mask, key][0]:
@@ -390,7 +496,10 @@ def _least_fixed(fixed, placed, cells, masks, left, copies):
     rows ``left`` split no cell; its future is the (reading, group) pairs of
     those rows in ascending order."""
     future = []
-    for g in _bits(left):
+    while left:
+        low = left & -left
+        left ^= low
+        g = low.bit_length() - 1
         future.append((_reading(masks[g], cells), g))
     future.sort()
     order = placed
@@ -401,30 +510,31 @@ def _least_fixed(fixed, placed, cells, masks, left, copies):
     return fixed
 
 
-def _splits(cells: Sequence[int], col_rows: Sequence[int], left: int) -> bool:
-    """Whether some remaining row of ``left`` splits one of ``cells``."""
-    if not left:
-        return False
-    for cell in cells:
-        if cell & (cell - 1):
-            low = cell & -cell
-            ones = col_rows[low.bit_length() - 1] & left
-            cell ^= low
-            while cell:
-                low = cell & -cell
-                if col_rows[low.bit_length() - 1] & left != ones:
-                    return True
-                cell ^= low
+def _splits(cells: Sequence[int], masks: Sequence[int], left: int) -> bool:
+    """Whether some remaining row of ``left`` (a mask of groups) splits one
+    of ``cells``."""
+    while left:
+        low = left & -left
+        left ^= low
+        mask = masks[low.bit_length() - 1]
+        for cell in cells:
+            ones = mask & cell
+            if ones and ones != cell:
+                return True
     return False
 
 
 def _future_rank(future, order, copies):
     """Fixed futures compare by their rows, then by the witness row order."""
-    return [value for value, g in future for _ in range(copies[g])], order
+    values = []
+    for value, g in future:
+        values += [value] * copies[g]
+    return values, order
 
 
-def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int):
-    """What the remaining rows ``left`` can still tell apart in ``cells``.
+def _cell_signature(cells: Sequence[int], masks: Sequence[int], left: Sequence[int]):
+    """What the remaining rows ``left`` (groups) can still tell apart in
+    ``cells``.
 
     A cell that some remaining row splits counts as its exact column set.
     A cell no remaining row splits counts only through its size and the
@@ -433,17 +543,15 @@ def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int):
     key = []
     fixed = True
     for cell in cells:
-        low = cell & -cell
-        ones = col_rows[low.bit_length() - 1] & left
-        rest = cell ^ low
-        while rest:
-            low = rest & -rest
-            if col_rows[low.bit_length() - 1] & left != ones:
-                break
-            rest ^= low
-        if rest:
-            key.append(cell)
-            fixed = False
+        ones = 0
+        for g in left:
+            part = masks[g] & cell
+            if part:
+                if part != cell:
+                    key.append(cell)
+                    fixed = False
+                    break
+                ones |= 1 << g
         else:
             key.append((cell.bit_count(), ones))
     return None if fixed else tuple(key)
@@ -489,8 +597,20 @@ def canon_graph(g: Graph) -> GraphCanon:
     spider (a k x k identity) on 20 / 40 vertices.
     """
     s_side, k_side = s_max_sides(g)
-    mcf = canon_matrix([[row >> v & 1 for v in k_side] for row in [g.adj[u] for u in s_side]])
-    order = tuple(s_side[i] for i in mcf.row_perm) + tuple(k_side[j] for j in mcf.col_perm)
+    column = [0] * g.n  # column[v]: the bit of K-vertex v in a row mask
+    for j, v in enumerate(k_side):
+        column[v] = 1 << j
+    rows = []
+    for u in s_side:  # S is stable: every neighbor of u is in K
+        adj = g.adj[u]
+        mask = 0
+        while adj:
+            low = adj & -adj
+            mask |= column[low.bit_length() - 1]
+            adj ^= low
+        rows.append(mask)
+    mcf = _canon_rows(tuple(rows), len(k_side))
+    order = tuple(map(s_side.__getitem__, mcf.row_perm)) + tuple(map(k_side.__getitem__, mcf.col_perm))
     return GraphCanon(_make_key("split", (len(s_side), len(k_side)), mcf.values, len(k_side)), order)
 
 
@@ -499,9 +619,10 @@ def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
     bit = [0] * g.n  # bit[v]: the bit of v's position
     for i, v in enumerate(order):
         bit[v] = 1 << i
+    adj = g.adj
     rows = []
     for v in order:
-        src = g.adj[v]
+        src = adj[v]
         row = 0
         while src:
             low = src & -src
@@ -571,18 +692,28 @@ def canon_cover(c: SetCover) -> CanonicalKey:
     """
     m = len(c.sets)
     rows = cover_matrix(c)
-    owners = [0] * c.n  # how many sets hold each element
-    for s in c.sets:
-        for e in s:
-            owners[e] += 1
-    loyal = [[e for e in s if owners[e] == 1] for s in c.sets]
-    k = min(map(len, loyal), default=0)
-    for elements in loyal:  # the unit rows of k loyal elements per set go
-        for e in elements[:k]:
-            rows[e] = None
-    rows = sorted(row for row in rows if row is not None)
-    values = canon_matrix(rows).values + tuple(1 << j for j in range(m)) * k
-    return _make_key("cover", (c.n, m), sorted(values), m)
+    owners = list(map(sum, rows))  # how many sets hold each element
+    units = [0] * m  # the unit rows on each column: its loyal elements
+    for row, count in zip(rows, owners):
+        if count == 1:
+            units[row.index(1)] += 1
+    k = min(units, default=0)
+    if k:  # the unit rows of k loyal elements per set go
+        budget = [k] * m
+        kept = []
+        for row, count in zip(rows, owners):
+            if count == 1:
+                j = row.index(1)
+                if budget[j]:
+                    budget[j] -= 1
+                    continue
+            kept.append(row)
+        rows = kept
+    rows.sort()
+    values = canon_matrix(rows).values
+    if k:
+        values = sorted(values + tuple(map((1).__lshift__, range(m))) * k)
+    return _make_key("cover", (c.n, m), values, m)
 
 
 def canon_poset(p: BipartitePoset) -> CanonicalKey:
@@ -606,12 +737,13 @@ def _canonical_ones(key: CanonicalKey, cols: int) -> list[tuple[int, int]]:
     """(row, column) of every 1 of the canonical matrix that a matrix-class
     key packs after its tag and two dimensions, in row-major order."""
     packed = key.data[1 + 2 * KEY_DIM_BYTES :]
-    value, last = int.from_bytes(packed, "big"), 8 * len(packed) - 1
+    bits = bin(int.from_bytes(packed, "big"))
+    offset = 8 * len(packed) - len(bits)  # bits[i] is bit i + offset of the packed rows
     ones = []
-    while value:
-        top = value.bit_length() - 1
-        ones.append(divmod(last - top, cols))
-        value ^= 1 << top
+    i = bits.find("1")
+    while i > 0:
+        ones.append(divmod(i + offset, cols))
+        i = bits.find("1", i + 1)
     return ones
 
 

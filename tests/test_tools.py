@@ -31,3 +31,15 @@ def test_fresh_process_compares_a_checkout_with_itself():
     assert lines[1].split() == ["side", "median", "ms", "q1", "ms", "q3", "ms"]
     assert [line.split()[0] for line in lines[2:4]] == ["this", "against"]
     assert lines[4].startswith("this checkout faster in ") and lines[4].endswith("/2 pairs")
+
+
+def test_kernel_percall_prints_the_kernel_and_keying_tables():
+    lines = _tool("kernel_percall.py").splitlines()
+    assert lines[0].split() == ["kernel", "inputs", "raw", "us", "scaled", "us"]
+    assert lines[4].split() == ["keying", "objects", "raw", "us", "scaled", "us"]
+    for table in (lines[1:4], lines[5:8]):
+        assert [line.split()[0] for line in table] == ["census", "certify", "stream"]
+        for line in table:
+            count, raw, scaled = line.split()[1:]
+            assert int(count) > 0 and float(raw) > 0 and float(scaled) > 0
+    assert len(lines) == 8
