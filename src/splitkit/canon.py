@@ -69,29 +69,35 @@ from .classify import s_max_sides
 _TAG_BYTES = {"split": b"S", "cover": b"c", "xy": b"x", "poset": b"p"}
 
 
-def _make_key(kind: str, dims: Sequence[int], rows: Sequence[int], width: int) -> CanonicalKey:
-    """The tag byte, the dimensions, then ``rows`` (``width`` bits each, the
-    most significant first) packed row-major and padded with zero bits.
+def _make_key(kind: str, dims: tuple[int, int], rows: Sequence[int], width: int) -> CanonicalKey:
+    """The tag byte, the dimensions (rows, columns), then ``rows`` (``width``
+    bits each, the most significant first) packed row-major and padded with
+    zero bits.
 
-    Eight rows fill ``width`` whole bytes, so rows are packed eight at a
-    time and the bytes joined: linear in the key's bits, where shifting one
-    growing integer per row was quadratic (32 s for the 8,000 x 8,000
-    identity).  A dimension above ``MAX_KEY_DIM`` raises ``SizeLimitError``.
+    Up to 64 rows are packed as one integer.  Beyond that, eight rows at a
+    time: eight rows fill ``width`` whole bytes, so the packing stays linear
+    in the key's bits, where one integer shifted per row was quadratic (32 s
+    for the rows of the 8,000 x 8,000 identity).  A dimension above
+    ``MAX_KEY_DIM`` raises ``SizeLimitError``.
     """
-    parts = [_TAG_BYTES[kind]]
-    for d in dims:
-        if not 0 <= d <= MAX_KEY_DIM:
-            raise SizeLimitError(f"a key dimension must be at most {MAX_KEY_DIM}, the largest size a key encodes; got {d}")
-        parts.append(d.to_bytes(KEY_DIM_BYTES, "big"))
-    for start in range(0, len(rows), 8):
-        chunk = rows[start : start + 8]
-        packed = 0
-        for row in chunk:
-            packed = packed << width | row
-        size = len(chunk) * width
-        pad = -size % 8
-        parts.append((packed << pad).to_bytes((size + pad) // 8, "big"))
-    return CanonicalKey(kind, b"".join(parts))
+    row_count, col_count = dims
+    if row_count > MAX_KEY_DIM or col_count > MAX_KEY_DIM:
+        raise SizeLimitError(f"a key encodes sizes of at most {MAX_KEY_DIM}; got {row_count} x {col_count}")
+    head = _TAG_BYTES[kind] + (row_count << 8 * KEY_DIM_BYTES | col_count).to_bytes(2 * KEY_DIM_BYTES, "big")
+    if len(rows) <= 64:
+        return CanonicalKey(kind, head + _packed(rows, width))
+    return CanonicalKey(kind, head + b"".join(_packed(rows[i : i + 8], width) for i in range(0, len(rows), 8)))
+
+
+def _packed(rows: Sequence[int], width: int) -> bytes:
+    """``rows`` of ``width`` bits, the most significant first, padded with
+    zero bits to whole bytes."""
+    packed = 0
+    for row in rows:
+        packed = packed << width | row
+    size = len(rows) * width
+    pad = -size % 8
+    return (packed << pad).to_bytes((size + pad) // 8, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +317,23 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
 def _lone_steps(state, masks, copies):
     """Place the rows of a lone open state while no fixed state is kept.
 
-    The state is updated in place, one step at a time, until its remaining
-    rows split no cell, which gives (None, its cells), or until a step has
-    several moves, which gives (those moves, None).  A lone state merges
-    with nothing and is compared with nothing, so a step needs its least
-    rows but not their reading, and places one row of several ones (or the
-    zero row) or one run of unit rows without building a state.
+    The state is updated in place, one step at a time, until its rows are
+    placed, which gives (None, its cells), or until a step has several
+    moves, which gives (those moves, None).  A lone state merges with
+    nothing and is compared with nothing, so a step needs its least rows but
+    not their reading, and places one row of several ones (or the zero row)
+    or one run of unit rows without building a state.
+
+    The state is not asked whether it has a fixed future: placing the rest
+    of such a state gives its cells unchanged, with no step of several
+    moves.  Each remaining row is then a union of cells, and two of them
+    read alike only if they are equal; a least unit row has a cell of its
+    own, and every remaining row that fits its run holds its column.  So
+    the steps run until one row is left, which is placed by splitting the
+    cells, whether or not it splits one.
     """
     placed, cells, left, left_mask = list(state[0]), list(state[1]), list(state[2]), state[3]
-    while _splits(cells, masks, left_mask):
+    while len(left) > 1:
         cand = left
         for cell in cells:
             if len(cand) == 1:
@@ -363,6 +377,8 @@ def _lone_steps(state, masks, copies):
                 left.remove(g)
             placed += gs
         cells = _split_cells(cells, mask)
+    if left:
+        cells = _split_cells(cells, masks[left[0]])
     return None, cells
 
 
@@ -615,12 +631,33 @@ def canon_graph(g: Graph) -> GraphCanon:
 
 
 def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
-    """Graph whose position-i vertex is input vertex ``order[i]``."""
-    bit = [0] * g.n  # bit[v]: the bit of v's position
-    for i, v in enumerate(order):
-        bit[v] = 1 << i
+    """Graph whose position-i vertex is input vertex ``order[i]``.
+
+    Up to 64 vertices, the rows in their new order are packed into one
+    integer of n-bit fields, and one shift and mask moves a column of every
+    row to its new place at once: 4.0 against 6.9 us per graph on the
+    stream's split graphs.  Larger graphs move each neighbor bit on its
+    own, so that the work stays linear in the edges.
+    """
+    n = g.n
     adj = g.adj
     rows = []
+    if n <= 64:
+        packed = 0
+        for v in reversed(order):
+            packed = packed << n | adj[v]
+        column = ((1 << n * n) - 1) // ((1 << n) - 1) if n > 1 else 1  # bit 0 of every field
+        moved = 0
+        for j, v in enumerate(order):
+            moved |= (packed >> v & column) << j
+        full = (1 << n) - 1
+        for _ in range(n):
+            rows.append(moved & full)
+            moved >>= n
+        return Graph(n, tuple(rows))
+    bit = [0] * n  # bit[v]: the bit of v's position
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
     for v in order:
         src = adj[v]
         row = 0
@@ -629,7 +666,7 @@ def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
             row |= bit[low.bit_length() - 1]
             src ^= low
         rows.append(row)
-    return Graph(g.n, tuple(rows))
+    return Graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -737,13 +774,12 @@ def _canonical_ones(key: CanonicalKey, cols: int) -> list[tuple[int, int]]:
     """(row, column) of every 1 of the canonical matrix that a matrix-class
     key packs after its tag and two dimensions, in row-major order."""
     packed = key.data[1 + 2 * KEY_DIM_BYTES :]
-    bits = bin(int.from_bytes(packed, "big"))
-    offset = 8 * len(packed) - len(bits)  # bits[i] is bit i + offset of the packed rows
+    value, last = int.from_bytes(packed, "big"), 8 * len(packed) - 1
     ones = []
-    i = bits.find("1")
-    while i > 0:
-        ones.append(divmod(i + offset, cols))
-        i = bits.find("1", i + 1)
+    while value:
+        top = value.bit_length() - 1
+        ones.append(divmod(last - top, cols))
+        value ^= 1 << top
     return ones
 
 
