@@ -230,7 +230,7 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     # mask).  The search starts with one, placed in place while it stays
     # alone; most searches end there.
     start = ((), ((1 << c) - 1,), tuple(range(len(masks))), (1 << len(masks)) - 1)
-    moves, cells = _lone_steps(start, masks, copies)
+    moves, cells = _lone_steps(start, c, masks, copies)
     if moves is None:
         return _form(rows, c, masks, cells)
     fixed = None  # the least state with a fixed future, or None
@@ -255,7 +255,7 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
         if not open_states:
             break
         if fixed is None and len(open_states) == 1:
-            moves, cells = _lone_steps(open_states[0], masks, copies)
+            moves, cells = _lone_steps(open_states[0], c, masks, copies)
             if moves is None:
                 return _form(rows, c, masks, cells)
             continue
@@ -314,7 +314,7 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     return _form(rows, c, masks, fixed[2])
 
 
-def _lone_steps(state, masks, copies):
+def _lone_steps(state, c, masks, copies):
     """Place the rows of a lone open state while no fixed state is kept.
 
     The state is updated in place, one step at a time, until its rows are
@@ -330,10 +330,11 @@ def _lone_steps(state, masks, copies):
     read alike only if they are equal; a least unit row has a cell of its
     own, and every remaining row that fits its run holds its column.  So
     the steps run until one row is left, which is placed by splitting the
-    cells, whether or not it splits one.
+    cells whether or not it splits one, or until each of the ``c`` columns
+    has a cell of its own, when every future is fixed.
     """
     placed, cells, left, left_mask = list(state[0]), list(state[1]), list(state[2]), state[3]
-    while len(left) > 1:
+    while len(left) > 1 and len(cells) < c:
         cand = left
         for cell in cells:
             if len(cand) == 1:
@@ -377,7 +378,7 @@ def _lone_steps(state, masks, copies):
                 left.remove(g)
             placed += gs
         cells = _split_cells(cells, mask)
-    if left:
+    if len(left) == 1:
         cells = _split_cells(cells, masks[left[0]])
     return None, cells
 
@@ -390,26 +391,41 @@ def _form(rows, c, masks, cells) -> MatrixCanonForm:
     ascending order and the least row order that sorts the rows.
     """
     col_perm = []
-    weight_of = [0] * c  # weight_of[j]: the bit of column j in a value
-    weight = 1 << c
     for cell in cells:
         while cell:
             low = cell & -cell
+            col_perm.append(low.bit_length() - 1)
             cell ^= low
-            j = low.bit_length() - 1
-            weight >>= 1
-            weight_of[j] = weight
-            col_perm.append(j)
     values = []
-    for mask in masks:
-        value = 0
-        while mask:
-            low = mask & -mask
-            value |= weight_of[low.bit_length() - 1]
-            mask ^= low
-        values.append(value)
-    if len(masks) < len(rows):
-        values = list(map(dict(zip(masks, values)).__getitem__, rows))
+    if c * len(rows) <= 4096:
+        # every row in a c-bit field of one integer: one shift and mask
+        # moves a column of all of them to its canonical place at once
+        packed = 0
+        for row in reversed(rows):
+            packed = packed << c | row
+        column = ((1 << c * len(rows)) - 1) // ((1 << c) - 1)  # bit 0 of every field
+        moved = 0
+        place = c
+        for j in col_perm:
+            place -= 1
+            moved |= (packed >> j & column) << place
+        full = (1 << c) - 1
+        for _ in rows:
+            values.append(moved & full)
+            moved >>= c
+    else:
+        weight_of = [0] * c  # weight_of[j]: the bit of column j in a value
+        for place, j in enumerate(col_perm):
+            weight_of[j] = 1 << c - 1 - place
+        for mask in masks:
+            value = 0
+            while mask:
+                low = mask & -mask
+                value |= weight_of[low.bit_length() - 1]
+                mask ^= low
+            values.append(value)
+        if len(masks) < len(rows):
+            values = list(map(dict(zip(masks, values)).__getitem__, rows))
     row_perm = sorted(range(len(rows)), key=values.__getitem__)
     values.sort()
     return MatrixCanonForm(len(rows), c, tuple(values), tuple(row_perm), tuple(col_perm))
@@ -499,11 +515,12 @@ def _settle(states, fixed, masks, copies):
             else:
                 fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
             continue
-        key = _cell_signature(cells, masks, left)
-        if key is None:
+        if not _splits(cells, masks, left_mask):
             fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
-        elif (left_mask, key) not in merged or placed < merged[left_mask, key][0]:
-            merged[left_mask, key] = state
+            continue
+        key = (left_mask, _cell_signature(cells, masks, left))
+        if key not in merged or placed < merged[key][0]:
+            merged[key] = state
     return list(merged.values()), fixed
 
 
@@ -548,16 +565,15 @@ def _future_rank(future, order, copies):
     return values, order
 
 
-def _cell_signature(cells: Sequence[int], masks: Sequence[int], left: Sequence[int]):
+def _cell_signature(cells: Sequence[int], masks: Sequence[int], left: Sequence[int]) -> tuple:
     """What the remaining rows ``left`` (groups) can still tell apart in
     ``cells``.
 
     A cell that some remaining row splits counts as its exact column set.
     A cell no remaining row splits counts only through its size and the
-    remaining rows that are 1 on it.  Returns None when no cell is split.
+    remaining rows that are 1 on it.
     """
     key = []
-    fixed = True
     for cell in cells:
         ones = 0
         for g in left:
@@ -565,12 +581,11 @@ def _cell_signature(cells: Sequence[int], masks: Sequence[int], left: Sequence[i
             if part:
                 if part != cell:
                     key.append(cell)
-                    fixed = False
                     break
                 ones |= 1 << g
         else:
             key.append((cell.bit_count(), ones))
-    return None if fixed else tuple(key)
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -673,23 +688,32 @@ def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
 # per-class keys and canonical representatives
 
 
+def _zeros(rows: int, cols: int) -> list[list[int]]:
+    m = []
+    for _ in range(rows):
+        m.append([0] * cols)
+    return m
+
+
 def xy_matrix(g: XYGraph) -> list[list[int]]:
-    m = [[0] * g.ny for _ in range(g.nx)]
+    m = _zeros(g.nx, g.ny)
     for x, y in g.edges:
         m[x][y] = 1
     return m
 
 
 def cover_matrix(c: SetCover) -> list[list[int]]:
-    m = [[0] * len(c.sets) for _ in range(c.n)]
-    for j, s in enumerate(c.sets):
+    m = _zeros(c.n, len(c.sets))
+    j = 0
+    for s in c.sets:
         for e in s:
             m[e][j] = 1
+        j += 1
     return m
 
 
 def poset_matrix(p: BipartitePoset) -> list[list[int]]:
-    m = [[0] * p.n1 for _ in range(p.n0)]
+    m = _zeros(p.n0, p.n1)
     for a, b in p.below:
         m[a][b] = 1
     return m
@@ -729,23 +753,28 @@ def canon_cover(c: SetCover) -> CanonicalKey:
     """
     m = len(c.sets)
     rows = cover_matrix(c)
-    owners = list(map(sum, rows))  # how many sets hold each element
-    units = [0] * m  # the unit rows on each column: its loyal elements
-    for row, count in zip(rows, owners):
-        if count == 1:
-            units[row.index(1)] += 1
-    k = min(units, default=0)
+    owners = [0] * c.n  # how many sets hold each element
+    for s in c.sets:
+        for e in s:
+            owners[e] += 1
+    k = None
+    for s in c.sets:
+        loyal = 0
+        for e in s:
+            if owners[e] == 1:
+                loyal += 1
+        if k is None or loyal < k:
+            k = loyal
     if k:  # the unit rows of k loyal elements per set go
-        budget = [k] * m
-        kept = []
-        for row, count in zip(rows, owners):
-            if count == 1:
-                j = row.index(1)
-                if budget[j]:
-                    budget[j] -= 1
-                    continue
-            kept.append(row)
-        rows = kept
+        for s in c.sets:
+            left = k
+            for e in s:
+                if owners[e] == 1:
+                    rows[e] = None
+                    left -= 1
+                    if not left:
+                        break
+        rows = [row for row in rows if row is not None]
     rows.sort()
     values = canon_matrix(rows).values
     if k:

@@ -21,7 +21,7 @@ from splitkit.canon import (
     is_isomorphic,
     relabel_graph,
 )
-from splitkit.core import BipartitePoset, DomainError, Graph, SetCover, UsageError, XYGraph
+from splitkit.core import BipartitePoset, DomainError, Graph, SetCover, SizeLimitError, UsageError, XYGraph
 
 from oracles import all_graphs, canon_adjacency, naive_oracle
 
@@ -93,6 +93,20 @@ def test_matrix_idempotent_identity_witness():
         assert again.col_perm == tuple(range(c))
 
 
+def test_matrix_witness_replay_on_both_sides_of_the_packed_read_off():
+    # the canonical values are read off one packed integer up to 4,096 row
+    # bits and column by column beyond; both must replay the witness
+    rng = random.Random(4096)
+    for r, c in ((64, 64), (65, 64), (64, 65), (300, 14), (1, 4097), (4097, 1), (120, 40)):
+        m = [[int(rng.random() < 0.3) for _ in range(c)] for _ in range(r)]
+        mcf = canon_matrix(m)
+        assert mcf.values == tuple(sorted(mcf.values))
+        for i, value in enumerate(mcf.values):
+            row = m[mcf.row_perm[i]]
+            assert value == sum(row[j] << (c - 1 - k) for k, j in enumerate(mcf.col_perm))
+        assert sorted(mcf.row_perm) == list(range(r)) and sorted(mcf.col_perm) == list(range(c))
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -119,6 +133,19 @@ def test_graph_examples():
 
     star = graph(4, [(0, 1), (0, 2), (0, 3)])
     assert canon_graph(star).key != canon_graph(paw).key
+
+
+def test_relabel_graph_on_both_sides_of_the_packed_move():
+    # up to 64 vertices the rows move as fields of one integer, beyond that
+    # bit by bit; both agree with relabelling the edge list
+    rng = random.Random(64)
+    for n in list(range(12)) + [40, 63, 64, 65, 90]:
+        for _ in range(5):
+            g = graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+            order = list(range(n))
+            rng.shuffle(order)
+            position = {v: i for i, v in enumerate(order)}
+            assert relabel_graph(g, order) == relabel(g, position)
 
 
 def test_graph_witness_and_idempotence():
@@ -336,6 +363,15 @@ def test_the_identity_cover_of_2000_sets_is_keyed_within_a_second():
     elapsed = time.process_time() - start
     assert elapsed < 1.0, f"{elapsed:.2f} s"
     assert key == _make_key("cover", (m, m), [1 << j for j in range(m)], m)
+
+
+def test_a_key_dimension_above_the_limit_is_a_size_limit_error():
+    # 65,536 does not fit the two bytes a dimension takes; once this raised
+    # OverflowError, which the CLI reported with a traceback and exit 1
+    for dims in ((65536, 2), (2, 65536)):
+        with pytest.raises(SizeLimitError, match="65535"):
+            _make_key("split", dims, [1, 2], 2)
+    assert _make_key("xy", (65535, 1), [], 1).data[1:5] == bytes((255, 255, 0, 1))
 
 
 def test_nine_minimal_covers_of_a_four_set():

@@ -13,6 +13,7 @@ not and is in turn the reference for split-graph keys in
 import hashlib
 import itertools
 import random
+import time
 from functools import lru_cache
 
 from splitkit import canon
@@ -320,6 +321,28 @@ def test_stream_shaped_split_graphs_agree_with_the_prefix_frontier():
     rng = random.Random(2014)
     for _ in range(40):
         _check_graph(stream_split_graph(rng, rng.randrange(9, 12)))
+
+
+def test_key_packing_agrees_with_the_reference_bytes():
+    # rows packed eight at a time past 64 rows must give the bytes of
+    # packing every bit in order; zero rows and zero-row keys included
+    rng = random.Random(70)
+    for width in range(1, 71):
+        for count in (0, 1, 7, 8, 9, 63, 64, 65, 130):
+            rows = [rng.getrandbits(width) if rng.random() < 0.7 else 0 for _ in range(count)]
+            bits = [row >> (width - 1 - j) & 1 for row in rows for j in range(width)]
+            assert canon._make_key("xy", (count, width), rows, width).data == ref_key_bytes(b"x", (count, width), bits)
+
+
+def test_the_8000_row_identity_packs_within_a_second():
+    # one integer shifted once per row took 32 s here
+    m = 8000
+    rows = [1 << (m - 1 - i) for i in range(m)]
+    start = time.process_time()
+    key = canon._make_key("cover", (m, m), rows, m)
+    assert time.process_time() - start < 1.0
+    assert len(key.data) == 1 + 4 + m * m // 8
+    assert key.data[5:5 + m // 8] == bytes([128]) + bytes(m // 8 - 1)
 
 
 # ---------------------------------------------------------------------------
