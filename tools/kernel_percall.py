@@ -31,14 +31,14 @@ With ``--against DIR`` it also loads the package of the checkout at DIR
 process) and times the two sides on the same inputs in ``PAIRS``
 interleaved pairs of sweeps, the side that runs first alternating; the
 recorded objects are rebuilt as the other package's classes from their
-fields.  For each set it prints the median over the pairs of this side's
-time over the other's, and in how many pairs this side was faster.  Host
-drift moves both sides of a pair alike, so a per-call claim should rest on
-these ratios rather than on two separate runs.  Both sides run on the
-inputs this checkout records, so the ratio sees only a change in how the
-inputs are keyed: a change in *what* is keyed, such as fewer or smaller
-inputs from a caller, leaves it near 1.00 and shows in the input counts
-and per-call times of each checkout run on its own.
+fields.  For each set it prints the median and the largest over the pairs
+of this side's time over the other's, and in how many pairs this side was
+faster.  Host drift moves both sides of a pair alike, so a per-call claim
+should rest on these ratios rather than on two separate runs.  Both sides
+run on the inputs this checkout records, so the ratio sees only a change
+in how the inputs are keyed: a change in *what* is keyed, such as fewer or
+smaller inputs from a caller, leaves it near 1.00 and shows in the input
+counts and per-call times of each checkout run on its own.
 
     python tools/kernel_percall.py [--against DIR]
 """
@@ -166,9 +166,9 @@ def rebuilt(package, calls) -> list:
             for command in calls]
 
 
-def interleaved(ours, theirs) -> tuple[float, int]:
-    """(median over the pairs of the time of ``ours`` over ``theirs``,
-    pairs in which ``ours`` was faster)."""
+def interleaved(ours, theirs) -> tuple[float, float, int]:
+    """(median and largest over the pairs of the time of ``ours`` over
+    ``theirs``, pairs in which ``ours`` was faster)."""
     ratios = []
     for i in range(PAIRS):
         if i % 2:
@@ -176,7 +176,7 @@ def interleaved(ours, theirs) -> tuple[float, int]:
         else:
             a, b = ours(), theirs()
         ratios.append(a / b)
-    return statistics.median(ratios), sum(r < 1 for r in ratios)
+    return statistics.median(ratios), max(ratios), sum(r < 1 for r in ratios)
 
 
 def main(argv=None) -> int:
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     other = load_package(args.against) if args.against else None
     this = sys.modules["splitkit"]
     kernel = canon._canon_rows.__wrapped__
-    compared = "  ratio  won" if other else ""
+    compared = "  ratio  worst  won" if other else ""
     try:
         recorded = {name: record(commands) for name, commands in SETS.items()}
         print("kernel   inputs   raw us  scaled us" + compared)
@@ -195,8 +195,8 @@ def main(argv=None) -> int:
             line = f"{name:<8} {len(inputs):>6}  {raw:7.1f}  {scaled:9.1f}"
             if other:
                 theirs = other.canon._canon_rows.__wrapped__
-                ratio, won = interleaved(lambda: _sweep(kernel, inputs), lambda: _sweep(theirs, inputs))
-                line += f"  {ratio:5.3f}  {won:>2}/{PAIRS}"
+                ratio, worst, won = interleaved(lambda: _sweep(kernel, inputs), lambda: _sweep(theirs, inputs))
+                line += f"  {ratio:5.3f}  {worst:5.3f}  {won:>2}/{PAIRS}"
             print(line, flush=True)
         print("keying  objects   raw us  scaled us" + compared)
         for name, (_, calls) in recorded.items():
@@ -205,8 +205,8 @@ def main(argv=None) -> int:
             line = f"{name:<8} {count:>6}  {raw:7.1f}  {scaled:9.1f}"
             if other:
                 others = rebuilt(other, calls)
-                ratio, won = interleaved(lambda: _keying_sweep(this, calls), lambda: _keying_sweep(other, others))
-                line += f"  {ratio:5.3f}  {won:>2}/{PAIRS}"
+                ratio, worst, won = interleaved(lambda: _keying_sweep(this, calls), lambda: _keying_sweep(other, others))
+                line += f"  {ratio:5.3f}  {worst:5.3f}  {won:>2}/{PAIRS}"
             print(line, flush=True)
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); exit quietly
