@@ -270,10 +270,10 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
                 if len(cand) == 1:
                     low = low << cell.bit_count() | (1 << (masks[cand[0]] & cell).bit_count()) - 1
                     continue
-                least = None
+                least = c + 1
                 for g in cand:
                     k = (masks[g] & cell).bit_count()
-                    if least is None or k < least:
+                    if k < least:
                         least, kept = k, [g]
                     elif k == least:
                         kept.append(g)
@@ -339,10 +339,10 @@ def _lone_steps(state, c, masks, copies):
         for cell in cells:
             if len(cand) == 1:
                 break
-            least = None
+            least = c + 1
             for g in cand:
                 k = (masks[g] & cell).bit_count()
-                if least is None or k < least:
+                if k < least:
                     least, kept = k, [g]
                 elif k == least:
                     kept.append(g)
