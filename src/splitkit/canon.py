@@ -233,6 +233,16 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     moves, cells = _lone_steps(start, c, masks, copies)
     if moves is None:
         return _form(rows, c, masks, cells)
+    # Several states: col_rows[j] holds the groups that are 1 in column j,
+    # which tells cheaply whether a cell is split and which rows cover it.
+    col_rows = [0] * c
+    bit = 1
+    for mask in masks:
+        while mask:
+            low = mask & -mask
+            col_rows[low.bit_length() - 1] |= bit
+            mask ^= low
+        bit <<= 1
     fixed = None  # the least state with a fixed future, or None
     while True:
         grown = []
@@ -251,7 +261,7 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
                         kept.append(g)
                 left = tuple(kept)
             grown.append((placed + tuple(gs), tuple(split), left, left_mask))
-        open_states, fixed = _settle(grown, fixed, masks, copies)
+        open_states, fixed = _settle(grown, fixed, masks, col_rows, copies)
         if not open_states:
             break
         if fixed is None and len(open_states) == 1:
@@ -358,6 +368,8 @@ def _lone_steps(state, c, masks, copies):
         g = cand[0]
         if masks[g].bit_count() != 1:
             if len(cand) > 1:
+                cand = _unswapped(cand, cells, left, masks)
+            if len(cand) > 1:
                 state = (tuple(placed), tuple(cells), tuple(left), left_mask)
                 moves = []
                 for g in cand:
@@ -381,6 +393,39 @@ def _lone_steps(state, c, masks, copies):
     if len(left) == 1:
         cells = _split_cells(cells, masks[left[0]])
     return None, cells
+
+
+def _unswapped(cand, cells, left, masks):
+    """The tied rows ``cand`` of a state less each that a swap of two
+    columns of one cell maps to an earlier one while fixing every other
+    remaining row.
+
+    Such a swap is an automorphism of the state: it keeps its cells, its
+    placed rows (unions of cells) and its other rows.  So the search after
+    the later row is the image of the search after the earlier one, with
+    the same bits, and each of its orders has the later row where the
+    other has the earlier: it can hold no least result, and is not made.
+    """
+    kept = [cand[0]]
+    for b in cand[1:]:
+        for a in kept:
+            swap = masks[a] ^ masks[b]
+            if swap.bit_count() != 2:
+                continue
+            for cell in cells:
+                if cell & swap:
+                    break
+            if cell & swap != swap:
+                continue  # the two columns lie in two cells
+            for h in left:
+                part = masks[h] & swap
+                if part and part != swap and h != a and h != b:
+                    break  # the swap moves another row
+            else:
+                break  # b is the image of a
+        else:
+            kept.append(b)
+    return kept
 
 
 def _form(rows, c, masks, cells) -> MatrixCanonForm:
@@ -482,7 +527,7 @@ def _unit_run(tied, masks):
     return moves, least
 
 
-def _settle(states, fixed, masks, copies):
+def _settle(states, fixed, masks, col_rows, copies):
     """Merge equivalent open states and set aside those with a fixed future.
 
     Open states with the same remaining rows and the same cell signature
@@ -491,14 +536,14 @@ def _settle(states, fixed, masks, copies):
     remaining rows in ascending order, and only the least such state is
     kept, as (future (reading, group) pairs, full group order, cells); the
     last state of a search is kept without its future, which nothing reads.
-    A state whose remaining rows no other state has merges with nothing,
-    so it is only asked whether some remaining row splits a cell.  The
-    open states come out in no particular order: which of them stay open,
-    and which fixed state is kept, does not depend on it.
+    The cell signature is built only for open states that share their
+    remaining rows with another; the others merge with nothing.  The open
+    states come out in no particular order: which of them stay open, and
+    which fixed state is kept, does not depend on it.
     """
     if len(states) == 1:
         placed, cells, _, left_mask = states[0]
-        if _splits(cells, masks, left_mask):
+        if _splits(cells, col_rows, left_mask):
             return states, fixed
         if fixed is None:
             return [], (None, placed, cells)
@@ -508,19 +553,15 @@ def _settle(states, fixed, masks, copies):
         shared[state[3]] = state[3] in shared
     merged: dict = {}
     for state in states:
-        placed, cells, left, left_mask = state
-        if not shared[left_mask]:
-            if _splits(cells, masks, left_mask):
-                merged[left_mask] = state
-            else:
-                fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
-            continue
-        if not _splits(cells, masks, left_mask):
+        placed, cells, _, left_mask = state
+        if not _splits(cells, col_rows, left_mask):
             fixed = _least_fixed(fixed, placed, cells, masks, left_mask, copies)
-            continue
-        key = (left_mask, _cell_signature(cells, masks, left))
-        if key not in merged or placed < merged[key][0]:
-            merged[key] = state
+        elif not shared[left_mask]:
+            merged[left_mask] = state
+        else:
+            key = (left_mask, _cell_signature(cells, col_rows, left_mask))
+            if key not in merged or placed < merged[key][0]:
+                merged[key] = state
     return list(merged.values()), fixed
 
 
@@ -543,17 +584,20 @@ def _least_fixed(fixed, placed, cells, masks, left, copies):
     return fixed
 
 
-def _splits(cells: Sequence[int], masks: Sequence[int], left: int) -> bool:
-    """Whether some remaining row of ``left`` (a mask of groups) splits one
-    of ``cells``."""
-    while left:
-        low = left & -left
-        left ^= low
-        mask = masks[low.bit_length() - 1]
-        for cell in cells:
-            ones = mask & cell
-            if ones and ones != cell:
-                return True
+def _splits(cells: Sequence[int], col_rows: Sequence[int], left: int) -> bool:
+    """Whether some remaining row of ``left`` splits one of ``cells``."""
+    if not left:
+        return False
+    for cell in cells:
+        if cell & (cell - 1):
+            low = cell & -cell
+            ones = col_rows[low.bit_length() - 1] & left
+            cell ^= low
+            while cell:
+                low = cell & -cell
+                if col_rows[low.bit_length() - 1] & left != ones:
+                    return True
+                cell ^= low
     return False
 
 
@@ -565,9 +609,8 @@ def _future_rank(future, order, copies):
     return values, order
 
 
-def _cell_signature(cells: Sequence[int], masks: Sequence[int], left: Sequence[int]) -> tuple:
-    """What the remaining rows ``left`` (groups) can still tell apart in
-    ``cells``.
+def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int) -> tuple:
+    """What the remaining rows ``left`` can still tell apart in ``cells``.
 
     A cell that some remaining row splits counts as its exact column set.
     A cell no remaining row splits counts only through its size and the
@@ -575,16 +618,15 @@ def _cell_signature(cells: Sequence[int], masks: Sequence[int], left: Sequence[i
     """
     key = []
     for cell in cells:
-        ones = 0
-        for g in left:
-            part = masks[g] & cell
-            if part:
-                if part != cell:
-                    key.append(cell)
-                    break
-                ones |= 1 << g
-        else:
-            key.append((cell.bit_count(), ones))
+        low = cell & -cell
+        ones = col_rows[low.bit_length() - 1] & left
+        rest = cell ^ low
+        while rest:
+            low = rest & -rest
+            if col_rows[low.bit_length() - 1] & left != ones:
+                break
+            rest ^= low
+        key.append(cell if rest else (cell.bit_count(), ones))
     return tuple(key)
 
 
@@ -816,20 +858,26 @@ def canonical_object(obj):
     """Relabel an object to its canonical form; returns (object, key).
 
     Matrix classes read the canonical matrix back from the bits of their
-    key, so each incidence matrix is built and canonicalized once.
+    key, so each incidence matrix is built and canonicalized once.  The
+    sets of a cover read back that way are sorted tuples of distinct
+    elements already, so only their order is normalized (5.2 against 8.6
+    us per stream cover through ``SetCover``'s constructor).
     """
     if isinstance(obj, Graph):
         gc = canon_graph(obj)
         return relabel_graph(obj, gc.order), gc.key
     key = canon_key(obj)
     if isinstance(obj, XYGraph):
-        return XYGraph(obj.nx, obj.ny, frozenset(_canonical_ones(key, obj.ny))), key
+        return XYGraph(obj.nx, obj.ny, _canonical_ones(key, obj.ny)), key
     if isinstance(obj, SetCover):
         sets: list[list[int]] = [[] for _ in obj.sets]
         for e, j in _canonical_ones(key, len(obj.sets)):
             sets[j].append(e)
-        return SetCover(obj.n, tuple(map(tuple, sets))), key
-    return BipartitePoset(obj.n0, obj.n1, frozenset(_canonical_ones(key, obj.n1))), key
+        cover = SetCover.__new__(SetCover)
+        _set(cover, "n", obj.n)
+        _set(cover, "sets", tuple(sorted(map(tuple, sets))))
+        return cover, key
+    return BipartitePoset(obj.n0, obj.n1, _canonical_ones(key, obj.n1)), key
 
 
 def is_isomorphic(a, b) -> bool:
