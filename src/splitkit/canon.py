@@ -368,7 +368,7 @@ def _lone_steps(state, c, masks, copies):
         g = cand[0]
         if masks[g].bit_count() != 1:
             if len(cand) > 1:
-                cand = _unswapped(cand, cells, left, masks)
+                cand = _unswapped(cand, cells, left, masks, copies)
             if len(cand) > 1:
                 state = (tuple(placed), tuple(cells), tuple(left), left_mask)
                 moves = []
@@ -395,32 +395,42 @@ def _lone_steps(state, c, masks, copies):
     return None, cells
 
 
-def _unswapped(cand, cells, left, masks):
-    """The tied rows ``cand`` of a state less each that a swap of two
-    columns of one cell maps to an earlier one while fixing every other
-    remaining row.
+def _unswapped(cand, cells, left, masks, copies):
+    """The tied rows ``cand`` of a lone state less each that an
+    automorphism of the state maps to an earlier one.
 
-    Such a swap is an automorphism of the state: it keeps its cells, its
-    placed rows (unions of cells) and its other rows.  So the search after
-    the later row is the image of the search after the earlier one, with
-    the same bits, and each of its orders has the later row where the
-    other has the earlier: it can hold no least result, and is not made.
+    The automorphism tried for rows a and b swaps the columns of a not in b
+    with those of b not in a, paired in ascending order inside each cell
+    (tied rows have as many ones in every cell).  It keeps the cells and
+    the placed rows, which are unions of cells, and it maps a to b; it is
+    an automorphism when it maps every remaining row to one with as many
+    copies.  Then the search after b is the image of the search after a,
+    with the same bits, and each of its orders has b where the other has
+    the earlier a: it can hold no least result, and is not made.
     """
+    remaining = {}
+    for h in left:
+        remaining[masks[h]] = copies[h]
     kept = [cand[0]]
     for b in cand[1:]:
         for a in kept:
-            swap = masks[a] ^ masks[b]
-            if swap.bit_count() != 2:
-                continue
+            swaps = []
             for cell in cells:
-                if cell & swap:
-                    break
-            if cell & swap != swap:
-                continue  # the two columns lie in two cells
+                xs = masks[a] & ~masks[b] & cell
+                ys = masks[b] & ~masks[a] & cell
+                while xs:
+                    x = xs & -xs
+                    y = ys & -ys
+                    swaps.append(x | y)
+                    xs ^= x
+                    ys ^= y
             for h in left:
-                part = masks[h] & swap
-                if part and part != swap and h != a and h != b:
-                    break  # the swap moves another row
+                image = masks[h]
+                for swap in swaps:
+                    if image & swap and image & swap != swap:
+                        image ^= swap
+                if remaining.get(image) != copies[h]:
+                    break  # not an automorphism
             else:
                 break  # b is the image of a
         else:
