@@ -18,24 +18,33 @@ rows that the rows of several ones can still tell apart, and the placed
 unit rows share one cell of their columns, so neither their orders nor
 their other subsets branch.  Every minimal cover has such rows, one per
 loyal element, and ``canon_cover`` takes their identity blocks out before
-the search.  Nothing is pruned by size or by an invariant, so the result
-is the objective itself.  Tied states can still multiply on highly
-symmetric inputs without unit rows: apart from interchangeable unit rows,
-automorphisms are not pruned.
+the search.  While the search holds a single state, the state is updated
+in place, and of its tied rows it places only those that no automorphism
+of the state maps to an earlier one: the automorphism tried swaps, inside
+the cells, the columns where two tied rows differ, and must map every
+remaining row to one with as many copies.  The search after a row left
+out is the image of the search after the earlier one, with the same bits
+and a later order, so nothing that could be the result is dropped.
+Nothing is pruned by size or by an invariant, so the result is the
+objective itself.  Tied states can still multiply on symmetric inputs
+whose automorphisms these swaps miss, and once several states are open,
+automorphisms other than interchangeable unit rows are not pruned.
 
 Single-threaded, measured with Python 3.11 on a 2-core Intel Xeon host,
-uncached: 0.08 / 0.15 ms for random 7x7 / 12x11 matrices; 0.05 ms for
-the 9- to 11-vertex split graphs of the stream benchmark and 0.30 /
-0.62 ms for random split graphs on 40 / 62 vertices; 0.17-0.22 ms for
-the incidence of a 7-set cover on 10 elements whose loyal elements tie,
-and 0.10 ms for that cover's key, which searches only its three rows of
-several ones; 0.04-0.15 ms for k x k identities and 0.05-0.19 ms for
-the incidence of k disjoint pairs (k = 16 to 64), and 0.07 / 0.14 ms for
-the thin spiders on 20 and 40 vertices (K_k with a pendant vertex on each
-clique vertex, whose S-max incidence is the identity).  Matrices without
-unit rows: 25 ms / 0.16 s for the 10x10 / 12x12 co-identity, 0.59 s for
-the 35x7 incidence of the 3-subsets of a 7-set and 3.1 s for the 28x8
-incidence of K8.
+uncached: 0.07 / 0.09 ms for random 7x7 / 12x11 matrices; 0.04 ms for
+the 9- to 11-vertex split graphs of the stream benchmark and 0.17 /
+0.31 ms for random split graphs on 40 / 62 vertices; 0.17 ms for the
+incidence of a 7-set cover on 10 elements whose loyal elements tie, and
+0.03 ms for that cover's key, which searches only its three rows of
+several ones; 0.06-0.26 ms for k x k identities and 0.08-0.41 ms for the
+incidence of k disjoint pairs (k = 16 to 64, most of it reading the
+lists), and 0.04 / 0.05 ms for the thin spiders on 20 and 40 vertices
+(K_k with a pendant vertex on each clique vertex, whose S-max incidence
+is the identity).  Matrices without unit rows: 0.16 / 0.25 ms for the
+10x10 / 12x12 co-identity, 0.44 ms for the 35x7 incidence of the
+3-subsets of a 7-set and 0.36 ms for the 28x8 incidence of K8, whose
+tied rows the swaps match (21 ms, 0.14 s, 0.53 s and 3.3 s when every
+tied row was searched).
 
 The row and column groups of the kernel act independently, which is
 exactly what keeps X distinguished, keeps a cover's elements and sets
@@ -186,19 +195,20 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     kept, except that states with the same remaining rows whose cells
     agree on everything the remaining rows can still see are merged.  A
     state whose remaining rows split no cell has a fixed future, and only
-    the least such state is kept.  Among equal results the witness sorts the rows for its
+    the least such state is kept.  A lone state is not asked for one: it
+    places its rows in place, and leaves out tied rows that a swap of
+    columns inside its cells maps onto earlier ones (see the module
+    docstring).  Among equal results the witness sorts the rows for its
     column order, so the witness of a canonical matrix is the identity.
 
-    About 0.038 / 0.040 ms per uncached call on the stream's matrices with
-    / without unit rows (0.058 / 0.037 ms when covers were searched with
-    their identity blocks), 2.1-2.5 us on a cache hit on the stream's XY
-    matrices (``tools/kernel_percall.py`` gives 0.020-0.022 / 0.018-0.021 /
-    0.029-0.043 ms per uncached call on the census, certify and stream
-    inputs, scaled to the benchmark's reference speed);
-    0.15 / 0.19 ms for the 64x64 identity and the 128x64 incidence of 64
-    disjoint pairs.  Symmetric inputs without unit rows keep more tied
-    states (25 ms for the 10x10 co-identity, 0.59 s for the 35x7
-    incidence of the 3-subsets of a 7-set).
+    ``tools/kernel_percall.py`` gives 0.011-0.014 / 0.013 / 0.025-0.029 ms
+    per uncached call on the census, certify and stream inputs, scaled to
+    the benchmark's reference speed (0.020-0.022 / 0.018-0.021 /
+    0.029-0.043 ms before lone states were placed in place and tied rows
+    matched by swaps); 0.26 / 0.41 ms for the 64x64 identity and the
+    128x64 incidence of 64 disjoint pairs, most of it reading the lists.
+    Symmetric inputs whose automorphisms no swap of two tied rows finds
+    keep more tied states.
     """
     rows = []
     for row in matrix:
@@ -674,10 +684,14 @@ def canon_graph(g: Graph) -> GraphCanon:
     not split raises ``DomainError`` from the degree test, before any
     search.
 
-    The cost is that of the matrix kernel on an |S| x |K| matrix: about
-    0.05 ms for 9- to 11-vertex split graphs, 0.30 / 0.62 ms for random
-    split graphs on 40 / 62 vertices, and 0.07 / 0.14 ms for the thin
-    spider (a k x k identity) on 20 / 40 vertices.
+    The incidence goes to the kernel as row masks read straight off the
+    adjacency.  The cost is that of the matrix kernel on an |S| x |K|
+    matrix: about 0.04 ms for 9- to 11-vertex split graphs, 0.17 / 0.31 ms
+    for random split graphs on 40 / 62 vertices, and 0.04 / 0.05 ms for
+    the thin spider (a k x k identity) on 20 / 40 vertices.  With the
+    search cached, a stream graph's key costs about 11 us, and its
+    canonical graph with the key 16 us (15 and 23 us when the incidence
+    was built as lists and the graph relabelled bit by bit).
     """
     s_side, k_side = s_max_sides(g)
     column = [0] * g.n  # column[v]: the bit of K-vertex v in a row mask
