@@ -69,6 +69,7 @@ from .core import (
     UsageError,
     Value,
     XYGraph,
+    _bits,
     _set,
     class_tag_of,
 )
@@ -205,8 +206,9 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     per uncached call on the census, certify and stream inputs, scaled to
     the benchmark's reference speed (0.020-0.022 / 0.018-0.021 /
     0.029-0.043 ms before lone states were placed in place and tied rows
-    matched by swaps); 0.26 / 0.41 ms for the 64x64 identity and the
-    128x64 incidence of 64 disjoint pairs, most of it reading the lists.
+    matched by swaps); 0.20 / 0.32 ms for the 64x64 identity and the
+    128x64 incidence of 64 disjoint pairs, of which the search on their
+    row masks takes 0.08 ms and reading the lists the rest.
     Symmetric inputs whose automorphisms no swap of two tied rows finds
     keep more tied states.
     """
@@ -246,13 +248,11 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     # Several states: col_rows[j] holds the groups that are 1 in column j,
     # which tells cheaply whether a cell is split and which rows cover it.
     col_rows = [0] * c
-    bit = 1
-    for mask in masks:
+    for g, mask in enumerate(masks):
         while mask:
             low = mask & -mask
-            col_rows[low.bit_length() - 1] |= bit
+            col_rows[low.bit_length() - 1] |= 1 << g
             mask ^= low
-        bit <<= 1
     fixed = None  # the least state with a fixed future, or None
     while True:
         grown = []
@@ -265,11 +265,7 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
             else:
                 for g in gs:
                     left_mask ^= 1 << g
-                kept = []
-                for g in left:
-                    if left_mask >> g & 1:
-                        kept.append(g)
-                left = tuple(kept)
+                left = tuple(g for g in left if left_mask >> g & 1)
             grown.append((placed + tuple(gs), tuple(split), left, left_mask))
         open_states, fixed = _settle(grown, fixed, masks, col_rows, copies)
         if not open_states:
@@ -287,13 +283,10 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
             # fewest ones in the first cell, then in the second, ...
             low = 0
             for cell in cells:
-                if len(cand) == 1:
-                    low = low << cell.bit_count() | (1 << (masks[cand[0]] & cell).bit_count()) - 1
-                    continue
-                least = c + 1
+                least = None
                 for g in cand:
                     k = (masks[g] & cell).bit_count()
-                    if k < least:
+                    if least is None or k < least:
                         least, kept = k, [g]
                     elif k == least:
                         kept.append(g)
@@ -527,6 +520,8 @@ def _unit_run(tied, masks):
                 if least is None or fit.bit_count() < least:
                     least = fit.bit_count()
         sites.append((state, cand, units, fits))
+    # plain loops: a comprehension costs a call of its own in Python 3.11,
+    # and this runs at every unit step, lone states' included
     moves = []
     if least is None:
         widest = 0
@@ -590,10 +585,7 @@ def _least_fixed(fixed, placed, cells, masks, left, copies):
     rows ``left`` split no cell; its future is the (reading, group) pairs of
     those rows in ascending order."""
     future = []
-    while left:
-        low = left & -left
-        left ^= low
-        g = low.bit_length() - 1
+    for g in _bits(left):
         future.append((_reading(masks[g], cells), g))
     future.sort()
     order = placed
@@ -623,10 +615,7 @@ def _splits(cells: Sequence[int], col_rows: Sequence[int], left: int) -> bool:
 
 def _future_rank(future, order, copies):
     """Fixed futures compare by their rows, then by the witness row order."""
-    values = []
-    for value, g in future:
-        values += [value] * copies[g]
-    return values, order
+    return [value for value, g in future for _ in range(copies[g])], order
 
 
 def _cell_signature(cells: Sequence[int], col_rows: Sequence[int], left: int) -> tuple:
@@ -754,32 +743,23 @@ def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
 # per-class keys and canonical representatives
 
 
-def _zeros(rows: int, cols: int) -> list[list[int]]:
-    m = []
-    for _ in range(rows):
-        m.append([0] * cols)
-    return m
-
-
 def xy_matrix(g: XYGraph) -> list[list[int]]:
-    m = _zeros(g.nx, g.ny)
+    m = [[0] * g.ny for _ in range(g.nx)]
     for x, y in g.edges:
         m[x][y] = 1
     return m
 
 
 def cover_matrix(c: SetCover) -> list[list[int]]:
-    m = _zeros(c.n, len(c.sets))
-    j = 0
-    for s in c.sets:
+    m = [[0] * len(c.sets) for _ in range(c.n)]
+    for j, s in enumerate(c.sets):
         for e in s:
             m[e][j] = 1
-        j += 1
     return m
 
 
 def poset_matrix(p: BipartitePoset) -> list[list[int]]:
-    m = _zeros(p.n0, p.n1)
+    m = [[0] * p.n1 for _ in range(p.n0)]
     for a, b in p.below:
         m[a][b] = 1
     return m
