@@ -864,8 +864,9 @@ def canonical_object(obj):
     Matrix classes read the canonical matrix back from the bits of their
     key, so each incidence matrix is built and canonicalized once.  The
     sets of a cover read back that way are sorted tuples of distinct
-    elements already, so only their order is normalized (5.2 against 8.6
-    us per stream cover through ``SetCover``'s constructor).
+    elements already, so only their order is normalized: decoding and
+    building take 5.2 us per stream cover, 8.6 us through ``SetCover``'s
+    constructor.
     """
     if isinstance(obj, Graph):
         gc = canon_graph(obj)
