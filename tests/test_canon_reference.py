@@ -335,7 +335,7 @@ def test_key_packing_agrees_with_the_reference_bytes():
 
 
 def test_the_8000_row_identity_packs_within_a_second():
-    # one integer shifted once per row took 32 s here
+    # shifting one growing integer once per row took 32 s
     m = 8000
     rows = [1 << (m - 1 - i) for i in range(m)]
     start = time.process_time()
@@ -423,4 +423,3 @@ def test_canonical_objects_are_pinned():
     for _ in range(1000):
         pin(stream_split_graph(rng, rng.randrange(9, 12)))
     assert digest.hexdigest() == "81fe059d47c1514cf4495e2eab237c3d9393d5fb6bb683d0a6428818ec962e6a"
-
