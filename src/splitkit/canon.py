@@ -19,12 +19,12 @@ unit rows share one cell of their columns, so neither their orders nor
 their other subsets branch.  Every minimal cover has such rows, one per
 loyal element, and ``canon_cover`` takes their identity blocks out before
 the search.  While the search holds a single state, the state is updated
-in place, and of its tied rows it places only those that no automorphism
-of the state maps to an earlier one: the automorphism tried swaps, inside
-the cells, the columns where two tied rows differ, and must map every
-remaining row to one with as many copies.  The search after a row left
-out is the image of the search after the earlier one, with the same bits
-and a later order, so nothing that could be the result is dropped.
+in place, and of its tied rows it places only the first and those that no
+automorphism of the state maps from the first: the automorphism tried
+swaps, inside the cells, the columns where the two rows differ, and must
+map every remaining row to one with as many copies.  The search after a
+row left out is the image of the search after the first, with the same
+bits and a later order, so nothing that could be the result is dropped.
 Nothing is pruned by size or by an invariant, so the result is the
 objective itself.  Tied states can still multiply on symmetric inputs
 whose automorphisms these swaps miss, and once several states are open,
@@ -40,9 +40,9 @@ several ones; 0.06-0.26 ms for k x k identities and 0.08-0.41 ms for the
 incidence of k disjoint pairs (k = 16 to 64, most of it reading the
 lists), and 0.04 / 0.05 ms for the thin spiders on 20 and 40 vertices
 (K_k with a pendant vertex on each clique vertex, whose S-max incidence
-is the identity).  Matrices without unit rows: 0.16 / 0.25 ms for the
-10x10 / 12x12 co-identity, 0.44 ms for the 35x7 incidence of the
-3-subsets of a 7-set and 0.36 ms for the 28x8 incidence of K8, whose
+is the identity).  Matrices without unit rows: 0.17 / 0.37 ms for the
+10x10 / 12x12 co-identity, 0.43 ms for the 35x7 incidence of the
+3-subsets of a 7-set and 0.50 ms for the 28x8 incidence of K8, whose
 tied rows the swaps match (21 ms, 0.14 s, 0.53 s and 3.3 s when every
 tied row was searched).
 
@@ -198,7 +198,7 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     state whose remaining rows split no cell has a fixed future, and only
     the least such state is kept.  A lone state is not asked for one: it
     places its rows in place, and leaves out tied rows that a swap of
-    columns inside its cells maps onto earlier ones (see the module
+    columns inside its cells maps from the first (see the module
     docstring).  Among equal results the witness sorts the rows for its
     column order, so the witness of a canonical matrix is the identity.
 
@@ -400,44 +400,43 @@ def _lone_steps(state, c, masks, copies):
 
 def _unswapped(cand, cells, left, masks, copies):
     """The tied rows ``cand`` of a lone state less each that an
-    automorphism of the state maps to an earlier one.
+    automorphism of the state maps from the first.
 
-    The automorphism tried for rows a and b swaps the columns of a not in b
-    with those of b not in a, paired in ascending order inside each cell
-    (tied rows have as many ones in every cell).  It keeps the cells and
-    the placed rows, which are unions of cells, and it maps a to b; it is
-    an automorphism when it maps every remaining row to one with as many
-    copies.  Then the search after b is the image of the search after a,
-    with the same bits, and each of its orders has b where the other has
-    the earlier a: it can hold no least result, and is not made.
+    The automorphism tried for the first row a and a later row b swaps the
+    columns of a not in b with those of b not in a, paired in ascending
+    order inside each cell (tied rows have as many ones in every cell).  It
+    keeps the cells and the placed rows, which are unions of cells, and it
+    maps a to b; it is an automorphism when it maps every remaining row to
+    one with as many copies.  Then the search after b is the image of the
+    search after a, with the same bits, and each of its orders has b where
+    the other has the earlier a: it can hold no least result, and is not
+    made.  Only the first row is tried, so that this costs one pass over
+    the remaining rows per tied row.
     """
     remaining = {}
     for h in left:
         remaining[masks[h]] = copies[h]
-    kept = [cand[0]]
+    a = cand[0]
+    kept = [a]
     for b in cand[1:]:
-        for a in kept:
-            swaps = []
-            for cell in cells:
-                xs = masks[a] & ~masks[b] & cell
-                ys = masks[b] & ~masks[a] & cell
-                while xs:
-                    x = xs & -xs
-                    y = ys & -ys
-                    swaps.append(x | y)
-                    xs ^= x
-                    ys ^= y
-            for h in left:
-                image = masks[h]
-                for swap in swaps:
-                    if image & swap and image & swap != swap:
-                        image ^= swap
-                if remaining.get(image) != copies[h]:
-                    break  # not an automorphism
-            else:
-                break  # b is the image of a
-        else:
-            kept.append(b)
+        swaps = []
+        for cell in cells:
+            xs = masks[a] & ~masks[b] & cell
+            ys = masks[b] & ~masks[a] & cell
+            while xs:
+                x = xs & -xs
+                y = ys & -ys
+                swaps.append(x | y)
+                xs ^= x
+                ys ^= y
+        for h in left:
+            image = masks[h]
+            for swap in swaps:
+                if image & swap and image & swap != swap:
+                    image ^= swap
+            if remaining.get(image) != copies[h]:
+                kept.append(b)  # not an automorphism
+                break
     return kept
 
 
