@@ -202,15 +202,15 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     docstring).  Among equal results the witness sorts the rows for its
     column order, so the witness of a canonical matrix is the identity.
 
-    ``tools/kernel_percall.py`` gives 0.011-0.014 / 0.013 / 0.025-0.029 ms
-    per uncached call on the census, certify and stream inputs, scaled to
-    the benchmark's reference speed (0.020-0.022 / 0.018-0.021 /
-    0.029-0.043 ms before lone states were placed in place and tied rows
-    matched by swaps); 0.20 / 0.32 ms for the 64x64 identity and the
-    128x64 incidence of 64 disjoint pairs, of which the search on their
-    row masks takes 0.08 ms and reading the lists the rest.
-    Symmetric inputs whose automorphisms no swap of two tied rows finds
-    keep more tied states.
+    ``tools/kernel_percall.py --against`` puts an uncached call at 0.56-0.58
+    / 0.56 / 0.67 of the cost it had before lone states were placed in
+    place and tied rows matched by swaps, on the census, certify and stream
+    inputs (0.010-0.014 / 0.013 / 0.028-0.030 ms scaled to the benchmark's
+    reference speed, a scale that drifts between runs); 0.20 / 0.32 ms for
+    the 64x64 identity and the 128x64 incidence of 64 disjoint pairs, of
+    which the search on their row masks takes 0.08 ms and reading the
+    lists the rest.  Symmetric inputs whose automorphisms no swap from the
+    first tied row finds keep more tied states.
     """
     rows = []
     for row in matrix:
