@@ -84,17 +84,19 @@ def _make_key(kind: str, dims: tuple[int, int], rows: Sequence[int], width: int)
     bits each, the most significant first) packed row-major and padded with
     zero bits.
 
-    Up to 64 rows are packed as one integer.  Beyond that, eight rows at a
-    time: eight rows fill ``width`` whole bytes, so the packing stays linear
-    in the key's bits, where one integer shifted per row was quadratic (32 s
-    for the rows of the 8,000 x 8,000 identity).  A dimension above
-    ``MAX_KEY_DIM`` raises ``SizeLimitError``.
+    Shifting one integer per row is quadratic in the key's bits (32 s for
+    the rows of the 8,000 x 8,000 identity), but it is the quicker way up to
+    about 4,096 bits: 0.45 against 1.0 us for a 5 x 5 key and 6.2 against
+    8.6 us for 64 x 30, while 512 x 8 takes 123 us either way and 256 x 30
+    takes 53 against 33 us.  Beyond 4,096 bits the rows are packed eight at
+    a time, which fill ``width`` whole bytes, so the packing stays linear.
+    A dimension above ``MAX_KEY_DIM`` raises ``SizeLimitError``.
     """
     row_count, col_count = dims
     if row_count > MAX_KEY_DIM or col_count > MAX_KEY_DIM:
         raise SizeLimitError(f"a key encodes sizes of at most {MAX_KEY_DIM}; got {row_count} x {col_count}")
     head = _TAG_BYTES[kind] + (row_count << 8 * KEY_DIM_BYTES | col_count).to_bytes(2 * KEY_DIM_BYTES, "big")
-    if len(rows) <= 64:
+    if len(rows) * width <= 4096:
         return CanonicalKey(kind, head + _packed(rows, width))
     return CanonicalKey(kind, head + b"".join(_packed(rows[i : i + 8], width) for i in range(0, len(rows), 8)))
 
@@ -278,26 +280,8 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
         value = most = None
         tied = []
         for state in open_states:
-            cells, cand = state[1], state[2]
-            # Reading zeros first in every cell, the least row has the
-            # fewest ones in the first cell, then in the second, ...
-            low = 0
-            for cell in cells:
-                least = None
-                for g in cand:
-                    k = (masks[g] & cell).bit_count()
-                    if least is None or k < least:
-                        least, kept = k, [g]
-                    elif k == least:
-                        kept.append(g)
-                cand = kept
-                low = low << cell.bit_count() | (1 << least) - 1
-            top = 0
-            for g in cand:
-                if copies[g] > top:
-                    top, kept = copies[g], [g]
-                elif copies[g] == top:
-                    kept.append(g)
+            kept, top = _least_rows(state[2], state[1], masks, copies)
+            low = _reading(masks[kept[0]], state[1])
             if value is None or low < value or low == value and top > most:
                 value, most, tied = low, top, []
             if low == value and top == most:
@@ -348,26 +332,7 @@ def _lone_steps(state, c, masks, copies):
     """
     placed, cells, left, left_mask = list(state[0]), list(state[1]), list(state[2]), state[3]
     while len(left) > 1 and len(cells) < c:
-        cand = left
-        for cell in cells:
-            if len(cand) == 1:
-                break
-            least = c + 1
-            for g in cand:
-                k = (masks[g] & cell).bit_count()
-                if k < least:
-                    least, kept = k, [g]
-                elif k == least:
-                    kept.append(g)
-            cand = kept
-        if len(cand) > 1:
-            top = 0
-            for g in cand:
-                if copies[g] > top:
-                    top, kept = copies[g], [g]
-                elif copies[g] == top:
-                    kept.append(g)
-            cand = kept
+        cand, _ = _least_rows(left, cells, masks, copies)
         g = cand[0]
         if masks[g].bit_count() != 1:
             if len(cand) > 1:
@@ -396,6 +361,34 @@ def _lone_steps(state, c, masks, copies):
     if len(left) == 1:
         cells = _split_cells(cells, masks[left[0]])
     return None, cells
+
+
+def _least_rows(cand, cells, masks, copies):
+    """The rows of ``cand`` that read least in ``cells``, and of those the
+    ones with the most copies, with that number of copies.
+
+    Reading zeros first in every cell, the least row has the fewest ones in
+    the first cell, then in the second, ...  This is the one rule that
+    ranks the candidates of a step, lone or among several states.
+    """
+    for cell in cells:
+        if len(cand) == 1:
+            break
+        least = cell.bit_count() + 1
+        for g in cand:
+            k = (masks[g] & cell).bit_count()
+            if k < least:
+                least, kept = k, [g]
+            elif k == least:
+                kept.append(g)
+        cand = kept
+    top = 0
+    for g in cand:
+        if copies[g] > top:
+            top, kept = copies[g], [g]
+        elif copies[g] == top:
+            kept.append(g)
+    return kept, top
 
 
 def _unswapped(cand, cells, left, masks, copies):
@@ -453,39 +446,65 @@ def _form(rows, c, masks, cells) -> MatrixCanonForm:
             low = cell & -cell
             col_perm.append(low.bit_length() - 1)
             cell ^= low
-    values = []
-    if c * len(rows) <= 4096:
-        # every row in a c-bit field of one integer: one shift and mask
-        # moves a column of all of them to its canonical place at once
-        packed = 0
-        for row in reversed(rows):
-            packed = packed << c | row
-        column = ((1 << c * len(rows)) - 1) // ((1 << c) - 1)  # bit 0 of every field
-        moved = 0
-        place = c
-        for j in col_perm:
-            place -= 1
-            moved |= (packed >> j & column) << place
-        full = (1 << c) - 1
-        for _ in rows:
-            values.append(moved & full)
-            moved >>= c
-    else:
-        weight_of = [0] * c  # weight_of[j]: the bit of column j in a value
-        for place, j in enumerate(col_perm):
-            weight_of[j] = 1 << c - 1 - place
-        for mask in masks:
-            value = 0
-            while mask:
-                low = mask & -mask
-                value |= weight_of[low.bit_length() - 1]
-                mask ^= low
-            values.append(value)
-        if len(masks) < len(rows):
-            values = list(map(dict(zip(masks, values)).__getitem__, rows))
+    values = _move_columns(rows, c, col_perm[::-1])  # column col_perm[0] leads
     row_perm = sorted(range(len(rows)), key=values.__getitem__)
     values.sort()
     return MatrixCanonForm(len(rows), c, tuple(values), tuple(row_perm), tuple(col_perm))
+
+
+def _move_columns(rows: Sequence[int], width: int, sources: Sequence[int]) -> list[int]:
+    """Each of ``rows`` (``width``-bit integers) with bit ``sources[p]`` of
+    it moved to bit p.
+
+    Either every row goes in a ``width``-bit field of one integer, where one
+    shift and mask moves a column of all of them at once, or each 1 moves
+    on its own.  The first makes ``rows + width`` steps in Python and
+    shifts about ``rows x width x (rows + 2 width)`` bits whatever the ones
+    (packing and unpacking shift the growing integer once per row, and each
+    column shifts all of it); the second makes a step per 1, and a step
+    costs about as much as shifting 4,096 bits.  So the first is taken when
+    the ones outnumber ``rows + width + rows x width x (rows + 2 width) /
+    4096``.  That came within 1% of always taking the faster way on 300
+    stream searches and 720 random matrices from 2 x 2 to 96 x 96, unit
+    rows to 0.8 dense.  On 59 larger or graph inputs (square matrices of
+    128 to 1024, unit rows to half dense; 1,024 to 65,535 rows of 2 to 32
+    columns; split graphs of 6 to 512 vertices) it picked the faster way or
+    one within 20%, but for the half-dense 1024 x 1024 matrix, 130 ms bit
+    by bit against 105 ms packed.  A half-dense 64 x 64 matrix takes 59 us
+    packed and 400 us bit by bit, the 64 x 64 identity 52 and 20 us, 4,096
+    half-dense rows of 8 columns 4.7 and 1.5 ms, a 10-vertex split graph
+    with a 5-clique 4.0 and 6.1 us.  The work stays linear in the ones
+    either way.
+    """
+    r = len(rows)
+    ones = 0
+    for row in rows:
+        ones += row.bit_count()
+    moved = []
+    if r + width + r * width * (r + 2 * width) // 4096 < ones:
+        packed = 0
+        for row in reversed(rows):
+            packed = packed << width | row
+        column = ((1 << width * r) - 1) // ((1 << width) - 1)  # bit 0 of every field
+        out = 0
+        for p, j in enumerate(sources):
+            out |= (packed >> j & column) << p
+        full = (1 << width) - 1
+        for _ in rows:
+            moved.append(out & full)
+            out >>= width
+        return moved
+    bit = [0] * width  # bit[j]: where bit j of a row goes
+    for p, j in enumerate(sources):
+        bit[j] = 1 << p
+    for row in rows:
+        value = 0
+        while row:
+            low = row & -row
+            value |= bit[low.bit_length() - 1]
+            row ^= low
+        moved.append(value)
+    return moved
 
 
 def _unit_run(tied, masks):
@@ -700,42 +719,9 @@ def canon_graph(g: Graph) -> GraphCanon:
 
 
 def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
-    """Graph whose position-i vertex is input vertex ``order[i]``.
-
-    Up to 64 vertices, the rows in their new order are packed into one
-    integer of n-bit fields, and one shift and mask moves a column of every
-    row to its new place at once: 4.0 against 6.9 us per graph on the
-    stream's split graphs.  Larger graphs move each neighbor bit on its
-    own, so that the work stays linear in the edges.
-    """
-    n = g.n
-    adj = g.adj
-    rows = []
-    if n <= 64:
-        packed = 0
-        for v in reversed(order):
-            packed = packed << n | adj[v]
-        column = ((1 << n * n) - 1) // ((1 << n) - 1) if n > 1 else 1  # bit 0 of every field
-        moved = 0
-        for j, v in enumerate(order):
-            moved |= (packed >> v & column) << j
-        full = (1 << n) - 1
-        for _ in range(n):
-            rows.append(moved & full)
-            moved >>= n
-        return Graph(n, tuple(rows))
-    bit = [0] * n  # bit[v]: the bit of v's position
-    for i, v in enumerate(order):
-        bit[v] = 1 << i
-    for v in order:
-        src = adj[v]
-        row = 0
-        while src:
-            low = src & -src
-            row |= bit[low.bit_length() - 1]
-            src ^= low
-        rows.append(row)
-    return Graph(n, tuple(rows))
+    """Graph whose position-i vertex is input vertex ``order[i]``: the
+    rows in the new order with their columns moved the same way."""
+    return Graph(g.n, tuple(_move_columns(list(map(g.adj.__getitem__, order)), g.n, order)))
 
 
 # ---------------------------------------------------------------------------
@@ -863,9 +849,9 @@ def canonical_object(obj):
     Matrix classes read the canonical matrix back from the bits of their
     key, so each incidence matrix is built and canonicalized once.  The
     sets of a cover read back that way are sorted tuples of distinct
-    elements already, so only their order is normalized: decoding and
-    building take 5.2 us per stream cover, 8.6 us through ``SetCover``'s
-    constructor.
+    elements already, so only their order is normalized before
+    ``SetCover._from_normal``: decoding and building take 5.2 us per stream
+    cover, 8.6 us through ``SetCover``'s constructor.
     """
     if isinstance(obj, Graph):
         gc = canon_graph(obj)
@@ -877,10 +863,7 @@ def canonical_object(obj):
         sets: list[list[int]] = [[] for _ in obj.sets]
         for e, j in _canonical_ones(key, len(obj.sets)):
             sets[j].append(e)
-        cover = SetCover.__new__(SetCover)
-        _set(cover, "n", obj.n)
-        _set(cover, "sets", tuple(sorted(map(tuple, sets))))
-        return cover, key
+        return SetCover._from_normal(obj.n, tuple(sorted(map(tuple, sets)))), key
     return BipartitePoset(obj.n0, obj.n1, _canonical_ones(key, obj.n1)), key
 
 

@@ -223,6 +223,15 @@ class SetCover(Value):
         _set(self, "n", n)
         _set(self, "sets", sets)
 
+    @classmethod
+    def _from_normal(cls, n, sets: tuple[tuple[int, ...], ...]) -> SetCover:
+        """A cover whose ``sets`` are already in normal form, which is not
+        checked: for a caller that builds them that way."""
+        cover = cls.__new__(cls)
+        _set(cover, "n", n)
+        _set(cover, "sets", sets)
+        return cover
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.n, self.sets) == (other.n, other.sets)

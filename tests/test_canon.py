@@ -94,11 +94,17 @@ def test_matrix_idempotent_identity_witness():
 
 
 def test_matrix_witness_replay_on_both_sides_of_the_packed_read_off():
-    # the canonical values are read off one packed integer up to 4,096 row
-    # bits and column by column beyond; both must replay the witness
+    # the canonical values are read off one packed integer when the ones
+    # outnumber r + c + r c (r + 2c) / 4096, one 1 at a time otherwise:
+    # 0.3-dense rows take the first way up to 300 x 14 and unit rows the
+    # second; both must replay the witness
     rng = random.Random(4096)
-    for r, c in ((64, 64), (65, 64), (64, 65), (300, 14), (1, 4097), (4097, 1), (120, 40)):
-        m = [[int(rng.random() < 0.3) for _ in range(c)] for _ in range(r)]
+    shapes = ((64, 64), (65, 64), (64, 65), (300, 14), (1, 4097), (4097, 1), (120, 40))
+    for (r, c), unit in itertools.product(shapes, (False, True)):
+        if unit:
+            m = [[int(j == k) for j in range(c)] for k in (rng.randrange(c) for _ in range(r))]
+        else:
+            m = [[int(rng.random() < 0.3) for _ in range(c)] for _ in range(r)]
         mcf = canon_matrix(m)
         assert mcf.values == tuple(sorted(mcf.values))
         for i, value in enumerate(mcf.values):
@@ -136,12 +142,14 @@ def test_graph_examples():
 
 
 def test_relabel_graph_on_both_sides_of_the_packed_move():
-    # up to 64 vertices the rows move as fields of one integer, beyond that
-    # bit by bit; both agree with relabelling the edge list
+    # the rows move as fields of one integer when the ones outnumber
+    # 2n + 3n^3 / 4096, bit by bit otherwise: 0.4-dense graphs from 10 to
+    # 130 vertices take the first way and graphs with about one edge per
+    # vertex the second; both agree with relabelling the edge list
     rng = random.Random(64)
-    for n in list(range(12)) + [40, 63, 64, 65, 90]:
-        for _ in range(5):
-            g = graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+    for n in list(range(12)) + [40, 63, 64, 65, 90, 130]:
+        for p in (0.4, 0.4, 1 / max(n, 1), 1 / max(n, 1)):
+            g = graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
             order = list(range(n))
             rng.shuffle(order)
             position = {v: i for i, v in enumerate(order)}

@@ -324,8 +324,9 @@ def test_stream_shaped_split_graphs_agree_with_the_prefix_frontier():
 
 
 def test_key_packing_agrees_with_the_reference_bytes():
-    # rows packed eight at a time past 64 rows must give the bytes of
-    # packing every bit in order; zero rows and zero-row keys included
+    # rows packed as one integer up to 4,096 bits and eight at a time beyond
+    # must give the bytes of packing every bit in order; zero rows and
+    # zero-row keys included
     rng = random.Random(70)
     for width in range(1, 71):
         for count in (0, 1, 7, 8, 9, 63, 64, 65, 130):
