@@ -373,7 +373,7 @@ def _least_rows(cand, cells, masks, copies):
     """
     for cell in cells:
         if len(cand) == 1:
-            break
+            return cand, copies[cand[0]]
         least = cell.bit_count() + 1
         for g in cand:
             k = (masks[g] & cell).bit_count()
