@@ -720,8 +720,9 @@ def canon_graph(g: Graph) -> GraphCanon:
 
 def relabel_graph(g: Graph, order: Sequence[int]) -> Graph:
     """Graph whose position-i vertex is input vertex ``order[i]``: the
-    rows in the new order with their columns moved the same way."""
-    return Graph(g.n, tuple(_move_columns(list(map(g.adj.__getitem__, order)), g.n, order)))
+    rows with their columns moved to the new order, then put in it."""
+    moved = _move_columns(g.adj, g.n, order)
+    return Graph(g.n, tuple(map(moved.__getitem__, order)))
 
 
 # ---------------------------------------------------------------------------
