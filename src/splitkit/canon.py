@@ -204,14 +204,13 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     docstring).  Among equal results the witness sorts the rows for its
     column order, so the witness of a canonical matrix is the identity.
 
-    ``tools/kernel_percall.py --against`` puts an uncached call at 0.56-0.58
-    / 0.56 / 0.67 of the cost it had before lone states were placed in
+    ``tools/kernel_percall.py --against`` puts an uncached call at 0.63
+    / 0.63 / 0.71-0.73 of the cost it had before lone states were placed in
     place and tied rows matched by swaps, on the census, certify and stream
-    inputs (0.010-0.014 / 0.013 / 0.028-0.030 ms scaled to the benchmark's
-    reference speed, a scale that drifts between runs); 0.20 / 0.32 ms for
-    the 64x64 identity and the 128x64 incidence of 64 disjoint pairs, of
-    which the search on their row masks takes 0.08 ms and reading the
-    lists the rest.  Symmetric inputs whose automorphisms no swap from the
+    inputs (8 / 8 / 17 us raw; the scaled column drifts between runs more
+    than it corrects); 0.20 / 0.32 ms for the 64x64 identity and the 128x64
+    incidence of 64 disjoint pairs, of which the search on their row masks
+    takes 0.08 ms and reading the lists the rest.  Symmetric inputs whose automorphisms no swap from the
     first tied row finds keep more tied states.
     """
     rows = []
@@ -697,7 +696,7 @@ def canon_graph(g: Graph) -> GraphCanon:
     for random split graphs on 40 / 62 vertices, and 0.04 / 0.05 ms for
     the thin spider (a k x k identity) on 20 / 40 vertices.  With the
     search cached, a stream graph's key costs about 11 us, and its
-    canonical graph with the key 16 us (15 and 23 us when the incidence
+    canonical graph with the key 17 us (13 and 21 us when the incidence
     was built as lists and the graph relabelled bit by bit).
     """
     s_side, k_side = s_max_sides(g)
