@@ -204,11 +204,11 @@ def canon_matrix(matrix: Sequence[Sequence[int]]) -> MatrixCanonForm:
     docstring).  Among equal results the witness sorts the rows for its
     column order, so the witness of a canonical matrix is the identity.
 
-    ``tools/kernel_percall.py --against`` puts an uncached call at 0.63
-    / 0.63 / 0.71-0.73 of the cost it had before lone states were placed in
-    place and tied rows matched by swaps, on the census, certify and stream
-    inputs (8 / 8 / 17 us raw; the scaled column drifts between runs more
-    than it corrects); 0.20 / 0.32 ms for the 64x64 identity and the 128x64
+    ``tools/kernel_percall.py --against`` puts an uncached call at
+    0.62-0.63 / 0.62-0.63 / 0.71-0.73 of the cost it had before lone states
+    were placed in place and tied rows matched by swaps, on the census,
+    certify and stream inputs (9 / 8 / 18-19 us raw; the scaled column
+    drifts between runs more than it corrects); 0.20 / 0.32 ms for the 64x64 identity and the 128x64
     incidence of 64 disjoint pairs, of which the search on their row masks
     takes 0.08 ms and reading the lists the rest.  Symmetric inputs whose automorphisms no swap from the
     first tied row finds keep more tied states.
