@@ -1,6 +1,7 @@
 """Hand-checked examples for every map, plus report/replay behavior."""
 
 import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -474,3 +475,109 @@ def test_inadmissible_reps_are_refused_and_none_is_the_least(name):
                     refused += 1
                     break
     assert refused
+
+
+# ---------------------------------------------------------------------------
+# outputs on labelled, non-canonical inputs, and refusals, pinned byte for byte
+
+
+def _relabelled(obj, rng):
+    """``obj`` with its points renamed by a random permutation of each side."""
+
+    def perm(k):
+        p = list(range(k))
+        rng.shuffle(p)
+        return p
+
+    if isinstance(obj, Graph):
+        p = perm(obj.n)
+        return Graph.from_edges(obj.n, [(p[u], p[v]) for u, v in obj.edges()])
+    if isinstance(obj, SetCover):
+        p = perm(obj.n)
+        return SetCover(obj.n, [[p[e] for e in s] for s in obj.sets])
+    rows, cols = obj._fields()[:2]
+    p, q = perm(rows), perm(cols)
+    return type(obj)(rows, cols, frozenset((p[a], q[b]) for a, b in obj._fields()[2]))
+
+
+def _inadmissible(name, obj, space, size) -> dict:
+    """One choice that ``name`` must refuse on ``obj``: a representative
+    that is not loyal (or one too many), else the least index that is not
+    admissible, or any index when there is nothing to choose."""
+    if MAPS[name].choices is biject._rep_choices:
+        reps = space[0]["reps"]
+        loyal = loyal_elements(obj)
+        for i, s in enumerate(obj.sets):
+            shared = [e for e in s if e not in loyal[i]]
+            if shared:
+                return {"reps": reps[:i] + (shared[0],) + reps[i + 1 :]}
+        return {"reps": reps + (0,)}
+    keyword = _REFUSALS[name][0]
+    admissible = {choice[keyword] for choice in space if choice}
+    return {keyword: min(set(range(size + 2)) - admissible)}
+
+
+def _map_outputs(name: str) -> str:
+    """sha256 of the labelled output of ``name`` on every census object at
+    n <= 6 and on three seeded relabelings of each, under every admissible
+    choice and then one inadmissible one (targets n+1 and n+2 for an up
+    map), one line each; an input the map refuses gives the error's class
+    and text instead."""
+    spec = MAPS[name]
+    rng = random.Random(29)
+    lines = []
+    for n in range(7):
+        for rec in census.records(spec.domain, n):
+            for obj in [rec.obj] + [_relabelled(rec.obj, rng) for _ in range(3)]:
+                try:
+                    space = list(spec.choices(obj)) if spec.choices else []
+                except DomainError as exc:
+                    space = []
+                    lines.append(f"choices DomainError: {exc}")
+                tried = space or [{}]
+                if spec.choices and space:
+                    tried = tried + [_inadmissible(name, obj, space, n)]
+                elif spec.choices and name in _REFUSALS:
+                    tried = tried + [{_REFUSALS[name][0]: 0}]
+                for size in [(n + 1,), (n + 2,)] if spec.needs_n else [()]:
+                    for choice in tried:
+                        try:
+                            out = _labelled(spec.fn(obj, *size, **choice))
+                        except (DomainError, UsageError) as exc:
+                            out = f"{type(exc).__name__}: {exc}"
+                        lines.append(f"{_labelled(obj)} {size} {choice!r} {out}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+MAP_OUTPUTS = {
+    'split_to_cover': '198221276857c02275f5fa7330aa3fd27f9e4e52aa4808980e753f390f3829b4',
+    'cover_to_split': 'f6b9858d250076805abfa4ac4b6f754aa9459a3d5f3b40c8b23785f5888df027',
+    'split_to_xy': '573cbe8f60d911612f921d3c1412ea6d54eee2ad9e2c3cd2626d5c7bd86dec6b',
+    'xy_to_split': 'a9eb3704a96d545fd320c06c90c03fbc67a96ad0deb507c9ef2d5ee228291fe6',
+    'split_to_poset': 'bc8751590c3a7e491cfd7ee015571971eeb44f7c3434a4c7adec7db9042cab8e',
+    'poset_to_split': '3cbd5ff7e4bac8b74e4ef267e489cc0ae5fe5e5ac8a11ac2d950e51faa496900',
+    'cover_to_xy': '56fd862fde0a7d4c58245322e238ba4514d9dd0659a1cd80ca3b5d525ebaa6f9',
+    'xy_to_cover': 'f94d7f9abee1d21ea154286a0c11ef479da3aa63257b8599832c98519f7a5557',
+    'cover_to_poset': 'dc96f20b1b858691f86fd8c1f6b261c745c45c31dd9a679ba03458161aafcd0b',
+    'poset_to_cover': '358edb260dc2c3b68897ba6fe5d5a0ef61cf1ed0e0b032f8b448e52fa6862491',
+    'xy_to_poset': '7c45246f118521505aef493a2ef1f2c4a04391733479a8887e8ec2891c055c0d',
+    'poset_to_xy': '25b3c805a2e273f1b54736875dea3148b8cc8bf7cc45e6bd82a220a8b8c4ff7a',
+    'xy_to_unbalanced_split': '0a64ffb336f8cbebed438955033a67c93f9db60ad6ee61381a3f694ec2692751',
+    'unbalanced_split_to_xy': 'ba1bb8c3a69bf1ff38c537a88e75cf003c470ad6e1207c2b0ed4b76ff84a9945',
+    'compile_split_down': '1b37cd64d7c3e311deae188ff058ea0a9d1cb96d4a00d8dc1ff87999833f009d',
+    'compile_split_up': '2c0847a65d3a3c88149efc521c8418c8366c1ea4f8c964536255b36cb09089be',
+    'compile_cover_down': '8f0dd74f89ad7e9014a6a717d49acb4a56764a678c5109618a84a7ca9f574964',
+    'compile_cover_up': '9c1032baf989ea34c8a3d68fda1899d108f82c1ac0c8c4b032b9a0a4ea1b50ee',
+    'compile_xy_down': '808f28ca940513e26c479325ed8959b0ff983aaab4950fa7ecc82bd61db95ad2',
+    'compile_xy_up': '464864ec90ddb058bc03175bf96d85555f87593a840bff4a053b6fa7f618d305',
+    'compile_poset_down': '4371e1f1a0c9a6af7c3310ceccf49518e2b6eaab6900c6431e1a79b770c6372f',
+    'compile_poset_up': '12c49b53b176e672ea5f5d04f5199e2a00d909566cd1e95fb8a6b2139779cbd8',
+}
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_map_outputs_on_relabelled_inputs_are_pinned(name):
+    # verify and the choice, compile and roundtrip suites call the maps on
+    # labelled objects that are not canonical; this pins those outputs and
+    # the refusal of an inadmissible choice
+    assert _map_outputs(name) == MAP_OUTPUTS[name]
