@@ -10,6 +10,13 @@ admissible choice yields the same canonical key (checked exhaustively at
 small sizes).  ``MAPS`` lists every map with its inverse and its admissible
 choices; the CLI and the verification suites derive their tables from it.
 
+A map builds its output in the normal form of its class directly, from
+bit masks: graphs from adjacency masks, covers through
+``SetCover._from_normal`` from sets read off masks or renumbered in
+order (which keeps each set sorted and the family sorted), XY-graphs and
+posets from pairs renumbered through a list indexed by the old label.
+No map renumbers through a dict or sorts a family it built in order.
+
 The compilation maps connect unbalanced objects on n points with all
 objects of the class on at most n-1 points:
 
@@ -29,6 +36,7 @@ objects of the class on at most n-1 points:
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -42,6 +50,7 @@ from .core import (
     UsageError,
     Value,
     XYGraph,
+    _bits,
     _mask,
     _set,
     class_tag_of,
@@ -72,8 +81,8 @@ def default_reps(c: SetCover) -> tuple[int, ...]:
 
 def _check_reps(c: SetCover, reps: Optional[Sequence[int]]) -> tuple[int, ...]:
     loyal = _minimal_loyal(c)
-    if reps is None:
-        return tuple(min(l) for l in loyal)
+    if reps is None:  # each tuple of loyal elements is sorted
+        return tuple([l[0] for l in loyal])
     if len(reps) != len(c.sets):
         raise UsageError(f"need one representative per set ({len(c.sets)}), got {len(reps)}")
     for i, r in enumerate(reps):
@@ -92,13 +101,21 @@ def _pick(choice, admissible: Sequence[int], refusal: str) -> int:
     return choice
 
 
-def _renumber(pairs, rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int, frozenset[tuple[int, int]]]:
-    """(|rows|, |cols|, the pairs (a, b) with a in rows and b in cols), each
-    side renumbered by its place in the sequence given."""
-    row_index = {v: i for i, v in enumerate(rows)}
-    col_index = {v: j for j, v in enumerate(cols)}
-    kept = frozenset((row_index[a], col_index[b]) for a, b in pairs if a in row_index and b in col_index)
-    return len(rows), len(cols), kept
+def _incidence(adj: Sequence[int], xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """(|xs|, |ys|, the pairs (i, j) with xs[i] adjacent to ys[j]) for
+    vertices ``xs`` whose neighbors all lie in ``ys``; each side is numbered
+    by its place in the sequence given."""
+    col = [0] * len(adj)
+    for j, v in enumerate(ys):
+        col[v] = j
+    pairs = []
+    for i, u in enumerate(xs):
+        row = adj[u]
+        while row:
+            low = row & -row
+            pairs.append((i, col[low.bit_length() - 1]))
+            row ^= low
+    return len(xs), len(ys), frozenset(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +127,8 @@ def split_to_cover(g: Graph) -> SetCover:
     if not is_split(g):
         raise DomainError("not a split graph")
     p = s_max_partition(g)
-    sets = tuple(tuple(sorted({s} | set(g.neighbors(s)))) for s in sorted(p.S))
-    return SetCover(g.n, sets)
+    adj = g.adj
+    return SetCover._from_normal(g.n, tuple(sorted([tuple(_bits(adj[s] | 1 << s)) for s in p.S])))
 
 
 def cover_to_split(c: SetCover, reps: Optional[Sequence[int]] = None) -> Graph:
@@ -136,7 +153,7 @@ def _s_max_incidence(g: Graph) -> tuple[int, int, frozenset[tuple[int, int]]]:
     """(|S|, |K|, pairs (i, j) with S-vertex i adjacent to K-vertex j) of the
     S-max partition, both sides numbered in ascending vertex order."""
     xs, ys = s_max_sides(g)
-    return _renumber(((u, v) for u in xs for v in g.neighbors(u)), xs, ys)
+    return _incidence(g.adj, xs, ys)
 
 
 def split_to_xy(g: Graph) -> XYGraph:
@@ -204,9 +221,8 @@ def unbalanced_split_to_xy(g: Graph, swing: Optional[int] = None) -> XYGraph:
     if not swings:
         raise DomainError("balanced split graph: no swing vertex to remove")
     swing = _pick(swing, swings, "vertex {} is not a swing vertex of the K-max partition")
-    xs = sorted(p.S)
-    pairs = ((u, v) for u in xs for v in g.neighbors(u))
-    return XYGraph(*_renumber(pairs, xs, sorted(p.K - {swing})))
+    # the swing vertex has no S-neighbor, so every edge out of S stays
+    return XYGraph(*_incidence(g.adj, sorted(p.S), sorted(p.K - {swing})))
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +234,30 @@ def _rep_incidence(
 ) -> tuple[int, int, frozenset[tuple[int, int]]]:
     """(rows, columns, pairs): the representatives in ascending order are the
     rows, the other elements the columns, and each set pairs its
-    representative with its other members."""
+    representative with its other members, none of which is a
+    representative."""
     reps = _check_reps(c, reps)
-    pairs = ((r, e) for r, s in zip(reps, c.sets) for e in s)
-    return _renumber(pairs, sorted(reps), sorted(set(range(c.n)) - set(reps)))
+    rep_side = _mask(reps)
+    place = []  # place[e]: the row or column of element e
+    below = 0  # representatives below e
+    for e in range(c.n):
+        if rep_side >> e & 1:
+            place.append(below)
+            below += 1
+        else:
+            place.append(e - below)
+    pairs = frozenset([(place[r], place[e]) for r, s in zip(reps, c.sets) for e in s if e != r])
+    return len(reps), c.n - len(reps), pairs
 
 
 def _incidence_cover(rows: int, cols: int, pairs) -> SetCover:
-    """One set per row: the row together with its columns, numbered after the rows."""
-    sets = [[a] for a in range(rows)]
-    for a, b in sorted(pairs):
-        sets[a].append(rows + b)
-    return SetCover(rows + cols, tuple(map(tuple, sets)))
+    """One set per row: the row together with its columns, numbered after
+    the rows.  Set a starts with a and holds no other element below the
+    rows, so the sets come out in normal form."""
+    members = [1 << a for a in range(rows)]
+    for a, b in pairs:
+        members[a] |= 1 << rows + b
+    return SetCover._from_normal(rows + cols, tuple([tuple(_bits(m)) for m in members]))
 
 
 def cover_to_poset(c: SetCover, reps: Optional[Sequence[int]] = None) -> BipartitePoset:
@@ -264,11 +292,11 @@ def cover_to_xy(c: SetCover, reps: Optional[Sequence[int]] = None) -> XYGraph:
 def xy_to_poset(h: XYGraph) -> BipartitePoset:
     """X becomes height 0, Y height 1; edges become the order relation."""
     _check_no_y_isolates(h)
-    return BipartitePoset(h.nx, h.ny, frozenset(h.edges))
+    return BipartitePoset(h.nx, h.ny, h.edges)
 
 
 def poset_to_xy(p: BipartitePoset) -> XYGraph:
-    return XYGraph(p.n0, p.n1, frozenset(p.below))
+    return XYGraph(p.n0, p.n1, p.below)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +313,19 @@ def compile_split_down(g: Graph, swing: Optional[int] = None) -> Graph:
         raise DomainError("balanced split graph: no swing vertex (no balance witness)")
     swing = _pick(swing, swings, "vertex {} is not a swing vertex of the S-max partition")
     s_rest = p.S - {swing}
-    keep = sorted(s_rest | (p.K - set(k_swings(g, s_rest, p.K))))
-    n, _, edges = _renumber(g.edges(), keep, keep)
-    return Graph.from_edges(n, edges)
+    keep = _bits(_mask(s_rest) | _mask(p.K) ^ _mask(k_swings(g, s_rest, p.K)))
+    bit = [0] * g.n  # bit[v]: vertex v's bit in the output, 0 if it goes
+    for i, v in enumerate(keep):
+        bit[v] = 1 << i
+    adj = []
+    for v in keep:
+        row, moved = g.adj[v], 0
+        while row:
+            low = row & -row
+            moved |= bit[low.bit_length() - 1]
+            row ^= low
+        adj.append(moved)
+    return Graph(len(keep), tuple(adj))
 
 
 def compile_split_up(h: Graph, n: int) -> Graph:
@@ -300,15 +338,12 @@ def compile_split_up(h: Graph, n: int) -> Graph:
     if h.n > n - 1:
         raise DomainError(f"input has {h.n} vertices; need at most {n - 1}")
     p = s_max_partition(h)
-    swing = n - 1
-    k_side = sorted(p.K) + list(range(h.n, n - 1))
-    edges = h.edges()
-    for i, a in enumerate(k_side):
-        for b in k_side[i + 1 :]:
-            edges.append((a, b))
-    for a in k_side:
-        edges.append((swing, a))
-    return Graph.from_edges(n, edges)
+    swing = 1 << n - 1
+    k_side = _mask(p.K) | swing - (1 << h.n)
+    adj = [*h.adj, *[0] * (n - 1 - h.n), k_side]
+    for v in _bits(k_side):
+        adj[v] |= k_side ^ 1 << v | swing
+    return Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +351,21 @@ def compile_split_up(h: Graph, n: int) -> Graph:
 
 
 def compile_cover_down(c: SetCover, extremal_set: Optional[int] = None) -> SetCover:
-    """Drop an extremal set together with the elements only it covered."""
+    """Drop an extremal set together with the elements only it covered.
+
+    The other sets hold none of those, so renumbering the rest in order
+    keeps each set sorted and the family in normal form."""
     loyal = _minimal_loyal(c)
     candidates = extremal_sets(c)
     if not candidates:
         raise DomainError("balanced cover: no set of size |V|-|C|+1 (no balance witness)")
     extremal_set = _pick(extremal_set, candidates, "set {} does not have the extremal size")
-    dropped = set(loyal[extremal_set])
-    keep = sorted(set(range(c.n)) - dropped)
-    index = {e: i for i, e in enumerate(keep)}
-    sets = tuple(
-        tuple(index[e] for e in s) for j, s in enumerate(c.sets) if j != extremal_set
-    )
-    return SetCover(len(keep), sets)
+    keep = _bits((1 << c.n) - 1 ^ _mask(loyal[extremal_set]))
+    place = [0] * c.n
+    for i, e in enumerate(keep):
+        place[e] = i
+    sets = tuple([tuple(map(place.__getitem__, s)) for j, s in enumerate(c.sets) if j != extremal_set])
+    return SetCover._from_normal(len(keep), sets)
 
 
 def compile_cover_up(c: SetCover, n: int, reps: Optional[Sequence[int]] = None) -> SetCover:
@@ -336,9 +373,9 @@ def compile_cover_up(c: SetCover, n: int, reps: Optional[Sequence[int]] = None) 
     reps = _check_reps(c, reps)
     if c.n > n - 1:
         raise DomainError(f"input has {c.n} elements; need at most {n - 1}")
-    fresh = range(c.n, n)
-    extremal = tuple(sorted(set(fresh) | (set(range(c.n)) - set(reps))))
-    return SetCover(n, c.sets + (extremal,))
+    sets = list(c.sets)
+    insort(sets, tuple(_bits((1 << n) - 1 ^ _mask(reps))))
+    return SetCover._from_normal(n, tuple(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +388,14 @@ def compile_xy_down(h: XYGraph, universal: Optional[int] = None) -> XYGraph:
     if not universals:
         raise DomainError("balanced XY-graph: no universal X-vertex (no balance witness)")
     universal = _pick(universal, sorted(universals), "X-vertex {} is not universal")
-    xs = [x for x in range(h.nx) if x != universal]
-    ys = sorted({y for x, y in h.edges if x != universal})
-    return XYGraph(*_renumber(h.edges, xs, ys))
+    kept = [(x, y) for x, y in h.edges if x != universal]
+    ys = 0
+    for _, y in kept:
+        ys |= 1 << y
+    col = [0] * h.ny
+    for j, y in enumerate(_bits(ys)):
+        col[y] = j
+    return XYGraph(h.nx - 1, ys.bit_count(), frozenset([(x - (x > universal), col[y]) for x, y in kept]))
 
 
 def compile_xy_up(h: XYGraph, n: int) -> XYGraph:
@@ -363,9 +405,7 @@ def compile_xy_up(h: XYGraph, n: int) -> XYGraph:
     if t > n - 1:
         raise DomainError(f"input has {t} vertices; need at most {n - 1}")
     ny = h.ny + (n - 1 - t)
-    u = h.nx
-    edges = set(h.edges) | {(u, y) for y in range(ny)}
-    return XYGraph(h.nx + 1, ny, frozenset(edges))
+    return XYGraph(h.nx + 1, ny, h.edges.union([(h.nx, y) for y in range(ny)]))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +414,11 @@ def compile_xy_up(h: XYGraph, n: int) -> XYGraph:
 
 def _demotable(p: BipartitePoset, partial: frozenset[int]) -> list[int]:
     """Height-1 points above no partial support point, in order."""
-    return [b for b in range(p.n1) if not p.down_set(b) & partial]
+    above = 0
+    for a, b in p.below:
+        if a in partial:
+            above |= 1 << b
+    return _bits((1 << p.n1) - 1 ^ above)
 
 
 def compile_poset_down(p: BipartitePoset, demote: Optional[int] = None) -> BipartitePoset:
@@ -389,13 +433,20 @@ def compile_poset_down(p: BipartitePoset, demote: Optional[int] = None) -> Bipar
     if not full:
         raise DomainError("balanced poset: no full support point (no balance witness)")
     candidates = _demotable(p, partial)
+    if candidates:
+        demote = _pick(demote, candidates, "height-1 point {} is not comparable to exactly the full support points")
+    elif demote is not None:
+        raise UsageError("no height-1 point needs demoting for this poset")
+    row = [0] * p.n0
+    for i, a in enumerate(sorted(partial)):
+        row[a] = i
+    # no partial support point lies below the demoted point
+    below = [(row[a], b) for a, b in p.below if a in partial]
     if not candidates:
-        if demote is not None:
-            raise UsageError("no height-1 point needs demoting for this poset")
-        return BipartitePoset(*_renumber(p.below, sorted(partial), range(p.n1)))
-    demote = _pick(demote, candidates, "height-1 point {} is not comparable to exactly the full support points")
-    n0, n1, below = _renumber(p.below, sorted(partial), [b for b in range(p.n1) if b != demote])
-    return BipartitePoset(n0 + 1, n1, below | {(n0, j) for j in range(n1)})
+        return BipartitePoset(len(partial), p.n1, frozenset(below))
+    n0, n1 = len(partial), p.n1 - 1
+    below = [(a, b - (b > demote)) for a, b in below] + [(n0, j) for j in range(n1)]
+    return BipartitePoset(n0 + 1, n1, frozenset(below))
 
 
 def compile_poset_up(q: BipartitePoset, n: int, promote: Optional[int] = None) -> BipartitePoset:
@@ -408,15 +459,15 @@ def compile_poset_up(q: BipartitePoset, n: int, promote: Optional[int] = None) -
     if not full:
         if promote is not None:
             raise UsageError("no full support point to promote in this poset")
-        below = set(q.below)
-        below |= {(q.n0 + i, b) for i in range(fresh) for b in range(q.n1)}
-        return BipartitePoset(q.n0 + fresh, q.n1, frozenset(below))
+        below = q.below.union([(q.n0 + i, b) for i in range(fresh) for b in range(q.n1)])
+        return BipartitePoset(q.n0 + fresh, q.n1, below)
     promote = _pick(promote, sorted(full), "height-0 point {} is not a full support point")
     # The promoted point joins height 1 with the last id (q.n1) and keeps
     # only its comparabilities to the fresh points.
-    n0, _, below = _renumber(q.below, [a for a in range(q.n0) if a != promote], range(q.n1))
-    below |= {(n0 + i, b) for i in range(fresh) for b in range(q.n1 + 1)}
-    return BipartitePoset(n0 + fresh, q.n1 + 1, below)
+    n0 = q.n0 - 1
+    below = [(a - (a > promote), b) for a, b in q.below if a != promote]
+    below += [(n0 + i, b) for i in range(fresh) for b in range(q.n1 + 1)]
+    return BipartitePoset(n0 + fresh, q.n1 + 1, frozenset(below))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ canonicalizes and classifies only its own objects, so a one-shot
 ``enumerate`` builds no XY or split census it does not print, while a
 caller that asks for every census (``verify``) canonicalizes each
 unlabeled object of each class once, apart from the XY records without
-isolates in Y, which need no canonicalization.
+isolates in Y, which need no canonicalization.  Those records are built
+once per n: whichever XY census is read second takes them from the first.
 """
 
 from __future__ import annotations
@@ -180,15 +181,23 @@ def _transported(class_tag: str, n: int, no_isolates: bool) -> Iterator[Record]:
     """Records of a census read off the XY-graphs without isolates in Y;
     an XY record is read straight off the canonical level values.  The
     unrestricted XY census first reads, at each nx, the levels m < n - nx
-    with n - nx - m isolates added in Y, most isolates first."""
+    with n - nx - m isolates added in Y, most isolates first; at level
+    n - nx it takes the records of the census without isolates when that
+    is stored."""
     maps = _TRANSPORT[class_tag]
     padded = class_tag == "xy" and not no_isolates
+    ready = _records.get(("xy", n, True)) if padded else None
+    if ready is not None:
+        ready = {nx: list(run) for nx, run in itertools.groupby(ready, lambda r: r.obj.nx)}
     for nx in range(n, -1, -1):
         ny = n - nx
         for m in range(ny if padded else 0):
             for values in _level(nx, m):
                 h, key = canonical_object(_xy_graph(nx, ny, values))
                 yield Record(h, key, None)
+        if ready is not None:
+            yield from ready.get(nx, ())
+            continue
         for values in _level(nx, ny):
             if maps:
                 obj = _xy_graph(nx, ny, values)
@@ -207,7 +216,12 @@ def _built(class_tag: str, n: int, no_isolates: bool) -> tuple[Record, ...]:
     cache_key = (class_tag, n, no_isolates)
     stored = _records.get(cache_key)
     if stored is None:
-        stored = tuple(_transported(class_tag, n, no_isolates))
+        unrestricted = _records.get(("xy", n, False)) if class_tag == "xy" and no_isolates else None
+        if unrestricted is not None:
+            # in order, less the padded levels: the only undefined balances
+            stored = tuple([record for record in unrestricted if record.balance is not None])
+        else:
+            stored = tuple(_transported(class_tag, n, no_isolates))
         seen: set[CanonicalKey] = set()
         for record in stored:
             if record.key in seen:

@@ -294,9 +294,6 @@ class BipartitePoset(Value):
     def __hash__(self):
         return hash((self.n0, self.n1, self.below))
 
-    def down_set(self, b: int) -> frozenset[int]:
-        return frozenset(a for (a, bb) in self.below if bb == b)
-
 
 class Balance(Value):
     """Balanced/unbalanced verdict plus the witnessing structure id.
@@ -460,6 +457,10 @@ def parse_graph6(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 # JSON lines
 
+# ``json.dumps(doc, separators=(",", ":"))`` in the same bytes, without
+# building an encoder per call
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def serialize_object(obj) -> str:
     """Serialize a cover / XY-graph / poset to its JSON normal form."""
@@ -481,7 +482,7 @@ def serialize_object(obj) -> str:
         }
     else:
         raise UsageError(f"no JSON form for {type(obj).__name__}; use graph6 for graphs")
-    return json.dumps(doc, separators=(",", ":"))
+    return _compact_json(doc)
 
 
 def parse_object(text: str):
@@ -684,10 +685,19 @@ def _validate_cover(c: SetCover) -> list[str]:
     return out
 
 
+def _outside(pairs: frozenset, rows: int, cols: int) -> list[tuple[int, int]]:
+    """The pairs outside 0..rows-1 x 0..cols-1, sorted; only a set of
+    pairs that has one is sorted."""
+    for a, b in pairs:
+        if not (0 <= a < rows and 0 <= b < cols):
+            return [(a, b) for a, b in sorted(pairs) if not (0 <= a < rows and 0 <= b < cols)]
+    return []
+
+
 def _validate_xy(g: XYGraph) -> list[str]:
     if g.nx < 0 or g.ny < 0:
         return [f"block sizes ({g.nx},{g.ny}) negative"]
-    outside = [f"edge ({x},{y}) outside X×Y" for x, y in sorted(g.edges) if not (0 <= x < g.nx and 0 <= y < g.ny)]
+    outside = [f"edge ({x},{y}) outside X×Y" for x, y in _outside(g.edges, g.nx, g.ny)]
     return _named_problems(outside, "edges outside X×Y")
 
 
@@ -695,8 +705,7 @@ def _validate_poset(p: BipartitePoset) -> list[str]:
     out = []
     if p.n0 < 0 or p.n1 < 0:
         return [f"point counts ({p.n0},{p.n1}) negative"]
-    outside = [f"relation ({a},{b}) outside height-0×height-1" for a, b in sorted(p.below)
-               if not (0 <= a < p.n0 and 0 <= b < p.n1)]
+    outside = [f"relation ({a},{b}) outside height-0×height-1" for a, b in _outside(p.below, p.n0, p.n1)]
     out += _named_problems(outside, "relations outside height-0×height-1")
     covered = {b for _, b in p.below}
     named, more = _named_first([b for b in range(p.n1) if b not in covered])

@@ -1,6 +1,7 @@
 """CLI behavior: pipelines, exit codes, determinism across worker counts."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -11,10 +12,10 @@ import time
 
 import pytest
 
-from splitkit import verify
+from splitkit import biject, census, verify
 from splitkit.canon import canon_key
 from splitkit.cli import main
-from splitkit.core import Graph, XYGraph, parse_graph6
+from splitkit.core import CLASS_TAGS, Graph, XYGraph, parse_graph6, serialize_graph6, serialize_object
 
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -587,6 +588,88 @@ def test_a_profiler_still_gets_the_normal_exit():
     first, table = proc.stdout.split("\n", 1)
     assert json.loads(first)["suite"] == "counts"
     assert "function calls" in table and "ncalls  tottime  percall  cumtime  percall" in table
+
+
+def test_only_the_process_entry_turns_the_collector_off(capsys):
+    script = (
+        "import gc\nfrom splitkit import cli\nmain = cli.main\n"
+        "cli.main = lambda: print(gc.isenabled()) or main()\ncli.run()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "enumerate", "--class", "poset", "--n", "1", "--count-only"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout.split("\n")[0]) == (0, "False")
+    assert gc.isenabled()
+    main(["enumerate", "--class", "poset", "--n", "1", "--count-only"])
+    assert gc.isenabled()
+
+
+def _lines(tags, count: int) -> str:
+    """``count`` input lines: census objects of the classes ``tags`` with
+    n <= 5 in turn, every eighth line one that is refused."""
+    pool = [
+        serialize_graph6(rec.obj) if tag == "split" else serialize_object(rec.obj)
+        for n in range(1, 6)
+        for tag in tags
+        for rec in census.records(tag, n)
+    ]
+    return "".join(("C~" if i % 8 == 7 else pool[i % len(pool)]) + "\n" for i in range(count))
+
+
+def _line_commands():
+    """(argv, the classes it reads) of every command that reads lines."""
+    cases = [(["classify"], CLASS_TAGS)]
+    for (src, dst), name in biject.ROUTES.items():
+        cases.append((["map", "--from", src, "--to", dst], (src,)))
+        cases.append((["map", "--from", src, "--to", dst, "--inverse"], (biject.MAPS[name].codomain,)))
+    for tag in CLASS_TAGS:
+        cases.append((["compile", "--class", tag, "--direction", "down"], (tag,)))
+        cases.append((["compile", "--class", tag, "--direction", "up", "--n", "7"], (tag,)))
+    return [pytest.param(argv, tags, id=" ".join(argv)) for argv, tags in cases]
+
+
+def _cyclic_garbage(argv, stdin_text, monkeypatch, capsys) -> int:
+    """Unreachable objects that ``main(argv)`` leaves when it runs with
+    the cyclic collector off, as the process entry runs it."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    return found
+
+
+_SIZED = [
+    pytest.param(argv, small, large, id=" ".join(argv).format(f"{small}-{large}"))
+    for argv, small, large in [(["enumerate", "--class", tag, "--n", "{}"], 5, 7) for tag in CLASS_TAGS]
+    + [(["verify", "--suite", "all", "--max-n", "{}"], 4, 6)]
+]
+
+
+@pytest.mark.parametrize("argv, tags", _line_commands())
+def test_a_line_command_leaves_no_cycle_per_line(argv, tags, monkeypatch, capsys):
+    # the process entry runs with the collector off, so a cycle made per
+    # line would stay until exit
+    _cyclic_garbage(argv, _lines(tags, 16), monkeypatch, capsys)  # warm the memos and stores
+    assert _cyclic_garbage(argv, _lines(tags, 16), monkeypatch, capsys) == _cyclic_garbage(
+        argv, _lines(tags, 64), monkeypatch, capsys
+    )
+
+
+@pytest.mark.parametrize("argv, small, large", _SIZED)
+def test_a_sized_command_leaves_no_cycle_per_object(argv, small, large, monkeypatch, capsys):
+    def sized(n):
+        return [arg.format(n) for arg in argv]
+
+    _cyclic_garbage(sized(small), "", monkeypatch, capsys)
+    assert _cyclic_garbage(sized(small), "", monkeypatch, capsys) == _cyclic_garbage(sized(large), "", monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(

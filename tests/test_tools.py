@@ -19,9 +19,13 @@ def _tool(*argv):
 def test_verify_passes_prints_its_tables():
     out = _tool("verify_passes.py", "3")
     assert "run_all(3) CPU ms and uncached kernel searches by suite" in out
-    assert "run_all(3) body runs / distinct inputs" in out
-    for row in ("census", "verify_roundtrip", "total", "map xy_to_split", "all pair maps"):
+    assert "run_all(3) body runs / distinct inputs / map CPU us per call" in out
+    for row in ("census", "verify_roundtrip", "total", "all maps"):
         assert f"  {row} " in out
+    maps = [line.split() for line in out.splitlines() if line.startswith("  map ")]
+    assert len(maps) == 22 and "compile_poset_up" in {fields[1] for fields in maps}
+    for _, _, runs, distinct, us in maps:
+        assert int(runs) >= int(distinct) > 0 and float(us) > 0
 
 
 def test_fresh_process_compares_a_checkout_with_itself():
@@ -35,11 +39,11 @@ def test_fresh_process_compares_a_checkout_with_itself():
 
 def test_kernel_percall_prints_the_kernel_and_keying_tables():
     lines = _tool("kernel_percall.py").splitlines()
-    assert lines[0].split() == ["kernel", "inputs", "raw", "us", "scaled", "us"]
-    assert lines[4].split() == ["keying", "objects", "raw", "us", "scaled", "us"]
+    assert lines[0].split() == ["kernel", "inputs", "us"]
+    assert lines[4].split() == ["keying", "objects", "us"]
     for table in (lines[1:4], lines[5:8]):
         assert [line.split()[0] for line in table] == ["census", "certify", "stream"]
         for line in table:
-            count, raw, scaled = line.split()[1:]
-            assert int(count) > 0 and float(raw) > 0 and float(scaled) > 0
+            count, us = line.split()[1:]
+            assert int(count) > 0 and float(us) > 0
     assert len(lines) == 8

@@ -19,12 +19,11 @@ It records two things of each:
   fresh process would have it: microseconds per object, for the whole
   keying path (incidence, kernel, key bytes and canonical object).
 
-Each is the best of ``REPEAT`` sweeps, printed raw and scaled for host
-speed the way the benchmark scales its times (``perfbench/workloads.Speed``):
-each sweep is bracketed by timings of the fixed ``reference_kernel``, and
-the best sweep is scaled by the median over the sweeps of its nominal
-time over their mean, since one sample of the reference kernel carries
-noise of its own.
+Each is the best of ``REPEAT`` sweeps, in microseconds of wall time on
+this host.  Two runs of it do not compare: host speed drifts between
+them by more than a change of a few percent.  Scaling by a reference
+kernel timed around the sweeps, as the benchmark scales its times, did
+not help: the factor swung more than the times it corrected.
 
 With ``--against DIR`` it also loads the package of the checkout at DIR
 (its ``src/splitkit``, imported as a package of its own in the same
@@ -57,7 +56,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import streamgen  # noqa: E402
-import workloads  # noqa: E402
 from splitkit import biject, canon, census, cli, verify  # noqa: E402
 
 REPEAT = 7  # timed sweeps per set; the best counts
@@ -132,18 +130,10 @@ def _keying_sweep(package, calls) -> float:
     return elapsed
 
 
-def per_call_us(sweep, count) -> tuple[float, float]:
-    """(raw, scaled) microseconds per input of ``count``: the best of
-    ``REPEAT`` runs of ``sweep``, then the same scaled by the median of
-    the sweeps' speed factors."""
-    speed = workloads.Speed()
-    speed.start()
-    best, factors = float("inf"), []
-    for _ in range(REPEAT):
-        best = min(best, sweep())
-        factors.append(speed.factor())
-    raw = best / count * 1e6
-    return raw, raw * statistics.median(factors)
+def per_call_us(sweep, count) -> float:
+    """Microseconds per input of ``count``: the best of ``REPEAT`` runs of
+    ``sweep``."""
+    return min(sweep() for _ in range(REPEAT)) / count * 1e6
 
 
 def load_package(root: str):
@@ -189,20 +179,18 @@ def main(argv=None) -> int:
     compared = "  ratio  worst  won" if other else ""
     try:
         recorded = {name: record(commands) for name, commands in SETS.items()}
-        print("kernel   inputs   raw us  scaled us" + compared)
+        print("kernel   inputs    us" + compared)
         for name, (inputs, _) in recorded.items():
-            raw, scaled = per_call_us(lambda: _sweep(kernel, inputs), len(inputs))
-            line = f"{name:<8} {len(inputs):>6}  {raw:7.1f}  {scaled:9.1f}"
+            line = f"{name:<8} {len(inputs):>6}  {per_call_us(lambda: _sweep(kernel, inputs), len(inputs)):5.1f}"
             if other:
                 theirs = other.canon._canon_rows.__wrapped__
                 ratio, worst, won = interleaved(lambda: _sweep(kernel, inputs), lambda: _sweep(theirs, inputs))
                 line += f"  {ratio:5.3f}  {worst:5.3f}  {won:>2}/{PAIRS}"
             print(line, flush=True)
-        print("keying  objects   raw us  scaled us" + compared)
+        print("keying  objects    us" + compared)
         for name, (_, calls) in recorded.items():
             count = sum(map(len, calls))
-            raw, scaled = per_call_us(lambda: _keying_sweep(this, calls), count)
-            line = f"{name:<8} {count:>6}  {raw:7.1f}  {scaled:9.1f}"
+            line = f"{name:<8} {count:>6}  {per_call_us(lambda: _keying_sweep(this, calls), count):5.1f}"
             if other:
                 others = rebuilt(other, calls)
                 ratio, worst, won = interleaved(lambda: _keying_sweep(this, calls), lambda: _keying_sweep(other, others))

@@ -8,10 +8,12 @@ cleared memos:
   of each suite, summed over the suite's calls, beside its uncached matrix
   kernel searches (``canon._canon_rows`` cache misses);
 * a counted run under ``sys.setprofile``, which prints, for each
-  structural pass and for the twelve maps of the roundtrip and balance
-  pairs (``verify._PAIRS``), how often its body ran and on how many
-  distinct inputs.  A pass kept behind a memo is counted where its body
-  runs, so a memo hit counts nothing.
+  structural pass and for each of the 22 maps of ``biject.MAPS``, how
+  often its body ran and on how many distinct inputs.  A pass kept behind
+  a memo is counted where its body runs, so a memo hit counts nothing.
+  Beside each map it prints the CPU time per call of that map on the
+  distinct calls it received: the best of ``REPEAT`` sweeps over them,
+  each sweep from cleared memos, so every call is a first one.
 
     python tools/verify_passes.py [N]        (N defaults to 6)
 """
@@ -26,7 +28,7 @@ from unittest import mock
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from splitkit import canon, census, classify, core, verify  # noqa: E402
+from splitkit import biject, canon, census, classify, core, verify  # noqa: E402
 
 # (module, name) of each structural pass; a memoized pass is counted in
 # the body its memo wraps
@@ -40,6 +42,7 @@ PASSES = [
     (classify, "poset_support"),
     (classify, "balance_of"),
 ]
+REPEAT = 5  # timed sweeps over each map's calls; the best counts
 SUITES = ("verify_roundtrip", "verify_balance", "verify_compilation",
           "verify_choice_independence", "verify_counts", "verify_triangle")
 
@@ -49,7 +52,7 @@ def _body(fn):
 
 
 def _pass_codes() -> dict:
-    """code object -> label, for each pass and each pair map."""
+    """code object -> label, for each pass and each map."""
     codes = {}
     for module, name in PASSES:
         # a public pass whose memo is the private ``_name`` runs its body there
@@ -57,9 +60,8 @@ def _pass_codes() -> dict:
         if not hasattr(fn, "__wrapped__"):
             fn = getattr(module, name)
         codes[_body(fn)] = name
-    for dom, fwd, cod, inv in verify._PAIRS.values():
-        for fn in (fwd, inv):
-            codes[_body(fn)] = "map " + fn.__name__
+    for name, spec in biject.MAPS.items():
+        codes[_body(spec.fn)] = "map " + name
     return codes
 
 
@@ -113,26 +115,51 @@ def suite_times(max_n: int) -> tuple[dict, dict]:
     return spent, searched
 
 
-def pass_counts(max_n: int) -> dict:
-    """label -> [body runs, distinct first arguments] over ``run_all``."""
+def pass_counts(max_n: int) -> tuple[dict, dict]:
+    """(label -> [body runs, distinct first arguments] over ``run_all``,
+    map name -> the distinct argument tuples it was called with, in order
+    of first call)."""
     _fresh()
     codes = _pass_codes()
     runs = defaultdict(int)
     seen = defaultdict(set)
+    calls = defaultdict(dict)
 
     def profile(frame, event, arg):
         if event == "call":
-            label = codes.get(frame.f_code)
+            code = frame.f_code
+            label = codes.get(code)
             if label is not None:
                 runs[label] += 1
-                seen[label].add(frame.f_locals[frame.f_code.co_varnames[0]])
+                seen[label].add(frame.f_locals[code.co_varnames[0]])
+                if label.startswith("map "):
+                    args = tuple(frame.f_locals[v] for v in code.co_varnames[: code.co_argcount])
+                    calls[label[4:]].setdefault(args, None)
 
     sys.setprofile(profile)
     try:
         verify.run_all(max_n)
     finally:
         sys.setprofile(None)
-    return {label: (runs[label], len(seen[label])) for label in dict.fromkeys(codes.values())}
+    counts = {label: (runs[label], len(seen[label])) for label in dict.fromkeys(codes.values())}
+    return counts, {name: list(args) for name, args in calls.items()}
+
+
+def map_us_per_call(name: str, calls: list) -> float:
+    """CPU microseconds per call of map ``name`` over ``calls``, the best
+    of ``REPEAT`` sweeps, each from cleared memos."""
+    fn = biject.MAPS[name].fn
+    best = float("inf")
+    for _ in range(REPEAT):
+        _fresh()
+        start = time.process_time()
+        for args in calls:
+            try:
+                fn(*args)
+            except (core.DomainError, core.UsageError):
+                pass
+        best = min(best, time.process_time() - start)
+    return best / len(calls) * 1e6
 
 
 def report(max_n: int) -> None:
@@ -141,12 +168,14 @@ def report(max_n: int) -> None:
     for name, seconds in times.items():
         print(f"  {name:<28} {seconds * 1e3:8.1f} {searched[name]:6}")
     print(f"  {'total':<28} {sum(times.values()) * 1e3:8.1f} {sum(searched.values()):6}")
-    counts = pass_counts(max_n)
-    print(f"run_all({max_n}) body runs / distinct inputs")
+    counts, calls = pass_counts(max_n)
+    print(f"run_all({max_n}) body runs / distinct inputs / map CPU us per call")
     for label, (runs, distinct) in counts.items():
-        print(f"  {label:<28} {runs:6} {distinct:6}")
+        name = label[4:] if label.startswith("map ") else None
+        per_call = f" {map_us_per_call(name, calls[name]):8.1f}" if calls.get(name) else ""
+        print(f"  {label:<28} {runs:6} {distinct:6}{per_call}")
     maps = [v for label, v in counts.items() if label.startswith("map ")]
-    print(f"  {'all pair maps':<28} {sum(r for r, _ in maps):6} {sum(d for _, d in maps):6}")
+    print(f"  {'all maps':<28} {sum(r for r, _ in maps):6} {sum(d for _, d in maps):6}")
 
 
 def main(argv=None) -> int:
