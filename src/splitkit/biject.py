@@ -101,13 +101,20 @@ def _pick(choice, admissible: Sequence[int], refusal: str) -> int:
     return choice
 
 
+def _places(keep: Sequence[int], size: int) -> list[int]:
+    """place[v]: the index of label v in ``keep``, for the labels below
+    ``size``; 0 for a label not kept."""
+    place = [0] * size
+    for i, v in enumerate(keep):
+        place[v] = i
+    return place
+
+
 def _incidence(adj: Sequence[int], xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int, frozenset[tuple[int, int]]]:
     """(|xs|, |ys|, the pairs (i, j) with xs[i] adjacent to ys[j]) for
     vertices ``xs`` whose neighbors all lie in ``ys``; each side is numbered
     by its place in the sequence given."""
-    col = [0] * len(adj)
-    for j, v in enumerate(ys):
-        col[v] = j
+    col = _places(ys, len(adj))
     pairs = []
     for i, u in enumerate(xs):
         row = adj[u]
@@ -313,16 +320,15 @@ def compile_split_down(g: Graph, swing: Optional[int] = None) -> Graph:
         raise DomainError("balanced split graph: no swing vertex (no balance witness)")
     swing = _pick(swing, swings, "vertex {} is not a swing vertex of the S-max partition")
     s_rest = p.S - {swing}
-    keep = _bits(_mask(s_rest) | _mask(p.K) ^ _mask(k_swings(g, s_rest, p.K)))
-    bit = [0] * g.n  # bit[v]: vertex v's bit in the output, 0 if it goes
-    for i, v in enumerate(keep):
-        bit[v] = 1 << i
+    kept = _mask(s_rest) | _mask(p.K) ^ _mask(k_swings(g, s_rest, p.K))
+    keep = _bits(kept)
+    place = _places(keep, g.n)
     adj = []
     for v in keep:
-        row, moved = g.adj[v], 0
+        row, moved = g.adj[v] & kept, 0
         while row:
             low = row & -row
-            moved |= bit[low.bit_length() - 1]
+            moved |= 1 << place[low.bit_length() - 1]
             row ^= low
         adj.append(moved)
     return Graph(len(keep), tuple(adj))
@@ -361,9 +367,7 @@ def compile_cover_down(c: SetCover, extremal_set: Optional[int] = None) -> SetCo
         raise DomainError("balanced cover: no set of size |V|-|C|+1 (no balance witness)")
     extremal_set = _pick(extremal_set, candidates, "set {} does not have the extremal size")
     keep = _bits((1 << c.n) - 1 ^ _mask(loyal[extremal_set]))
-    place = [0] * c.n
-    for i, e in enumerate(keep):
-        place[e] = i
+    place = _places(keep, c.n)
     sets = tuple([tuple(map(place.__getitem__, s)) for j, s in enumerate(c.sets) if j != extremal_set])
     return SetCover._from_normal(len(keep), sets)
 
@@ -392,9 +396,7 @@ def compile_xy_down(h: XYGraph, universal: Optional[int] = None) -> XYGraph:
     ys = 0
     for _, y in kept:
         ys |= 1 << y
-    col = [0] * h.ny
-    for j, y in enumerate(_bits(ys)):
-        col[y] = j
+    col = _places(_bits(ys), h.ny)
     return XYGraph(h.nx - 1, ys.bit_count(), frozenset([(x - (x > universal), col[y]) for x, y in kept]))
 
 
@@ -437,9 +439,7 @@ def compile_poset_down(p: BipartitePoset, demote: Optional[int] = None) -> Bipar
         demote = _pick(demote, candidates, "height-1 point {} is not comparable to exactly the full support points")
     elif demote is not None:
         raise UsageError("no height-1 point needs demoting for this poset")
-    row = [0] * p.n0
-    for i, a in enumerate(sorted(partial)):
-        row[a] = i
+    row = _places(sorted(partial), p.n0)
     # no partial support point lies below the demoted point
     below = [(row[a], b) for a, b in p.below if a in partial]
     if not candidates:

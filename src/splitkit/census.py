@@ -46,8 +46,10 @@ canonicalizes and classifies only its own objects, so a one-shot
 ``enumerate`` builds no XY or split census it does not print, while a
 caller that asks for every census (``verify``) canonicalizes each
 unlabeled object of each class once, apart from the XY records without
-isolates in Y, which need no canonicalization.  Those records are built
-once per n: whichever XY census is read second takes them from the first.
+isolates in Y, which need no canonicalization.  Every command reads the
+XY census without isolates in Y before the unrestricted one at the same
+n, and the unrestricted census takes those records instead of building
+them again.
 """
 
 from __future__ import annotations
@@ -216,12 +218,7 @@ def _built(class_tag: str, n: int, no_isolates: bool) -> tuple[Record, ...]:
     cache_key = (class_tag, n, no_isolates)
     stored = _records.get(cache_key)
     if stored is None:
-        unrestricted = _records.get(("xy", n, False)) if class_tag == "xy" and no_isolates else None
-        if unrestricted is not None:
-            # in order, less the padded levels: the only undefined balances
-            stored = tuple([record for record in unrestricted if record.balance is not None])
-        else:
-            stored = tuple(_transported(class_tag, n, no_isolates))
+        stored = tuple(_transported(class_tag, n, no_isolates))
         seen: set[CanonicalKey] = set()
         for record in stored:
             if record.key in seen:

@@ -268,9 +268,11 @@ def test_xy_census_without_isolates_is_the_unrestricted_one_with_a_balance(monke
     census.records("xy", 6, not first_without_isolates)
     unrestricted = census.records("xy", 6, False)
     assert census.records("xy", 6, True) == tuple(r for r in unrestricted if r.balance is not None)
-    # the census read second takes the records without isolates of the first
-    shared = zip(census.records("xy", 6, True), [r for r in unrestricted if r.balance is not None])
-    assert all(a is b for a, b in shared)
+    if first_without_isolates:
+        # the unrestricted census takes the records without isolates, the
+        # order in which every command reads the two
+        shared = zip(census.records("xy", 6, True), [r for r in unrestricted if r.balance is not None])
+        assert all(a is b for a, b in shared)
     assert canonicalized == [r.key for r in unrestricted if r.balance is None]
     assert len(unrestricted) == 94 and len(canonicalized) == 94 - 56
     assert _built_once(augmented, 6)
