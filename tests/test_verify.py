@@ -1,6 +1,7 @@
 """The verification suites themselves: all asserting suites pass at small n,
 and every public operation of classify and biject is exercised somewhere."""
 
+import hashlib
 import os
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from splitkit import biject, canon, census, classify, verify
 from splitkit.canon import canon_key
+from splitkit.cli import main
 from splitkit.core import BipartitePoset, Graph, SetCover, UsageError, XYGraph
 
 from oracles import relabeled
@@ -60,6 +62,47 @@ def test_choice_vacuous_for_choiceless_map():
     assert result.passed and result.checked == 0
 
 
+def _grown(obj):
+    """``obj`` with one more point that nothing touches: never isomorphic to it."""
+    if isinstance(obj, Graph):
+        return Graph(obj.n + 1, obj.adj + (0,))
+    if isinstance(obj, SetCover):
+        return SetCover(obj.n + 1, obj.sets + ((obj.n,),))
+    if isinstance(obj, XYGraph):
+        return XYGraph(obj.nx + 1, obj.ny, obj.edges)
+    return BipartitePoset(obj.n0 + 1, obj.n1, obj.below)
+
+
+@pytest.mark.parametrize("name", verify.CHOICE_MAPS)
+def test_choice_suite_reports_each_choice_that_changes_the_object(name, monkeypatch):
+    # a map whose every non-default choice gives an object of the wrong size
+    spec = biject.MAPS[name]
+
+    def call(obj, target, choice):
+        return spec.fn(obj, target, **choice) if spec.needs_n else spec.fn(obj, **choice)
+
+    def wrong(obj, *target, **choice):
+        out = spec.fn(obj, *target, **choice)
+        return out if choice == next(spec.choices(obj)) else _grown(out)
+
+    monkeypatch.setitem(biject.MAPS, name, biject.MapSpec((wrong,) + spec[1:]))
+    want, checked = [], 0
+    for n in range(5):
+        for rec in census.records(spec.domain, n, require_no_y_isolates=(spec.domain == "xy")):
+            space = list(spec.choices(rec.obj))
+            for target in ([n + 1, n + 2] if spec.needs_n else [None]):
+                checked += len(space)
+                if not space:
+                    continue
+                reference = canon_key(call(rec.obj, target, space[0])).hex
+                for choice in space[1:]:
+                    observed = canon_key(_grown(call(rec.obj, target, choice))).hex
+                    want.append((rec.key.hex, reference, observed))
+    assert want
+    result = verify.verify_choice_independence(name, 4)
+    assert result.failures == want and result.checked == checked
+
+
 def test_counts_suite():
     result = verify.verify_counts(5)
     assert result.passed, result.failures
@@ -93,6 +136,23 @@ def test_suites_still_pass_beyond_gate():
         assert verify.verify_compilation(tag, 7).passed
         assert verify.verify_compilation(tag, 8).passed
     assert verify.verify_counts(8).passed  # includes the 557 total at n=8
+
+
+# sha256 of ``verify --suite all --max-n N`` stdout (max-n 5 is in the golden
+# transcript)
+VERIFY_ALL_STDOUT = {
+    6: "24fd0216d099abf0194bf35ea99afe9158e8afda3b1a5fa29622c4aa0c5748db",
+    7: "5670ef16cc769763cfd048de99e504dd09fe4b92329201dad1824fb219b32d49",
+    8: "abb6bc2b482428364a80e7e02d731d4a7a7477028bfbb1295a5f66e5548d4d2d",
+}
+
+
+@pytest.mark.parametrize("max_n", [
+    6, 7, pytest.param(8, marks=pytest.mark.skipif(not LONG, reason="set SPLITKIT_LONG=1 for max-n 8")),
+])
+def test_verify_all_stdout_is_pinned(max_n, capsys):
+    assert main(["verify", "--suite", "all", "--max-n", str(max_n)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_STDOUT[max_n]
 
 
 def test_run_all_aggregates():
