@@ -227,8 +227,8 @@ def _canon_rows(rows: tuple[int, ...], c: int) -> MatrixCanonForm:
     """``canon_matrix`` of rows given as column masks (bit j is column j).
 
     The census and the verify suites canonicalize the same small matrices
-    many times over (``verify --suite all --max-n 6`` makes 1,961 calls on
-    633 distinct inputs), so recent results are kept; they are immutable.
+    many times over (``verify --suite all --max-n 6`` makes 1,740 calls on
+    479 distinct inputs), so recent results are kept; they are immutable.
     """
     r = len(rows)
     if r == 0 or c == 0:

@@ -100,7 +100,7 @@ def _key(obj) -> CanonicalKey:
     """``canon_key`` of a map's output, remembered for the last 1,024 objects.
 
     The suites key the same labeled objects again and again: the memo
-    answers 65% of the key calls of ``run_all(6)``.  It is exact:
+    answers 66% of the 3,804 key calls of ``run_all(6)``.  It is exact:
     objects are immutable, and equal only with the same class and fields.
     Census keys never enter it, so re-keying an object the census keyed
     still checks the map.  The CLI's per-line commands repeat few objects
@@ -218,7 +218,13 @@ def verify_compilation(class_tag: str, n: int) -> SuiteResult:
 
 
 def verify_choice_independence(map_name: str, max_n: int) -> SuiteResult:
-    """Every admissible choice at every choice point yields the same key."""
+    """Every admissible choice at every choice point yields the same key.
+
+    A choice point is a census object with its target size, for an up map
+    each of n+1 and n+2; each choice there counts as one check.  The first
+    choice is the reference.  A point with a single admissible choice is
+    counted but neither mapped nor keyed: its one output is compared with
+    nothing."""
     if map_name not in biject.MAPS:
         raise UsageError(f"unknown map {map_name!r}")
     spec = biject.MAPS[map_name]
@@ -227,9 +233,10 @@ def verify_choice_independence(map_name: str, max_n: int) -> SuiteResult:
         for rec in _iter(spec.domain, n):
             obj = rec.obj
             space = list(spec.choices(obj)) if spec.choices else []
-            if not space:
-                continue
             targets = [n + 1, n + 2] if spec.needs_n else [None]
+            if len(space) < 2:
+                result.checked += len(space) * len(targets)
+                continue
             for target in targets:
                 reference = None
                 for kwargs in space:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from splitkit import verify
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,6 +28,13 @@ def test_verify_passes_prints_its_tables():
     assert len(maps) == 22 and "compile_poset_up" in {fields[1] for fields in maps}
     for _, _, runs, distinct, us in maps:
         assert int(runs) >= int(distinct) > 0 and float(us) > 0
+    assert "run_all(3) choice points compared / map calls there / single-choice points" in out
+    choices = [line.split() for line in out.splitlines() if line.startswith("  choice ")]
+    assert [fields[1] for fields in choices] == list(verify.CHOICE_MAPS)
+    for _, _, compared, calls, single in choices:
+        assert int(calls) >= 2 * int(compared) and int(compared) + int(single) > 0
+    total = next(line.split()[3:] for line in out.splitlines() if line.startswith("  all choice maps "))
+    assert [int(v) for v in total] == [sum(int(fields[i]) for fields in choices) for i in (2, 3, 4)]
 
 
 def test_fresh_process_compares_a_checkout_with_itself():

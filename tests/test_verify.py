@@ -103,6 +103,35 @@ def test_choice_suite_reports_each_choice_that_changes_the_object(name, monkeypa
     assert result.failures == want and result.checked == checked
 
 
+@pytest.mark.parametrize("name", verify.CHOICE_MAPS)
+def test_choice_suite_maps_and_keys_only_the_points_it_compares(name, monkeypatch):
+    # a point with one admissible choice is counted, never mapped or keyed
+    spec = biject.MAPS[name]
+    mapped, outputs, keyed = [], [], []
+
+    def counted(obj, *target, **choice):
+        mapped.append((obj, target, choice))
+        outputs.append(spec.fn(obj, *target, **choice))
+        return outputs[-1]
+
+    key = verify._key
+    monkeypatch.setitem(biject.MAPS, name, biject.MapSpec((counted,) + spec[1:]))
+    monkeypatch.setattr(verify, "_key", lambda obj: keyed.append(obj) or key(obj))
+    want, single = [], 0
+    for n in range(6):
+        for rec in census.records(spec.domain, n, require_no_y_isolates=(spec.domain == "xy")):
+            space = list(spec.choices(rec.obj))
+            for target in ([(n + 1,), (n + 2,)] if spec.needs_n else [()]):
+                if len(space) == 1:
+                    single += 1
+                else:
+                    want += [(rec.obj, target, choice) for choice in space]
+    result = verify.verify_choice_independence(name, 5)
+    assert result.passed and single > 0 and want
+    assert result.checked == single + len(want)
+    assert mapped == want and keyed == outputs
+
+
 def test_counts_suite():
     result = verify.verify_counts(5)
     assert result.passed, result.failures
@@ -349,7 +378,8 @@ def test_each_census_object_is_mapped_once_per_direction(monkeypatch):
 def test_run_all_keys_covers_by_their_row_multiset(monkeypatch):
     # counts, not times: run_all(6) from empty census stores, memos and
     # kernel cache; with covers searched in their given row order it made
-    # 1,119 searches, and 747 with their loyal identity blocks searched too
+    # 1,119 searches, 747 with their loyal identity blocks searched too, and
+    # 633 with every single-choice point of the choice suite mapped and keyed
     monkeypatch.setattr(census, "_records", {})
     monkeypatch.setattr(census, "_levels", {})
     for module in (canon, classify, verify):
@@ -358,4 +388,4 @@ def test_run_all_keys_covers_by_their_row_multiset(monkeypatch):
                 memo.cache_clear()
     results = verify.run_all(6)
     assert all(r.passed for r in results if r.suite != "triangle")
-    assert canon._canon_rows.cache_info().misses <= 633
+    assert canon._canon_rows.cache_info().misses <= 479

@@ -13,7 +13,11 @@ cleared memos:
   a memo is counted where its body runs, so a memo hit counts nothing.
   Beside each map it prints the CPU time per call of that map on the
   distinct calls it received: the best of ``REPEAT`` sweeps over them,
-  each sweep from cleared memos, so every call is a first one.
+  each sweep from cleared memos, so every call is a first one;
+* a count, for each choice map, of the choice points the choice suite
+  compares, the map calls it makes there (one per admissible choice),
+  and the points with a single admissible choice, which it counts as
+  checked but neither maps nor keys.
 
     python tools/verify_passes.py [N]        (N defaults to 6)
 """
@@ -145,6 +149,27 @@ def pass_counts(max_n: int) -> tuple[dict, dict]:
     return counts, {name: list(args) for name, args in calls.items()}
 
 
+def choice_points(max_n: int) -> dict:
+    """map name -> (choice points compared, map calls made at them,
+    single-choice points) of the choice suite in ``run_all``; a point is a
+    census object and, for an up map, one of its targets n+1 and n+2."""
+    points = {}
+    for name in verify.CHOICE_MAPS:
+        spec = biject.MAPS[name]
+        compared = calls = single = 0
+        for n in range(max_n + 1):
+            for rec in verify._iter(spec.domain, n):
+                size = len(list(spec.choices(rec.obj)))
+                targets = 2 if spec.needs_n else 1
+                if size == 1:
+                    single += targets
+                elif size > 1:
+                    compared += targets
+                    calls += size * targets
+        points[name] = (compared, calls, single)
+    return points
+
+
 def map_us_per_call(name: str, calls: list) -> float:
     """CPU microseconds per call of map ``name`` over ``calls``, the best
     of ``REPEAT`` sweeps, each from cleared memos."""
@@ -176,6 +201,12 @@ def report(max_n: int) -> None:
         print(f"  {label:<28} {runs:6} {distinct:6}{per_call}")
     maps = [v for label, v in counts.items() if label.startswith("map ")]
     print(f"  {'all maps':<28} {sum(r for r, _ in maps):6} {sum(d for _, d in maps):6}")
+    points = choice_points(max_n)
+    print(f"run_all({max_n}) choice points compared / map calls there / single-choice points")
+    for name, (compared, calls, single) in points.items():
+        print(f"  {'choice ' + name:<29} {compared:6} {calls:6} {single:6}")
+    totals = [sum(column) for column in zip(*points.values())]
+    print(f"  {'all choice maps':<29} {totals[0]:6} {totals[1]:6} {totals[2]:6}")
 
 
 def main(argv=None) -> int:
