@@ -53,12 +53,14 @@ from .core import (
     SizeLimitError,
     UsageError,
     ValidationError,
+    check_graph6_size,
     class_tag_of,
     _compact_json,
     parse_graph6,
     parse_object,
     serialize_graph6,
     serialize_object,
+    size_of,
 )
 
 def _serialize(obj) -> str:
@@ -169,8 +171,13 @@ def cmd_classify(args) -> int:
 
 
 def _emit_map(name: str, obj, n=None) -> dict:
-    out, report = biject.apply_named_map(name, obj, n)
     spec = biject.MAPS[name]
+    if spec.domain != spec.codomain == "split" and class_tag_of(obj) == spec.domain:
+        # a split graph from another class has the input's size, one more
+        # from xy_to_unbalanced_split: one too large for graph6 is refused
+        # before the map builds it and the key search runs on it
+        check_graph6_size(size_of(obj) + (spec.fn is biject.xy_to_unbalanced_split))
+    out, report = biject.apply_named_map(name, obj, n)
     return {
         "from": spec.domain,
         "to": spec.codomain,

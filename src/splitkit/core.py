@@ -398,10 +398,15 @@ _REVERSED = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 _GROUP_CHARS = tuple(chr(63 + v) for v in _REVERSED)
 
 
+def check_graph6_size(n: int) -> None:
+    """Refuse a graph on ``n`` vertices, more than a graph6 line holds."""
+    if n > GRAPH6_MAX_N:
+        raise SizeLimitError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={n}")
+
+
 def serialize_graph6(g: Graph) -> str:
     """Encode a graph as a standard graph6 line (n <= 62)."""
-    if g.n > GRAPH6_MAX_N:
-        raise SizeLimitError(f"graph6 output supports n <= {GRAPH6_MAX_N}, got n={g.n}")
+    check_graph6_size(g.n)
     stream = size = 0
     for j, row in enumerate(g.adj):
         stream |= (row & (1 << j) - 1) << size

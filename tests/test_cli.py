@@ -320,6 +320,64 @@ def test_compile_split_up_rejects_a_size_graph6_cannot_hold(monkeypatch, capsys)
     assert parse_graph6(json.loads(out)["object"]).n == 62
 
 
+# A child that runs main() under a cap on its address space and prints the
+# CPU seconds main() took to stderr, so a map that builds the output after
+# all fails or times out instead of filling the host's memory.
+_CAPPED = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from splitkit.cli import main
+start = time.process_time()
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(time.process_time() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, line, n",
+    [
+        (["--from", "xy", "--to", "split-shift"], '{"class":"xy","nx":62,"ny":1600,"edges":[]}', 1663),
+        (["--from", "split", "--to", "xy-shift", "--inverse"], '{"class":"xy","nx":61,"ny":1,"edges":[]}', 63),
+        (["--from", "xy", "--to", "split"], '{"class":"xy","nx":65535,"ny":2,"edges":[[1,1],[2,0]]}', 65537),
+        (["--from", "poset", "--to", "split"], '{"class":"poset","n0":65535,"n1":1,"below":[[2,0]]}', 65536),
+        (["--from", "split", "--to", "poset", "--inverse"], json.dumps({"class": "poset", "n0": 62, "n1": 1, "below": [[a, 0] for a in range(62)]}), 63),
+        (["--from", "cover", "--to", "split"], json.dumps({"class": "cover", "n": 63, "sets": [list(range(63))]}), 63),
+        (["--from", "split", "--to", "cover", "--inverse"], json.dumps({"class": "cover", "n": 64, "sets": [[0, 1], list(range(1, 64))]}), 64),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v) if isinstance(v, int) else "",
+)
+def test_a_split_output_graph6_cannot_hold_is_refused_before_it_is_built(argv, line, n):
+    # xy -> split-shift built a 1,663-vertex graph in 0.9 s before graph6
+    # refused it, and did not finish in 10 minutes at ny = 65535
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED, "map", *argv], input=line + "\n",
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    error = f"graph6 output supports n <= 62, got n={n}"
+    assert proc.stdout == json.dumps({"error": error, "line": line}, separators=(",", ":")) + "\n"
+    assert len(proc.stdout.encode()) < 1024
+    assert float(proc.stderr) < 0.25  # a few ms: nothing of the output's size is built
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--from", "xy", "--to", "split-shift"], '{"class":"xy","nx":60,"ny":1,"edges":[]}'),
+        (["--from", "xy", "--to", "split"], '{"class":"xy","nx":61,"ny":1,"edges":[[0,0]]}'),
+        (["--from", "poset", "--to", "split"], json.dumps({"class": "poset", "n0": 61, "n1": 1, "below": [[a, 0] for a in range(61)]})),
+        (["--from", "cover", "--to", "split"], json.dumps({"class": "cover", "n": 62, "sets": [list(range(62))]})),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_a_split_output_of_62_vertices_is_still_mapped(argv, line, monkeypatch, capsys):
+    code, out, _ = run(["map", *argv], line + "\n", monkeypatch, capsys)
+    assert code == 0
+    assert parse_graph6(json.loads(out)["object"]).n == 62
+
+
 def test_classify_skips_headers_and_blanks(monkeypatch, capsys):
     text = "# class=split n=1 count=1 balanced=0 unbalanced=1\n\n@\n"
     code, out, _ = run(["classify"], text, monkeypatch, capsys)
