@@ -156,11 +156,11 @@ def choice_points(max_n: int) -> dict:
     points = {}
     for name in verify.CHOICE_MAPS:
         spec = biject.MAPS[name]
+        targets = 2 if spec.needs_n else 1
         compared = calls = single = 0
         for n in range(max_n + 1):
             for rec in verify._iter(spec.domain, n):
                 size = len(list(spec.choices(rec.obj)))
-                targets = 2 if spec.needs_n else 1
                 if size == 1:
                     single += targets
                 elif size > 1:
